@@ -200,10 +200,6 @@ def mean_from_eccentric(E, e):
     return E - e * np.sin(E)
 
 
-def eccentric_from_mean(mean_anom, e):
-    return kepler_solve(mean_anom, e)
-
-
 def true_from_mean(mean_anom, e):
     return true_from_eccentric(kepler_solve(mean_anom, e), e)
 

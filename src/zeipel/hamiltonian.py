@@ -9,11 +9,9 @@ Cartesian oracle integrator and share no code with the series evaluators.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .elements import DelaunayState, a_over_r, true_from_mean
+from .elements import a_over_r, true_from_mean
 from .errors import DomainError
 
 
@@ -105,46 +103,6 @@ def dh1_true(L, G, H, nu, g, model):
         + (dF_de * e_G + rho**3 * (-2.0 * G + 6.0 * G * t)) / (L**6 * G * G)
     )
     return dL, dG
-
-
-class SeriesHamiltonian:
-    """State-level access to the series terms for a fixed model."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def h0(self, L):
-        return h0(L, self.model)
-
-    def dh0_dL(self, L):
-        return dh0_dL(L, self.model)
-
-    def d2h0_dL2(self, L):
-        return d2h0_dL2(L, self.model)
-
-    def h1(self, st: DelaunayState):
-        return float(h1_mean(st.L, st.G, st.H, st.l, st.g, self.model))
-
-    def h1_secular(self, st: DelaunayState):
-        return h1_secular(st.L, st.G, st.H, self.model)
-
-    def h1_periodic(self, st: DelaunayState):
-        return self.h1(st) - self.h1_secular(st)
-
-    def dh1_dL(self, st: DelaunayState):
-        e = eccentricity_from_momenta(st.L, st.G)
-        nu = true_from_mean(st.l, e)
-        return float(dh1_true(st.L, st.G, st.H, nu, st.g, self.model)[0])
-
-    def dh1_dG(self, st: DelaunayState):
-        e = eccentricity_from_momenta(st.L, st.G)
-        nu = true_from_mean(st.l, e)
-        return float(dh1_true(st.L, st.G, st.H, nu, st.g, self.model)[1])
-
-    def h2(self, st: DelaunayState):
-        """Second series term, identically zero for the J2-only problem.
-        Kept as an explicit slot so higher-degree extensions have a seam."""
-        return 0.0
 
 
 def legendre_upward(nmax, x):

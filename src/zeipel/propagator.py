@@ -22,7 +22,6 @@ from .elements import (
     delaunay_to_kep,
     kep_to_cartesian,
     kep_to_delaunay,
-    normalize_angle,
 )
 from .errors import DomainError, IntegrationError, UsageError
 from .hamiltonian import polar_angular_momentum, specific_energy, zonal_accel
@@ -131,20 +130,9 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
         j2 = model.j2
     cmap = CanonicalMap(model, j2=j2, order=order)
     mean0 = cmap.osculating_to_mean(kep_to_delaunay(osc0, model))
-    rates = mean_rates(mean0.momenta, model, order, j2)
-    t0 = times[0]
     kep_list = []
     for t in times:
-        dt = t - t0
-        mean_t = DelaunayState(
-            mean0.L,
-            mean0.G,
-            mean0.H,
-            mean0.l + rates.dl * dt,
-            mean0.g + rates.dg * dt,
-            mean0.h + rates.dh * dt,
-        )
-        osc_t = cmap.mean_to_osculating(mean_t)
+        osc_t = cmap.mean_to_osculating(propagate_mean(mean0, t - times[0], model, order, j2))
         kep_list.append(delaunay_to_kep(osc_t, model))
     return _ephemeris_from_kep(times, kep_list, model)
 

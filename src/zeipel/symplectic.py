@@ -85,14 +85,24 @@ def product_closure(M, M1, tol=1e-8):
     return ok
 
 
+def generating_jacobian(A, B, C):
+    """Jacobian of the map (P, Q) -> (p, q) that a mixed generator S(P, q)
+    induces through p = S_q, Q = S_P, from its second derivatives
+    A = S_qP (A[i, j] = d2S/dq_i dP_j), B = S_qq and C = S_PP:
+        [[A - B A^-T C, B A^-T], [-A^-T C, A^-T]].
+    Symplectic by construction when B and C are symmetric."""
+    A_inv_T = np.linalg.inv(A).T
+    top = np.hstack([A - B @ A_inv_T @ C, B @ A_inv_T])
+    bot = np.hstack([-A_inv_T @ C, A_inv_T])
+    return np.vstack([top, bot])
+
+
 def random_symplectic(rng, n=3, eps=1e-2, harmonics=2):
     """Exact symplectic Jacobian of a random near-identity generating map.
 
     The generator is S = P.q + eps * T(q) * Pi(P) with T a random
-    trigonometric polynomial and Pi a random quadratic.  With
-    A = S_qP, B = S_qq, C = S_PP (B, C symmetric), the Jacobian of the
-    induced map (P, Q) -> (p, q) is assembled analytically as
-        [[A - B A^-T C, B A^-T], [-A^-T C, A^-T]].
+    trigonometric polynomial and Pi a random quadratic; its exact second
+    derivatives go through `generating_jacobian`.
     """
     kvec = rng.integers(1, harmonics + 1, size=(3, n))
     amp = rng.normal(size=3)
@@ -124,7 +134,4 @@ def random_symplectic(rng, n=3, eps=1e-2, harmonics=2):
     A = np.eye(n) + eps * np.outer(Tg, Pg)  # S_qP
     B = eps * Pv * Th                       # S_qq
     C = eps * Tv * Ph                       # S_PP
-    A_inv_T = np.linalg.inv(A).T
-    top = np.hstack([A - B @ A_inv_T @ C, B @ A_inv_T])
-    bot = np.hstack([-A_inv_T @ C, A_inv_T])
-    return np.vstack([top, bot])
+    return generating_jacobian(A, B, C)

@@ -4,7 +4,8 @@ The mixed-variable generator S(P, q) = P.q + J2*S1(P, q) + J2^2*S2(P, q)
 defines the map implicitly through p = dS/dq, Q = dS/dP.  The forward
 direction solves for the osculating angles q given (P, Q); the inverse
 solves for the mean momenta P given (p, q).  Both are damped-free Newton
-iterations with a frozen first-order Jacobian.
+iterations with a frozen first-order Jacobian.  The map's own Jacobian is
+assembled from the second derivatives of S at the solved (P, q) pair.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vonzeipel as vz
-from .elements import DelaunayState, PhysicalModel, normalize_angle
+from .elements import DelaunayState, PhysicalModel
 from .errors import DomainError, MapError
+from .symplectic import generating_jacobian, symplectic_inverse
 
 FD_REL = 1e-6
 J2_GUARD = 0.01
+NEWTON_TOL = 1e-12
+NEWTON_MAXITER = 25
 
 
 def momentum_scale(model: PhysicalModel) -> float:
@@ -33,12 +37,6 @@ def _wedge_step(h, P, k):
     if k in (0, 1) and room > 0.0:
         h = min(h, room)
     return max(h, 1e-300)
-
-
-def _wrap_diff(y1, y0):
-    d = y1 - y0
-    d[3:] = (d[3:] + np.pi) % (2.0 * np.pi) - np.pi
-    return d
 
 
 @dataclass(frozen=True)
@@ -91,22 +89,20 @@ class GeneratingSeries:
 class CanonicalMap:
     """Osculating (p, q) <-> mean (P, Q) Delaunay map at a fixed J2."""
 
-    def __init__(self, model: PhysicalModel, j2=None, order=2, tol=1e-12, maxiter=25):
+    def __init__(self, model: PhysicalModel, j2=None, order=2):
         self.model = model
         self.j2 = model.j2 if j2 is None else float(j2)
         if abs(self.j2) >= J2_GUARD:
             raise DomainError(f"|J2| = {abs(self.j2):.3e} exceeds the {J2_GUARD} guard")
         self.series = GeneratingSeries(model, order)
         self.order = order
-        self.tol = float(tol)
-        self.maxiter = int(maxiter)
 
     # -- Newton drivers -----------------------------------------------------
 
     def _solve(self, residual, jac_at, x0, scale):
         x = x0.copy()
         polish = False
-        for its in range(1, self.maxiter + 1):
+        for its in range(1, NEWTON_MAXITER + 1):
             F = residual(x)
             if not np.all(np.isfinite(F)):
                 raise MapError("residual became non-finite")
@@ -114,10 +110,10 @@ class CanonicalMap:
             if polish:
                 return x, its
             step = np.abs(F / scale).max()
-            if step <= self.tol:
+            if step <= NEWTON_TOL:
                 polish = True  # one extra pass sharpens the FD-Jacobian limit
         raise MapError(
-            f"no convergence in {self.maxiter} iterations, scaled step {step:.3e}"
+            f"no convergence in {NEWTON_MAXITER} iterations, scaled step {step:.3e}"
         )
 
     def _jac_angles(self, P, q):
@@ -133,28 +129,6 @@ class CanonicalMap:
                 - vz.ds1_dP(L, G, H, qm[0], qm[1], self.model)
             ) / (2.0 * h)
             jac[:, col] += self.j2 * dcol
-        return jac
-
-    def _jac_momenta(self, P, q):
-        """I + J2 * d(dS1/dq)/dP, frozen quasi-Newton matrix."""
-        l, g = q[0], q[1]
-        jac = np.eye(3)
-        for col in range(3):
-            h = _wedge_step(FD_REL * max(1.0, abs(P[col])), P, col)
-            hi, lo = P.copy(), P.copy()
-            hi[col] += h
-            lo[col] -= h
-            up = np.array([
-                vz.ds1_dl(hi[0], hi[1], hi[2], l, g, self.model),
-                vz.ds1_dg(hi[0], hi[1], hi[2], l, g, self.model),
-                0.0,
-            ])
-            dn = np.array([
-                vz.ds1_dl(lo[0], lo[1], lo[2], l, g, self.model),
-                vz.ds1_dg(lo[0], lo[1], lo[2], l, g, self.model),
-                0.0,
-            ])
-            jac[:, col] += self.j2 * (up - dn) / (2.0 * h)
         return jac
 
     # -- the map ------------------------------------------------------------
@@ -188,7 +162,7 @@ class CanonicalMap:
         try:
             P, its = self._solve(
                 lambda PP: PP + self.series.grad_q(PP, q, self.j2) - p,
-                lambda PP: self._jac_momenta(PP, q),
+                lambda PP: self._jac_angles(PP, q).T,  # mixed partials commute
                 p,
                 scale,
             )
@@ -202,59 +176,61 @@ class CanonicalMap:
 
     # -- derived linear objects ----------------------------------------------
 
-    def _apply(self, x, direction):
-        st = DelaunayState(x[0], x[1], x[2], x[3], x[4], x[5])
-        if direction == "mean_to_osculating":
-            out = self.mean_to_osculating(st)
-        elif direction == "osculating_to_mean":
-            out = self.osculating_to_mean(st)
-        else:
-            raise DomainError(f"unknown direction {direction!r}")
-        return np.concatenate([out.momenta, out.angles])
+    def _hessian_blocks(self, P, q, shrink):
+        """(A, B, C) = (S_qP, S_qq, S_PP) of the full generator by central
+        differences of its gradients, with every step divided by `shrink`.
+        S does not depend on h, so only l and g are differenced; momentum
+        steps are relative to sqrt(mu R) at least, so H near 0 gets no tiny
+        step."""
+        grad_P, grad_q, j2 = self.series.grad_P, self.series.grad_q, self.j2
+        At = np.eye(3)  # transpose of A, from the angle columns of grad_P
+        B = np.zeros((3, 3))
+        C = np.zeros((3, 3))
+        h = FD_REL / shrink
+        for k in (0, 1):
+            qp, qm = q.copy(), q.copy()
+            qp[k] += h
+            qm[k] -= h
+            At[:, k] += (grad_P(P, qp, j2) - grad_P(P, qm, j2)) / (2.0 * h)
+            B[:, k] = (grad_q(P, qp, j2) - grad_q(P, qm, j2)) / (2.0 * h)
+        s = momentum_scale(self.model)
+        for k in range(3):
+            hk = _wedge_step(FD_REL * max(s, abs(P[k])), P, k) / shrink
+            hi, lo = P.copy(), P.copy()
+            hi[k] += hk
+            lo[k] -= hk
+            C[:, k] = (grad_P(hi, q, j2) - grad_P(lo, q, j2)) / (2.0 * hk)
+        return At.T, B, C
 
     def map_jacobian(self, at: DelaunayState, direction="mean_to_osculating", scaled=False):
-        """Central finite-difference Jacobian with one Richardson pass.
+        """Jacobian of the map at `at`, assembled from the generator's
+        Hessian blocks at the (P, q) pair the map solves for.
 
-        Differencing runs in momentum units of sqrt(mu R) so that all six
-        variables are O(1); `scaled=True` returns that well-conditioned
-        matrix (itself symplectic, since the unit change has block-diagonal
-        Jacobian T with T J T^t proportional to J), `scaled=False` converts
-        back to km^2/s momenta.
+        The blocks take one Richardson pass over central differences.  The
+        matrix is built in momentum units of sqrt(mu R), where all six
+        variables are O(1); `scaled=True` returns it as is (itself
+        symplectic, since the unit change has block-diagonal Jacobian T with
+        T J T^t proportional to J), `scaled=False` converts back to km^2/s
+        momenta.  The inverse direction is the symplectic inverse of the
+        forward matrix at the same (P, q).
         """
+        if direction == "mean_to_osculating":
+            P, q = at.momenta, self.mean_to_osculating(at).angles
+        elif direction == "osculating_to_mean":
+            P, q = self.osculating_to_mean(at).momenta, at.angles
+        else:
+            raise DomainError(f"unknown direction {direction!r}")
+        coarse = self._hessian_blocks(P, q, 1.0)
+        fine = self._hessian_blocks(P, q, 2.0)
+        A, B, C = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
         s = momentum_scale(self.model)
-        x0 = np.concatenate([at.momenta / s, at.angles])
-
-        def f(xs):
-            x = xs.copy()
-            x[:3] *= s
-            y = self._apply(x, direction)
-            y[:3] /= s
-            return y
-
-        def table(h_fracs):
-            M = np.empty((6, 6))
-            for k in range(6):
-                h = h_fracs[k]
-                xp, xm = x0.copy(), x0.copy()
-                xp[k] += h
-                xm[k] -= h
-                M[:, k] = _wrap_diff(f(xp), f(xm)) / (2.0 * h)
-            return M
-
-        steps = FD_REL * np.maximum(1.0, np.abs(x0))
-        room = 0.25 * (at.L - at.G) / s  # keeps momentum probes inside G <= L
-        if room > 0.0:
-            steps[0] = min(steps[0], room)
-            steps[1] = min(steps[1], room)
-        coarse = table(steps)
-        fine = table(steps / 2.0)
-        M = (4.0 * fine - coarse) / 3.0
-        if scaled:
-            return M
-        out = M.copy()
-        out[:3, 3:] *= s
-        out[3:, :3] /= s
-        return out
+        M = generating_jacobian(A, 0.5 * (B + B.T) / s, 0.5 * (C + C.T) * s)
+        if direction == "osculating_to_mean":
+            M = symplectic_inverse(M)
+        if not scaled:
+            M[:3, 3:] *= s
+            M[3:, :3] /= s
+        return M
 
     def transform_force(self, f, mean: DelaunayState):
         """Push a generalized force 6-vector (f1 on momenta, f2 on angles)

@@ -390,7 +390,7 @@ class SecondOrderTables:
 
 
 @functools.lru_cache(maxsize=128)
-def second_order_tables(L, G, H, model, nl=128, ng=32):
+def second_order_tables(L, G, H, model):
     """Cached satellite-problem tables: source field is the compositional
     cross term, frequency is dh0/dL."""
     e = eccentricity_from_momenta(L, G)
@@ -400,7 +400,7 @@ def second_order_tables(L, G, H, model, nl=128, ng=32):
         nu = true_from_mean(LL, float(e))
         return hbar_true(L, G, H, nu, GGm, model)
 
-    return SecondOrderTables(field, dh0_dL(L, model), nl=nl, ng=ng)
+    return SecondOrderTables(field, dh0_dL(L, model))
 
 
 def s2(L, G, H, l, g, model):

@@ -3,10 +3,9 @@ import pytest
 from numpy.polynomial import legendre as npleg
 from numpy.testing import assert_allclose
 
-from zeipel.elements import EARTH, DelaunayState, PhysicalModel, kep_to_cartesian, KeplerianElements, true_from_mean
+from zeipel.elements import EARTH, PhysicalModel, kep_to_cartesian, KeplerianElements, true_from_mean
 from zeipel.errors import DomainError
 from zeipel.hamiltonian import (
-    SeriesHamiltonian,
     d2h0_dL2,
     dh0_dL,
     dh1_true,
@@ -125,17 +124,6 @@ def test_dh1_against_finite_differences():
 def test_dh1_rejects_circular():
     with pytest.raises(DomainError):
         dh1_true(1.0, 1.0, 0.5, 0.3, 0.1, UNIT)
-
-
-def test_series_hamiltonian_state_access():
-    sh = SeriesHamiltonian(UNIT)
-    st8 = DelaunayState(L=1.0, G=0.9, H=0.5, l=0.3, g=1.1, h=2.0)
-    assert sh.h1(st8) == pytest.approx(
-        float(h1_mean(st8.L, st8.G, st8.H, st8.l, st8.g, UNIT)), rel=1e-15
-    )
-    assert sh.h1_periodic(st8) == pytest.approx(sh.h1(st8) - sh.h1_secular(st8), abs=1e-18)
-    assert sh.h2(st8) == 0.0
-    assert sh.h0(1.0) == 0.5
 
 
 def test_legendre_against_numpy():
