@@ -13,8 +13,8 @@ import argparse
 
 import numpy as np
 
-from zeipel.elements import EARTH, KeplerianElements, kep_to_cartesian
-from zeipel.propagator import compare, mean_history, propagate_analytic, propagate_oracle
+from zeipel.checks import halving_study
+from zeipel.elements import EARTH, KeplerianElements
 
 
 def run(orbits, samples, a, e, i):
@@ -25,21 +25,15 @@ def run(orbits, samples, a, e, i):
 
     for order in (1, 2):
         print(f"== order {order} ==")
-        errs = []
-        ptps = []
-        for factor in (1.0, 0.5, 0.25):
-            m = model.with_j2(model.j2 * factor)
-            eph_o = propagate_oracle(kep_to_cartesian(el0, m), times, m)
-            eph_a = propagate_analytic(el0, times, m, order=order)
-            rep = compare(eph_a, eph_o)
-            ptp = np.ptp(mean_history(eph_o, m, order=order), axis=0)
-            errs.append(rep.max_pos_err)
-            ptps.append(ptp)
-            drift = abs(np.ptp(eph_o.extras["energy"]) / eph_o.extras["energy"][0])
+        levels = halving_study(el0, times, model, order)
+        errs = [lv.report.max_pos_err for lv in levels]
+        ptps = [np.ptp(lv.mean, axis=0) for lv in levels]
+        for lv, ptp in zip(levels, ptps):
+            energy = lv.oracle.extras["energy"]
             print(
-                f"  J2={m.j2:.6e}  max_pos_err={rep.max_pos_err:.6e} km  "
+                f"  J2={lv.model.j2:.6e}  max_pos_err={lv.report.max_pos_err:.6e} km  "
                 f"ptp(L'',G'',H'')={ptp[0]:.3e},{ptp[1]:.3e},{ptp[2]:.3e}  "
-                f"oracle dE/E={drift:.1e}"
+                f"oracle dE/E={abs(np.ptp(energy) / energy[0]):.1e}"
             )
         for k in (0, 1):
             print(

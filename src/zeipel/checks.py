@@ -1,0 +1,279 @@
+"""Stated measurements of the package's correctness claims.
+
+Each function draws its inputs from `rng`, measures one quantity and returns
+the worst value over its draws.  `zeipel verify` and the acceptance gates
+call the same functions, each with its own seed, draw counts, draw ranges
+and grid sizes.  `halving_study` runs the J2-halving study behind
+`zeipel compare`, the convergence script and the halving gate.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import symplectic as symp
+from . import vonzeipel as vz
+from .elements import (
+    DelaunayState,
+    KeplerianElements,
+    PhysicalModel,
+    delaunay_momenta,
+    kep_to_cartesian,
+    kepler_solve,
+    true_from_mean,
+)
+from .hamiltonian import dh0_dL, eccentricity_from_momenta, h1_periodic_true, h1_true
+from .propagator import (
+    CompareReport,
+    Ephemeris,
+    compare,
+    mean_history,
+    propagate_analytic,
+    propagate_oracle,
+)
+from .transform import CanonicalMap
+
+TWO_PI = 2.0 * np.pi
+A_RANGE = (6800.0, 9500.0)
+
+
+def momenta_draw(rng, model, e_range, i_range):
+    """Delaunay momenta (L, G, H) of a uniform draw of a in A_RANGE, then e
+    and i in the given ranges."""
+    a = rng.uniform(*A_RANGE)
+    e = rng.uniform(*e_range)
+    inc = rng.uniform(*i_range)
+    return delaunay_momenta(a, e, inc, model)
+
+
+def _state_draw(rng, model, e_range, i_range):
+    """A Delaunay state: drawn momenta, then three uniform angles."""
+    momenta = momenta_draw(rng, model, e_range, i_range)
+    return DelaunayState(*momenta, *rng.uniform(0.0, TWO_PI, size=3))
+
+
+def _richardson(fun, x, h):
+    """Central difference of fun at x with steps h and h/2, one Richardson
+    pass."""
+    d1 = (fun(x + h) - fun(x - h)) / (2 * h)
+    d2 = (fun(x + h / 2) - fun(x - h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def kepler_residual(rng, eccentricities, points):
+    """max |E - e sin E - M| over `points` uniform mean anomalies per e."""
+    worst = 0.0
+    for e in eccentricities:
+        M = rng.uniform(0.0, TWO_PI, size=points)
+        E = kepler_solve(M, e)
+        worst = max(worst, float(np.abs(E - e * np.sin(E) - M).max()))
+    return worst
+
+
+def operator_algebra(rng, n):
+    """Projection, annihilation, idempotence and fixed constants of the
+    secular/periodic operators on `n` random five-term trigonometric
+    polynomials with harmonics 1 to 4."""
+    op = vz.AveragingOperator()
+    worst = 0.0
+    for _ in range(n):
+        coef = rng.normal(size=5)
+        ka, kb, kc = rng.integers(1, 5, size=3)
+
+        def f(x, y, c=coef, ka=ka, kb=kb, kc=kc):
+            return (
+                c[0]
+                + c[1] * np.cos(ka * x)
+                + c[2] * np.sin(kb * y)
+                + c[3] * np.cos(kc * (x - y))
+                + c[4] * np.sin(x + 2 * y)
+            )
+
+        sec = op.secular(f, 2)
+        q = rng.uniform(0.0, TWO_PI, size=2)
+        per_val = op.periodic(f, q)
+        worst = max(worst, abs(sec - coef[0]))                                  # projection
+        worst = max(worst, abs(op.secular(lambda x, y: f(x, y) - sec, 2)))      # annihilation
+        worst = max(worst, abs(op.periodic(lambda x, y: f(x, y) - sec, q) - per_val))  # idempotence
+        worst = max(worst, abs(op.secular(lambda x, y: sec + 0.0 * x, 2) - sec))  # constants fixed
+    return worst
+
+
+def k1_vs_quadrature(rng, model, n, e_range, i_range):
+    """Relative gap between closed-form k1 and the dnu-weighted torus
+    average of h1."""
+    worst = 0.0
+    for _ in range(n):
+        L, G, H = momenta_draw(rng, model, e_range, i_range)
+        e = eccentricity_from_momenta(L, G)
+        quad = vz.torus_average_weighted(lambda nu, g: h1_true(L, G, H, nu, g, model), e)
+        closed = vz.k1(L, G, H, model)
+        worst = max(worst, abs(quad - closed) / abs(closed))
+    return worst
+
+
+def s1_residual(rng, model, n, grid, e_range, i_range):
+    """First-order generator equation w1 dS1/dl + per(h1) = 0 on a
+    grid x grid angle mesh, relative to max |per(h1)|."""
+    axis = TWO_PI * np.arange(grid) / grid
+    ll, gg = np.meshgrid(axis, axis, indexing="ij")
+    worst = 0.0
+    for _ in range(n):
+        L, G, H = momenta_draw(rng, model, e_range, i_range)
+        nu = true_from_mean(ll, eccentricity_from_momenta(L, G))
+        per = h1_periodic_true(L, G, H, nu, gg, model)
+        res = dh0_dL(L, model) * vz.ds1_dl(L, G, H, ll, gg, model) + per
+        worst = max(worst, float(np.abs(res).max() / np.abs(per).max()))
+    return worst
+
+
+def s2_residual(rng, model, n, points, e_range, i_range):
+    """Second-order generator equation, spectral solution with its ramp, at
+    `points` random angle pairs, relative to max(1, max |periodic source|)."""
+    worst = 0.0
+    for _ in range(n):
+        L, G, H = momenta_draw(rng, model, e_range, i_range)
+        tab = vz.second_order_tables(L, G, H, model)
+        pts_l = rng.uniform(0.0, TWO_PI, size=points)
+        pts_g = rng.uniform(0.0, TWO_PI, size=points)
+        field = np.array([vz.hbar(L, G, H, l, g, model) for l, g in zip(pts_l, pts_g)])
+        per = field - tab.mean
+        res = tab.w1 * tab.pde_dl(pts_l, pts_g) + per
+        worst = max(worst, float(np.abs(res).max()) / max(1.0, float(np.abs(per).max())))
+    return worst
+
+
+def k2_two_routes(rng, model, n, e_range, i_range):
+    """Relative gap between closed-form k2 and its quadrature."""
+    worst = 0.0
+    for _ in range(n):
+        L, G, H = momenta_draw(rng, model, e_range, i_range)
+        quad = vz.k2_quadrature(L, G, H, model)
+        worst = max(worst, abs(quad - vz.k2(L, G, H, model)) / abs(quad))
+    return worst
+
+
+def cross_term_two_routes(rng, model, n, points, e_range, i_range):
+    """Compositional cross term against its cosine-table form at `points`
+    random angle pairs per draw, relative to max(1, |compositional|)."""
+    worst = 0.0
+    for _ in range(n):
+        L, G, H = momenta_draw(rng, model, e_range, i_range)
+        for _ in range(points):
+            l, g = rng.uniform(0.0, TWO_PI, size=2)
+            a_val = vz.hbar(L, G, H, l, g, model)
+            b_val = vz.hbar_closed(L, G, H, l, g, model)
+            worst = max(worst, abs(a_val - b_val) / max(1.0, abs(a_val)))
+    return worst
+
+
+def k2_rates_vs_quadrature(rng, model, n, e_range, i_range):
+    """Relative gap between dk2 and Richardson differences of the k2
+    quadrature, relative to max |dk2|."""
+    worst = 0.0
+    for _ in range(n):
+        L, G, H = momenta_draw(rng, model, e_range, i_range)
+        grad = vz.dk2(L, G, H, model)
+        fd = np.array(
+            [
+                _richardson(lambda x: vz.k2_quadrature(x, G, H, model), L, 1e-4 * L),
+                _richardson(lambda x: vz.k2_quadrature(L, x, H, model), G, 1e-4 * G),
+                _richardson(lambda x: vz.k2_quadrature(L, G, x, model), H, 1e-4 * max(abs(H), 1.0)),
+            ]
+        )
+        worst = max(worst, float(np.abs(grad - fd).max() / np.abs(grad).max()))
+    return worst
+
+
+def map_roundtrip(rng, model, order, n, e_range, i_range):
+    """max |osculating_to_mean(mean_to_osculating(x)) - x|, angles wrapped."""
+    cmap = CanonicalMap(model, order=order)
+    worst = 0.0
+    for _ in range(n):
+        st = _state_draw(rng, model, e_range, i_range)
+        back = cmap.osculating_to_mean(cmap.mean_to_osculating(st))
+        d = np.concatenate([
+            back.momenta - st.momenta,
+            (back.angles - st.angles + np.pi) % TWO_PI - np.pi,
+        ])
+        worst = max(worst, float(np.abs(d).max()))
+    return worst
+
+
+def map_jacobian_symplecticity(rng, model, order, n, e_range, i_range):
+    """Symplectic residual of the scaled mean-to-osculating map Jacobian."""
+    cmap = CanonicalMap(model, order=order)
+    worst = 0.0
+    for _ in range(n):
+        st = _state_draw(rng, model, e_range, i_range)
+        worst = max(worst, symp.symplectic_residual(cmap.map_jacobian(st, scaled=True)))
+    return worst
+
+
+def symplectic_algebra(rng, n):
+    """Block identities and |M M^-1 - I| on `n` exactly symplectic matrices."""
+    worst = 0.0
+    for _ in range(n):
+        M = symp.random_symplectic(rng)
+        worst = max(worst, max(symp.block_identities(M).values()))
+        worst = max(worst, float(np.abs(M @ symp.symplectic_inverse(M) - np.eye(6)).max()))
+    return worst
+
+
+def identity_at_zero(rng, model, e_range, i_range):
+    """max |map(x) - x| at J2 = 0, where the map is the identity bit for bit."""
+    st = _state_draw(rng, model, e_range, i_range)
+    ident = CanonicalMap(model, j2=0.0).mean_to_osculating(st)
+    return float(np.abs(np.concatenate([ident.momenta - st.momenta, ident.angles - st.angles])).max())
+
+
+def homological_line_solver(rng, model, n, e_range, i_range):
+    """Richardson d/dl of the characteristic-line solution of the first-order
+    equation against closed-form dS1/dl, relative, at one random point per
+    draw."""
+    worst = 0.0
+    for _ in range(n):
+        L, G, H = momenta_draw(rng, model, e_range, i_range)
+        e = eccentricity_from_momenta(L, G)
+        w = np.array([dh0_dL(L, model), 0.0, 0.0])
+
+        def f_per(pts):
+            nu = true_from_mean(pts[0], e)
+            return h1_periodic_true(L, G, H, nu, pts[1], model)
+
+        l0, g0, h0 = rng.uniform(0.3, TWO_PI - 0.3, size=3)
+
+        def sigma(x):
+            return vz.solve_homological(w, f_per, np.array([x, g0, h0]))
+
+        fd = _richardson(sigma, l0, 1e-3)
+        ref = float(vz.ds1_dl(L, G, H, l0, g0, model))
+        worst = max(worst, abs(fd - ref) / abs(ref))
+    return worst
+
+
+@dataclass(frozen=True)
+class HalvingLevel:
+    """One J2 level of the halving study."""
+
+    model: PhysicalModel
+    report: CompareReport   # analytic against oracle
+    oracle: Ephemeris
+    mean: np.ndarray        # mean momenta recovered along the oracle run
+
+
+def halving_study(el0: KeplerianElements, times, model: PhysicalModel, order, nmax=None):
+    """Analytic ephemeris of `order` against the Cartesian oracle (zonal
+    degree `nmax`) at J2, J2/2 and J2/4, with the mean momenta recovered
+    along each oracle run.  A neglected remainder of O(J2^n) shows
+    successive error ratios near 2^n."""
+    levels = []
+    for factor in (1.0, 0.5, 0.25):
+        m = model.with_j2(model.j2 * factor)
+        oracle = propagate_oracle(kep_to_cartesian(el0, m), times, m, nmax)
+        analytic = propagate_analytic(el0, times, m, order=order)
+        mean = mean_history(oracle, m, order=order)
+        levels.append(HalvingLevel(m, compare(analytic, oracle), oracle, mean))
+    return levels

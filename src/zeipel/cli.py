@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import symplectic as symp
-from . import vonzeipel as vz
+from . import checks
 from .elements import (
     CartesianState,
     DelaunayState,
@@ -27,13 +26,9 @@ from .elements import (
     delaunay_to_kep,
     kep_to_cartesian,
     kep_to_delaunay,
-    kepler_solve,
-    true_from_mean,
 )
 from .errors import DomainError, UsageError, ZeipelError
-from .hamiltonian import dh0_dL, h1_periodic_true, h1_true
-from .propagator import compare, mean_history, propagate_analytic, propagate_oracle
-from .transform import CanonicalMap
+from .propagator import propagate_analytic, propagate_oracle
 
 CSV_HEADER = "t,a,e,i,raan,argp,M,x,y,z,vx,vy,vz,L,G,H,l,g,h"
 
@@ -57,7 +52,6 @@ class RunConfig:
     oracle_nmax: int | None = None
     out_dir: str = "out"
     seed: int = 20260818
-    tolerance_scale: float = 1.0
 
     def validate(self):
         if not self.t1 > self.t0:
@@ -97,7 +91,6 @@ class RunConfig:
                 "order": self.order, "oracle_nmax": self.oracle_nmax,
                 "out_dir": self.out_dir, "seed": self.seed,
             },
-            "verify": {"tolerance_scale": self.tolerance_scale},
         }
         return doc
 
@@ -107,7 +100,6 @@ _SECTION_FIELDS = {
     "elements": ("a", "e", "i", "raan", "argp", "mean_anom"),
     "grid": ("t0", "t1", "count", "step"),
     "run": ("order", "oracle_nmax", "out_dir", "seed"),
-    "verify": ("tolerance_scale",),
 }
 
 
@@ -177,34 +169,21 @@ def cmd_compare(cfg: RunConfig, oracle: bool, stdout):
         raise UsageError("compare requires --oracle (nothing to compare against)")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = cfg.model
-    times = cfg.times
-    lines = []
-
-    eph_a = propagate_analytic(cfg.elements, times, model, order=cfg.order)
-    eph_o = propagate_oracle(kep_to_cartesian(cfg.elements, model), times, model, cfg.oracle_nmax)
-    rep = compare(eph_a, eph_o)
-    lines.append(f"# analytic(order={cfg.order}) vs oracle, J2={_fmt(model.j2)}")
-    lines.append(f"max_pos_err_km {_fmt(rep.max_pos_err)}")
-    lines.append(f"rms_pos_err_km {_fmt(rep.rms_pos_err)}")
-
-    lines.append("# halving table: J2 max_pos_err_km ptp_L ptp_G ptp_H")
-    errs = []
-    ptps = []
-    for factor in (1.0, 0.5, 0.25):
-        m = model.with_j2(model.j2 * factor)
-        ea = propagate_analytic(cfg.elements, times, m, order=cfg.order)
-        eo = propagate_oracle(kep_to_cartesian(cfg.elements, m), times, m, cfg.oracle_nmax)
-        r = compare(ea, eo)
-        ptp = np.ptp(mean_history(eo, m, order=cfg.order), axis=0)
-        errs.append(r.max_pos_err)
-        ptps.append(ptp)
-        lines.append(" ".join(_fmt(x) for x in (m.j2, r.max_pos_err, *ptp)))
+    levels = checks.halving_study(cfg.elements, cfg.times, cfg.model, cfg.order, cfg.oracle_nmax)
+    full = levels[0].report
+    lines = [
+        f"# analytic(order={cfg.order}) vs oracle, J2={_fmt(cfg.model.j2)}",
+        f"max_pos_err_km {_fmt(full.max_pos_err)}",
+        f"rms_pos_err_km {_fmt(full.rms_pos_err)}",
+        "# halving table: J2 max_pos_err_km ptp_L ptp_G ptp_H",
+    ]
+    ptps = [np.ptp(lv.mean, axis=0) for lv in levels]
+    for lv, ptp in zip(levels, ptps):
+        lines.append(" ".join(_fmt(x) for x in (lv.model.j2, lv.report.max_pos_err, *ptp)))
     lines.append("# successive ratios: position then momenta ptp")
     for k in (0, 1):
-        ratio_pos = errs[k] / errs[k + 1]
-        ratio_mom = ptps[k] / ptps[k + 1]
-        lines.append(" ".join(_fmt(x) for x in (ratio_pos, *ratio_mom)))
+        ratio_pos = levels[k].report.max_pos_err / levels[k + 1].report.max_pos_err
+        lines.append(" ".join(_fmt(x) for x in (ratio_pos, *(ptps[k] / ptps[k + 1]))))
 
     text = "\n".join(lines) + "\n"
     (out / "compare.txt").write_text(text)
@@ -212,149 +191,33 @@ def cmd_compare(cfg: RunConfig, oracle: bool, stdout):
     return 0
 
 
-def _verify_checks(cfg: RunConfig):
-    """Yield (name, measured, tolerance) triples for the verification suite."""
-    model = cfg.model
-    rng = np.random.default_rng(cfg.seed)
-    scale = cfg.tolerance_scale
-
-    def momenta_draw():
-        a = rng.uniform(6800.0, 9500.0)
-        e = rng.uniform(0.01, 0.4)
-        inc = rng.uniform(0.1, 3.0)
-        L = np.sqrt(model.mu * a)
-        G = L * np.sqrt(1.0 - e * e)
-        return L, G, G * np.cos(inc)
-
-    # Kepler residual across the admissible band.
-    worst = 0.0
-    for e in np.linspace(0.0, 0.9, 10):
-        M = rng.uniform(0.0, 2.0 * np.pi, size=64)
-        E = kepler_solve(M, e)
-        worst = max(worst, float(np.abs(E - e * np.sin(E) - M).max()))
-    yield "kepler-residual", worst, 1e-13 * scale
-
-    # Operator algebra on random trigonometric polynomials.
-    op = vz.AveragingOperator()
-    worst = 0.0
-    for _ in range(20):
-        coef = rng.normal(size=4)
-        ka, kb = rng.integers(1, 4, size=2)
-
-        def f(x, y, c=coef, ka=ka, kb=kb):
-            return c[0] + c[1] * np.cos(ka * x) + c[2] * np.sin(kb * y) + c[3] * np.cos(x + y)
-
-        sec = op.secular(f, 2)
-        worst = max(worst, abs(sec - coef[0]))
-        worst = max(worst, abs(op.secular(lambda x, y: f(x, y) - sec, 2)))
-        q = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        pval = op.periodic(f, q)
-        worst = max(worst, abs(op.periodic(lambda x, y: f(x, y) - sec, q) - pval))
-        worst = max(worst, abs(op.secular(lambda x, y: sec + 0.0 * x, 2) - sec))
-    yield "operator-algebra", worst, 1e-12 * scale
-
-    # First-order average against the dnu-weighted quadrature.
-    worst = 0.0
-    for _ in range(20):
-        L, G, H = momenta_draw()
-        e = np.sqrt(max(0.0, 1.0 - (G / L) ** 2))
-        qavg = vz.torus_average_weighted(
-            lambda nu, g: h1_true(L, G, H, nu, g, model), e
-        )
-        closed = vz.k1(L, G, H, model)
-        worst = max(worst, abs(qavg - closed) / abs(closed))
-    yield "k1-vs-quadrature", worst, 1e-10 * scale
-
-    # First-order generator equation on an angle grid.
-    worst = 0.0
-    lg = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    ll, gg = np.meshgrid(lg, lg, indexing="ij")
-    for _ in range(5):
-        L, G, H = momenta_draw()
-        w1 = dh0_dL(L, model)
-        nu = true_from_mean(ll, np.sqrt(max(0.0, 1.0 - (G / L) ** 2)))
-        res = w1 * vz.ds1_dl_true(L, G, H, nu, gg, model) + h1_periodic_true(
-            L, G, H, nu, gg, model
-        )
-        ref = np.abs(h1_periodic_true(L, G, H, nu, gg, model)).max()
-        worst = max(worst, float(np.abs(res).max()) / max(1.0, ref))
-    yield "s1-pde-residual", worst, 1e-9 * scale
-
-    # Second-order generator equation, spectral solution with its ramp.
-    worst = 0.0
-    for _ in range(3):
-        L, G, H = momenta_draw()
-        tab = vz.second_order_tables(L, G, H, model)
-        pts_l = rng.uniform(0.0, 2.0 * np.pi, size=16)
-        pts_g = rng.uniform(0.0, 2.0 * np.pi, size=16)
-        field = np.array([vz.hbar(L, G, H, l, g, model) for l, g in zip(pts_l, pts_g)])
-        per = field - tab.mean
-        res = tab.w1 * tab.pde_dl(pts_l, pts_g) + per
-        worst = max(worst, float(np.abs(res).max()) / max(1.0, float(np.abs(per).max())))
-    yield "s2-pde-residual", worst, 1e-7 * scale
-
-    # Second-order secular term, closed form against quadrature.
-    worst = 0.0
-    for _ in range(5):
-        L, G, H = momenta_draw()
-        closed = vz.k2(L, G, H, model)
-        quad = vz.k2_quadrature(L, G, H, model)
-        worst = max(worst, abs(closed - quad) / abs(closed))
-    yield "k2-two-routes", worst, 1e-8 * scale
-
-    # Quadratic cross term, compositional against the cosine-table form.
-    worst = 0.0
-    for _ in range(5):
-        L, G, H = momenta_draw()
-        for _ in range(4):
-            l, g = rng.uniform(0.0, 2.0 * np.pi, size=2)
-            a_val = vz.hbar(L, G, H, l, g, model)
-            b_val = vz.hbar_closed(L, G, H, l, g, model)
-            worst = max(worst, abs(a_val - b_val) / max(1.0, abs(a_val)))
-    yield "hbar-two-routes", worst, 1e-8 * scale
-
-    # Map round trip and symplecticity on the configured orbit family.
-    cmap = CanonicalMap(model, order=cfg.order)
-    worst_rt = 0.0
-    for _ in range(5):
-        L, G, H = momenta_draw()
-        st = DelaunayState(L, G, H, *rng.uniform(0.0, 2.0 * np.pi, size=3))
-        osc = cmap.mean_to_osculating(st)
-        back = cmap.osculating_to_mean(osc)
-        d = np.concatenate([
-            back.momenta - st.momenta,
-            (back.angles - st.angles + np.pi) % (2.0 * np.pi) - np.pi,
-        ])
-        worst_rt = max(worst_rt, float(np.abs(d).max()))
-    yield "map-roundtrip", worst_rt, 1e-9 * scale
-
-    worst = 0.0
-    for _ in range(2):
-        L, G, H = momenta_draw()
-        st = DelaunayState(L, G, H, *rng.uniform(0.0, 2.0 * np.pi, size=3))
-        M = cmap.map_jacobian(st, "mean_to_osculating", scaled=True)
-        worst = max(worst, symp.symplectic_residual(M))
-    yield "map-jacobian-symplectic", worst, 1e-6 * scale
-
-    worst = 0.0
-    for _ in range(20):
-        M = symp.random_symplectic(rng)
-        worst = max(worst, max(symp.block_identities(M).values()))
-        worst = max(worst, float(np.abs(M @ symp.symplectic_inverse(M) - np.eye(6)).max()))
-    yield "block-identities", worst, 1e-8 * scale
-
-    # J2 = 0 collapses the map to the identity, bit for bit.
-    st = DelaunayState(*momenta_draw(), *rng.uniform(0.0, 2.0 * np.pi, size=3))
-    ident = CanonicalMap(model, j2=0.0).mean_to_osculating(st)
-    worst = float(
-        np.abs(np.concatenate([ident.momenta - st.momenta, ident.angles - st.angles])).max()
+def verify_checks(model: PhysicalModel, order):
+    """(name, function, arguments, tolerance) of each `zeipel verify` check,
+    in the order they run; every function takes the shared rng first."""
+    draw = {"e_range": (0.01, 0.4), "i_range": (0.1, 3.0)}
+    return (
+        ("kepler-residual", checks.kepler_residual,
+         {"eccentricities": np.linspace(0.0, 0.9, 10), "points": 64}, 1e-13),
+        ("operator-algebra", checks.operator_algebra, {"n": 20}, 1e-12),
+        ("k1-vs-quadrature", checks.k1_vs_quadrature, {"model": model, "n": 20, **draw}, 1e-10),
+        ("s1-pde-residual", checks.s1_residual, {"model": model, "n": 5, "grid": 16, **draw}, 1e-9),
+        ("s2-pde-residual", checks.s2_residual, {"model": model, "n": 3, "points": 16, **draw}, 1e-7),
+        ("k2-two-routes", checks.k2_two_routes, {"model": model, "n": 5, **draw}, 1e-8),
+        ("hbar-two-routes", checks.cross_term_two_routes,
+         {"model": model, "n": 5, "points": 4, **draw}, 1e-8),
+        ("map-roundtrip", checks.map_roundtrip, {"model": model, "order": order, "n": 5, **draw}, 1e-9),
+        ("map-jacobian-symplectic", checks.map_jacobian_symplecticity,
+         {"model": model, "order": order, "n": 2, **draw}, 1e-6),
+        ("block-identities", checks.symplectic_algebra, {"n": 20}, 1e-8),
+        ("map-identity-at-zero", checks.identity_at_zero, {"model": model, **draw}, 0.0),
     )
-    yield "map-identity-at-zero", worst, 0.0
 
 
 def cmd_verify(cfg: RunConfig, stdout):
+    rng = np.random.default_rng(cfg.seed)
     failures = []
-    for name, measured, tol in _verify_checks(cfg):
+    for name, check, args, tol in verify_checks(cfg.model, cfg.order):
+        measured = check(rng, **args)
         ok = measured <= tol
         stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {measured:.3e} (tol {tol:.3e})\n")
         if not ok:

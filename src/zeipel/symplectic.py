@@ -75,16 +75,6 @@ def symplectic_inverse(M, tol=1e-8):
     return np.vstack([top, bot])
 
 
-def product_closure(M, M1, tol=1e-8):
-    """Symplecticity of the product of two symplectic matrices."""
-    ok_a, ra = is_symplectic(M, tol)
-    ok_b, rb = is_symplectic(M1, tol)
-    if not (ok_a and ok_b):
-        raise DomainError(f"inputs not symplectic: residuals {ra:.3e}, {rb:.3e}")
-    ok, _ = is_symplectic(np.asarray(M) @ np.asarray(M1), 4.0 * tol)
-    return ok
-
-
 def generating_jacobian(A, B, C):
     """Jacobian of the map (P, Q) -> (p, q) that a mixed generator S(P, q)
     induces through p = S_q, Q = S_P, from its second derivatives

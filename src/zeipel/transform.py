@@ -31,12 +31,19 @@ def momentum_scale(model: PhysicalModel) -> float:
     return math.sqrt(model.mu * model.R)
 
 
-def _wedge_step(h, P, k):
-    """Cap a momentum step so L >= G stays true at the probe points."""
+def _momentum_step(P, k, model: PhysicalModel):
+    """Central-difference step in momentum P[k]: FD_REL relative to |P[k]|,
+    floored at sqrt(mu R) so that H near 0 gets no tiny step, and capped so
+    that L >= G stays true at the probe points."""
+    h = FD_REL * max(momentum_scale(model), abs(P[k]))
     room = 0.25 * (P[0] - P[1])
     if k in (0, 1) and room > 0.0:
         h = min(h, room)
     return max(h, 1e-300)
+
+
+def _describe(state: DelaunayState):
+    return ", ".join(f"{name}={float(getattr(state, name))!r}" for name in "LGHlgh")
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class GeneratingSeries:
         if self.order == 2:
             fd = np.zeros(3)
             for k in range(3):
-                h = _wedge_step(FD_REL * max(1.0, abs(P[k])), P, k)
+                h = _momentum_step(P, k, self.model)
                 hi = P.copy()
                 lo = P.copy()
                 hi[k] += h
@@ -99,22 +106,30 @@ class CanonicalMap:
 
     # -- Newton drivers -----------------------------------------------------
 
-    def _solve(self, residual, jac_at, x0, scale):
+    def _solve(self, residual, jac_at, x0, scale, start, image):
+        """Newton iteration for residual(x) = 0 from x0; returns (image(x),
+        iterations).  Any failure raises MapError naming the input state
+        `start` and the last scaled step (nan before the first step)."""
         x = x0.copy()
+        step = math.nan
         polish = False
-        for its in range(1, NEWTON_MAXITER + 1):
-            F = residual(x)
-            if not np.all(np.isfinite(F)):
-                raise MapError("residual became non-finite")
-            x = x + np.linalg.solve(jac_at(x), -F)
-            if polish:
-                return x, its
-            step = np.abs(F / scale).max()
-            if step <= NEWTON_TOL:
-                polish = True  # one extra pass sharpens the FD-Jacobian limit
-        raise MapError(
-            f"no convergence in {NEWTON_MAXITER} iterations, scaled step {step:.3e}"
-        )
+        try:
+            for its in range(1, NEWTON_MAXITER + 1):
+                F = residual(x)
+                if not np.all(np.isfinite(F)):
+                    why = "residual became non-finite"
+                    break
+                x = x + np.linalg.solve(jac_at(x), -F)
+                if polish:
+                    return image(x), its
+                step = np.abs(F / scale).max()
+                if step <= NEWTON_TOL:
+                    polish = True  # one extra pass sharpens the FD-Jacobian limit
+            else:
+                why = f"no convergence in {NEWTON_MAXITER} iterations"
+        except DomainError as exc:
+            why = f"map left the admissible domain: {exc}"
+        raise MapError(f"{why}; input {_describe(start)}; last scaled step {step:.3e}")
 
     def _jac_angles(self, P, q):
         """I + J2 * d(dS1/dP)/d(l,g), frozen quasi-Newton matrix."""
@@ -138,50 +153,37 @@ class CanonicalMap:
         Q = mean.angles
         if self.j2 == 0.0:
             return (mean, {"iterations": 0}) if return_info else mean
-        try:
-            q, its = self._solve(
-                lambda qq: qq + self.series.grad_P(P, qq, self.j2) - Q,
-                lambda qq: self._jac_angles(P, qq),
-                Q,
-                np.ones(3),
-            )
-            p = P + self.series.grad_q(P, q, self.j2)
-            osc = DelaunayState(p[0], p[1], p[2], q[0], q[1], q[2])
-        except DomainError as exc:
-            raise MapError(f"map left the admissible domain: {exc}") from exc
-        if return_info:
-            return osc, {"iterations": its}
-        return osc
+        osc, its = self._solve(
+            lambda qq: qq + self.series.grad_P(P, qq, self.j2) - Q,
+            lambda qq: self._jac_angles(P, qq),
+            Q,
+            np.ones(3),
+            mean,
+            lambda q: DelaunayState(*(P + self.series.grad_q(P, q, self.j2)), *q),
+        )
+        return (osc, {"iterations": its}) if return_info else osc
 
     def osculating_to_mean(self, osc: DelaunayState, return_info=False):
         p = osc.momenta
         q = osc.angles
         if self.j2 == 0.0:
             return (osc, {"iterations": 0}) if return_info else osc
-        scale = np.maximum(1.0, np.abs(p))
-        try:
-            P, its = self._solve(
-                lambda PP: PP + self.series.grad_q(PP, q, self.j2) - p,
-                lambda PP: self._jac_angles(PP, q).T,  # mixed partials commute
-                p,
-                scale,
-            )
-            Q = q + self.series.grad_P(P, q, self.j2)
-            mean = DelaunayState(P[0], P[1], P[2], Q[0], Q[1], Q[2])
-        except DomainError as exc:
-            raise MapError(f"map left the admissible domain: {exc}") from exc
-        if return_info:
-            return mean, {"iterations": its}
-        return mean
+        mean, its = self._solve(
+            lambda PP: PP + self.series.grad_q(PP, q, self.j2) - p,
+            lambda PP: self._jac_angles(PP, q).T,  # mixed partials commute
+            p,
+            np.maximum(1.0, np.abs(p)),
+            osc,
+            lambda P: DelaunayState(*P, *(q + self.series.grad_P(P, q, self.j2))),
+        )
+        return (mean, {"iterations": its}) if return_info else mean
 
     # -- derived linear objects ----------------------------------------------
 
     def _hessian_blocks(self, P, q, shrink):
         """(A, B, C) = (S_qP, S_qq, S_PP) of the full generator by central
         differences of its gradients, with every step divided by `shrink`.
-        S does not depend on h, so only l and g are differenced; momentum
-        steps are relative to sqrt(mu R) at least, so H near 0 gets no tiny
-        step."""
+        S does not depend on h, so only l and g are differenced."""
         grad_P, grad_q, j2 = self.series.grad_P, self.series.grad_q, self.j2
         At = np.eye(3)  # transpose of A, from the angle columns of grad_P
         B = np.zeros((3, 3))
@@ -193,9 +195,8 @@ class CanonicalMap:
             qm[k] -= h
             At[:, k] += (grad_P(P, qp, j2) - grad_P(P, qm, j2)) / (2.0 * h)
             B[:, k] = (grad_q(P, qp, j2) - grad_q(P, qm, j2)) / (2.0 * h)
-        s = momentum_scale(self.model)
         for k in range(3):
-            hk = _wedge_step(FD_REL * max(s, abs(P[k])), P, k) / shrink
+            hk = _momentum_step(P, k, self.model) / shrink
             hi, lo = P.copy(), P.copy()
             hi[k] += hk
             lo[k] -= hk
@@ -231,19 +232,6 @@ class CanonicalMap:
             M[:3, 3:] *= s
             M[3:, :3] /= s
         return M
-
-    def transform_force(self, f, mean: DelaunayState):
-        """Push a generalized force 6-vector (f1 on momenta, f2 on angles)
-        at the osculating point to the mean chart:
-        F1 = D^t f1 - B^t f2, F2 = -C^t f1 + A^t f2 with [A B; C D] the
-        mean->osculating Jacobian."""
-        f = np.asarray(f, dtype=float)
-        if f.shape != (6,):
-            raise DomainError("force must be a 6-vector")
-        M = self.map_jacobian(mean, "mean_to_osculating")
-        A, B, C, D = M[:3, :3], M[:3, 3:], M[3:, :3], M[3:, 3:]
-        f1, f2 = f[:3], f[3:]
-        return np.concatenate([D.T @ f1 - B.T @ f2, -C.T @ f1 + A.T @ f2])
 
 
 def first_order_displacement(mean: DelaunayState, model: PhysicalModel, j2):

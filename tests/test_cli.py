@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from zeipel import cli
 from zeipel.cli import CSV_HEADER, RunConfig, load_config, main
 from zeipel.errors import UsageError
 
@@ -92,16 +93,20 @@ def test_verify_passes_by_default():
     assert all(ln.startswith("PASS ") for ln in checks)
 
 
-def test_verify_fails_at_zero_tolerance(tmp_path):
-    cfg = write_config(tmp_path, {"verify": {"tolerance_scale": 0.0}})
-    rc, out = run(["verify", "--config", cfg])
+def test_verify_fails_at_zero_tolerance(monkeypatch):
+    registry = cli.verify_checks
+    monkeypatch.setattr(
+        cli, "verify_checks",
+        lambda model, order: [(name, fn, args, 0.0) for name, fn, args, _ in registry(model, order)],
+    )
+    rc, out = run(["verify"])
     assert rc == 1
     failing = [ln for ln in out.splitlines() if ln.startswith("FAIL ")]
     assert failing, "expected named failures"
     # every failing line names its property
     assert all(":" in ln and ln.split()[1].endswith(":") for ln in failing)
     assert "verification failed:" in out
-    # the exactly-zero identity check passes even at scale 0
+    # the exactly-zero identity check passes even at tolerance 0
     assert "PASS map-identity-at-zero" in out
 
 
@@ -177,7 +182,7 @@ def test_print_config_dumps_sections():
     rc, out = run(["propagate", "--print-config"])
     assert rc == 0
     doc = json.loads(out)
-    assert set(doc) == {"model", "elements", "grid", "run", "verify"}
+    assert set(doc) == {"model", "elements", "grid", "run"}
     assert doc["elements"]["a"] == 7000.0
 
 

@@ -111,13 +111,16 @@ def richardson_map_jacobian(cm, at, direction):
 
 
 def test_map_jacobian_matches_richardson_oracle():
-    # The CLI's default orbit at four eccentricities.  The inverse direction
-    # is taken at the forward image, as in the composition test below.  The
-    # oracle's own residual checks that the map itself is canonical, which
-    # the assembled matrix cannot show: it is symplectic by construction.
+    # The CLI's default orbit at four eccentricities, and a near-polar orbit
+    # (H near 0) at two.  The inverse direction is taken at the forward
+    # image, as in the composition test below.  The oracle's own residual
+    # checks that the map itself is canonical, which the assembled matrix
+    # cannot show: it is symplectic by construction.
     cm = CanonicalMap(EARTH)
-    for e in (0.01, 0.05, 0.2, 0.3):
-        mean = kep_to_delaunay(KeplerianElements(7000.0, e, 0.5, 0.3, 1.1, 0.2), EARTH)
+    shapes = [(7000.0, e, 0.5) for e in (0.01, 0.05, 0.2, 0.3)]
+    shapes += [(7513.0, e, 1.58) for e in (0.05, 0.3)]
+    for a, e, i in shapes:
+        mean = kep_to_delaunay(KeplerianElements(a, e, i, 0.3, 1.1, 0.2), EARTH)
         osc = cm.mean_to_osculating(mean)
         for at, direction in ((mean, "mean_to_osculating"), (osc, "osculating_to_mean")):
             M = cm.map_jacobian(at, direction, scaled=True)
@@ -162,28 +165,6 @@ def test_scaled_and_physical_jacobians_are_conjugate(rng):
     assert_allclose(T @ Mp @ np.linalg.inv(T), Ms, rtol=0, atol=1e-12 * np.abs(Ms).max())
 
 
-def test_transform_force_trivia(rng):
-    st = draw_states(rng, 1)[0]
-    cm0 = CanonicalMap(EARTH, j2=0.0)
-    f = rng.normal(size=6)
-    assert_allclose(cm0.transform_force(f, st), f, atol=1e-9 * np.abs(f).max())
-    cm = CanonicalMap(EARTH)
-    assert_allclose(cm.transform_force(np.zeros(6), st), np.zeros(6), atol=0)
-    with pytest.raises(DomainError):
-        cm.transform_force(np.zeros(4), st)
-
-
-def test_transform_force_two_routes(rng):
-    # the assembled matrix is symplectic by construction, so the block
-    # formula and a general inverse agree to round-off (about 2e-14)
-    cm = CanonicalMap(EARTH)
-    for st in draw_states(rng, 4):
-        f = rng.normal(size=6)
-        via_blocks = cm.transform_force(f, st)
-        via_inverse = np.linalg.inv(cm.map_jacobian(st)) @ f
-        assert_allclose(via_blocks, via_inverse, rtol=1e-6, atol=1e-5)
-
-
 def test_unknown_direction_rejected(rng):
     cm = CanonicalMap(EARTH)
     st = draw_states(rng, 1)[0]
@@ -211,8 +192,13 @@ def test_near_circular_exit_is_map_error():
     G = L * np.sqrt(1.0 - e * e)
     st = DelaunayState(L, G, G * np.cos(0.5), 0.3, 1.1, 2.0)
     cm = CanonicalMap(EARTH)
-    with pytest.raises(MapError):
-        cm.osculating_to_mean(st)
+    for direction in (cm.osculating_to_mean, cm.mean_to_osculating):
+        with pytest.raises(MapError) as failure:
+            direction(st)
+        # the message names the input state and the last scaled step
+        for name in "LGHlgh":
+            assert f"{name}={float(getattr(st, name))!r}" in str(failure.value)
+        assert "last scaled step" in str(failure.value)
 
 
 def test_displacement_prediction_matches_map(rng):
