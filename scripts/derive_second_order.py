@@ -5,24 +5,32 @@ step.  Everything is done with exact Fourier algebra on the unit torus:
 expressions are Laurent polynomials in z = exp(i*nu) and w = exp(i*g) with
 rational-function coefficients in (e, eta, L, G, H), where eta^2 = 1 - e^2.
 
-Derived objects, all scaled so the caller multiplies by mu^6 R^4:
+Derived objects; the first three scale by mu^6 R^4:
   1. the full cosine table of the quadratic cross term
          hb = (3/2 L^4) (dS1/dl)^2 + dH1/dL * dS1/dl + dH1/dG * dS1/dg
      as sum a[(k,m)] cos(k*nu + m*g),
   2. the l-averaged long-period remainder m(g) = <hb>_l - <hb>_{l,g}
      = c2 cos(2g) + c4 cos(4g),
   3. the secular average <hb>_{l,g}, asserted equal to the hand-written
-     polynomial used by zeipel.vonzeipel.k2.
+     polynomial used by zeipel.vonzeipel.k2,
+  4. the generators S1 and S2 (periodic, zero l-mean part) as coefficient
+     tables over a fixed angle basis, sin(k*nu + m*g) and cos(m*g)*(nu - l),
+     with every coefficient's first and second (L, G, H) partials; S1 is
+     asserted equal to zeipel.vonzeipel.s1_true, S2 is spot-checked against
+     its generator equation.  These scale by mu^2 R^2 and mu^4 R^4.
 
 The l-average uses dl = (1/eta) (r/a)^2 dnu, i.e. <f>_l is the plain nu
 average of f * rho^-2 / eta, which is exact term by term because every
 rho power in hb is >= 2 except the constant.
 
 Run from the repository root:  python scripts/derive_second_order.py
-Output is deterministic for a fixed sympy version; cosmetic differences may
-appear across sympy releases.
+(about a minute).  The output records this script's SHA-256, which a test
+compares with the script.  Output is deterministic for a fixed sympy
+version; cosmetic differences may appear across sympy releases.
 """
 
+import hashlib
+import math
 import pathlib
 from collections import defaultdict
 
@@ -32,7 +40,8 @@ e, eta, L, G, H = sp.symbols("e eta L G H", positive=True)
 z, w = sp.symbols("z w")
 I = sp.I
 
-OUT_PATH = pathlib.Path(__file__).resolve().parents[1] / "src" / "zeipel" / "_secondorder.py"
+SCRIPT_PATH = pathlib.Path(__file__).resolve()
+OUT_PATH = SCRIPT_PATH.parents[1] / "src" / "zeipel" / "_secondorder.py"
 
 cn = (z + 1 / z) / 2
 sn = (z - 1 / z) / (2 * I)
@@ -202,7 +211,6 @@ assert all(sp.expand(avg.get(m, 0)) == 0 for m in avg if abs(m) not in (0, 2, 4)
 
 # Spot check: the folded table must reproduce a direct float evaluation.
 print("numeric spot check ...")
-import math
 
 
 def direct_eval(ev, ee, GG, HH, LL, nu, g):
@@ -242,12 +250,144 @@ for ee, GG, HH, LL, nuv, gv in [(0.2, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.04), 0.7, 
     assert rel < 1e-10, f"table mismatch {rel:.3e}"
 print("  table agrees with direct evaluation")
 
+# ---------------------------------------------------------------------------
+# Generators in closed form.  A source f = sum c * rho^p with every p >= 2
+# gives f * rho^-2 / eta = sum b[(k, m)] cos(k nu + m g), a trigonometric
+# polynomial, so at fixed g
+#     A = sum_{k>0} b/k sin(k nu + m g) + sum_m b[(0, m)] cos(m g) (nu - l)
+# solves dA/dl = f - <f>_l (dnu/dl = eta rho^2).  The generator of
+# w1 dS/dl + f - <f>_l = 0 is S = -A/w1 = L^3 A (w1 = -mu^2/L^3, mu = 1 here).
+# S1 takes f = h1 and keeps this gauge (the one s1_true uses); S2 takes the
+# cross term (its lone rho^0 constant has f - <f>_l = 0 and drops out) and
+# subtracts its l-mean with Hansen's <cos k nu>_l = (1 + k eta)(-e/(1+eta))^k,
+# which adds k = 0 terms sin(m g).
+
+
+def hansen_cos_mean(k):
+    return (1 + k * eta) * (-e / (1 + eta)) ** k
+
+
+def generator_table(source_terms, zero_mean):
+    """{(p, k, m): coefficient of (nu - l)^p sin(k nu + m g + p pi/2)} of
+    S = L^3 A for the source terms: (0, k, m) is sin(k nu + m g), (1, 0, m)
+    is cos(m g) (nu - l)."""
+    b = defaultdict(lambda: sp.Integer(0))
+    for c, p in source_terms:
+        rp = rho_power(p - 2)
+        for (kz, kw), cc in laurent_dict(c).items():
+            for kr, cr in rp.items():
+                b[(kz + kr, kw)] += cc * cr / eta
+    out = defaultdict(lambda: sp.Integer(0))
+    for (k, m), coeff in fold_to_cosine(b).items():
+        if k == 0:
+            out[(1, 0, m)] += L**3 * coeff
+            continue
+        out[(0, k, m)] += L**3 * coeff / k
+        if zero_mean and m != 0:  # <sin(k nu + m g)>_l = sin(m g) <cos k nu>_l
+            out[(0, 0, abs(m))] -= sp.sign(m) * L**3 * coeff / k * hansen_cos_mean(k)
+    reduced = {key: reduce_on_manifold(c) for key, c in out.items()}
+    return {key: c for key, c in sorted(reduced.items()) if c != 0}
+
+
+def reduce_on_manifold(expr):
+    """expr as A + e B with A, B rational in (L, G, H), using eta = G/L and
+    e^2 = 1 - G^2/L^2.  Equal to expr wherever eta and e are the functions
+    of (L, G) they stand for, so its momentum partials are too."""
+    num, den = sp.fraction(sp.together(expr.subs(eta, G / L)))
+
+    def fold(poly):
+        out = 0
+        for (k,), c in sp.Poly(sp.expand(poly), e).terms():
+            out += c * (1 - G**2 / L**2) ** (k // 2) * e ** (k % 2)
+        return sp.expand(out)
+
+    num, den = fold(num), fold(den)
+    a, b = den.coeff(e, 0), den.coeff(e, 1)
+    if b != 0:  # (a + e b)(a - e b) = a^2 - e^2 b^2
+        num, den = fold(num * (a - e * b)), fold(a * a - (1 - G**2 / L**2) * b * b)
+    return sp.factor(sp.cancel(num.coeff(e, 0) / den)) + e * sp.factor(sp.cancel(num.coeff(e, 1) / den))
+
+
+print("closed-form generators ...")
+s1_table = generator_table([(q * (D1 + D2 * C(2)) / (L**6 * G**2), 3)], zero_mean=False)
+S1_HAND = {  # s1_true, before the mu^2 R^2 factor
+    (1, 0, 0): -(G**2 - 3 * H**2) / (4 * G**5),
+    (0, 1, 0): -e * (G**2 - 3 * H**2) / (4 * G**5),
+    (0, 1, 2): 3 * e * (G**2 - H**2) / (8 * G**5),
+    (0, 2, 2): 3 * (G**2 - H**2) / (8 * G**5),
+    (0, 3, 2): e * (G**2 - H**2) / (8 * G**5),
+}
+assert s1_table.keys() == S1_HAND.keys()
+assert all(sp.cancel(s1_table[k] - S1_HAND[k]) == 0 for k in S1_HAND), "S1 disagrees with s1_true"
+print("  S1 matches s1_true")
+s2_table = generator_table(terms, zero_mean=True)
+print(f"  S2: {len(s2_table)} basis terms")
+
+# Spot check: w1 dS2/dl + hb - k2 - c2 cos 2g = 0, with dnu/dl = eta rho^2.
+for ee, GG, HH, LL, nuv, gv in [(0.3, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.09), 0.7, 1.1),
+                                (0.7, 1.3, -0.5, 1.3 / math.sqrt(1 - 0.49), 2.9, 0.3)]:
+    et = math.sqrt(1 - ee * ee)
+    nu_l = (1 + ee * math.cos(nuv)) ** 2 / et**3
+    subs = {e: ee, G: GG, H: HH, L: LL}
+    ds2dl = 0.0
+    for (p, k, m), cf in s2_table.items():
+        cf = float(cf.subs(subs))
+        if p == 0:
+            ds2dl += cf * k * math.cos(k * nuv + m * gv) * nu_l
+        else:
+            ds2dl += cf * math.cos(m * gv) * (nu_l - 1)
+    source = direct_eval(None, ee, GG, HH, LL, nuv, gv)
+    mean_l = float(K2_HAND.subs(subs)) + float(lp[2].subs(subs)) * math.cos(2 * gv)
+    res = -ds2dl / LL**3 + source - mean_l
+    assert abs(res) < 1e-11 * abs(source - mean_l), f"S2 generator equation residual {res:.3e}"
+print("  S2 satisfies its generator equation")
+
+# Momentum partials along e = e(L, G): de/dL = G^2/(e L^3), de/dG = -G/(e L^2).
+E_PARTIALS = {L: G**2 / (e * L**3), G: -G / (e * L**2), H: 0}
+
+
+def partial(expr, x):
+    return sp.diff(expr, x) + sp.diff(expr, e) * E_PARTIALS[x]
+
+
+def coefficient_function(name, table, scale):
+    """Source lines of name(e, L, G, H) -> flat list, per basis term: value,
+    3 first and 3 x 3 second momentum partials."""
+    exprs = []
+    for c in table.values():
+        first = [partial(c, x) for x in (L, G, H)]
+        second = [[partial(first[i], y) for y in (L, G, H)[i:]] for i in range(3)]
+        exprs += [c, *first, *(second[min(i, j)][abs(i - j)] for i in range(3) for j in range(3))]
+    subs, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("x"))
+    lines = [
+        "",
+        "",
+        f"def {name}(e, L, G, H):",
+        f'    """Per term of {name.upper()[:2]}_BASIS: the coefficient, its (L, G, H)',
+        "    partials and its 3 x 3 matrix of second partials (row by row), before",
+        f'    the {scale} factor; e = sqrt(1 - G^2/L^2)."""',
+    ]
+    lines += [f"    {sym} = {sp.pycode(sub)}" for sym, sub in subs]
+    lines.append("    return [")
+    lines += [f"        {sp.pycode(r)}," for r in reduced]
+    lines.append("    ]")
+    return lines
+
+
 print("emitting", OUT_PATH)
 keys = sorted(hbar_table)
 subs_list, reduced = sp.cse([hbar_table[k] for k in keys], symbols=sp.numbered_symbols("x"))
 
 lines = [
     '"""Auto-generated by scripts/derive_second_order.py.  Do not edit."""',
+    "",
+    f'SCRIPT_SHA256 = "{hashlib.sha256(SCRIPT_PATH.read_bytes()).hexdigest()}"',
+    "",
+    "# Angle basis of the closed-form generators: (p, k, m) is",
+    "# (nu - l)**p * sin(k*nu + m*g + p*pi/2), i.e. (0, k, m) is sin(k*nu + m*g)",
+    "# and (1, 0, m) is cos(m*g) * (nu - l).",
+    f"S1_BASIS = {tuple(s1_table)!r}",
+    f"S2_BASIS = {tuple(s2_table)!r}",
     "",
     "",
     "def hbar_cos_table(e, eta, L, G, H):",
@@ -268,8 +408,10 @@ lines += [
     '    before the mu^6 R^4 factor.  The cos(4g) harmonic cancels identically',
     '    on eta = G/L; that is asserted during generation."""',
     f"    return {sp.pycode(lp[2])}",
-    "",
 ]
+lines += coefficient_function("s1_coefficients", s1_table, "mu^2 R^2")
+lines += coefficient_function("s2_coefficients", s2_table, "mu^4 R^4")
+lines.append("")
 
 OUT_PATH.write_text("\n".join(lines))
 print("done")

@@ -130,17 +130,17 @@ def s1_residual(rng, model, n, grid, e_range, i_range):
 
 
 def s2_residual(rng, model, n, points, e_range, i_range):
-    """Second-order generator equation, spectral solution with its ramp, at
-    `points` random angle pairs, relative to max(1, max |periodic source|)."""
+    """Second-order generator equation w1 dS2/dl + cross term - k2 - c2 cos 2g
+    = 0, closed-form S2, at `points` random angle pairs, relative to
+    max(1, max |periodic source|)."""
     worst = 0.0
     for _ in range(n):
         L, G, H = momenta_draw(rng, model, e_range, i_range)
-        tab = vz.second_order_tables(L, G, H, model)
         pts_l = rng.uniform(0.0, TWO_PI, size=points)
         pts_g = rng.uniform(0.0, TWO_PI, size=points)
         field = np.array([vz.hbar(L, G, H, l, g, model) for l, g in zip(pts_l, pts_g)])
-        per = field - tab.mean
-        res = tab.w1 * tab.pde_dl(pts_l, pts_g) + per
+        per = field - vz.k2(L, G, H, model)
+        res = dh0_dL(L, model) * vz.ds2_dl_solution(L, G, H, pts_l, pts_g, model) + per
         worst = max(worst, float(np.abs(res).max()) / max(1.0, float(np.abs(per).max())))
     return worst
 

@@ -31,6 +31,13 @@ from .errors import DomainError, UsageError, ZeipelError
 from .propagator import propagate_analytic, propagate_oracle
 
 CSV_HEADER = "t,a,e,i,raan,argp,M,x,y,z,vx,vy,vz,L,G,H,l,g,h"
+# Config document sections and the RunConfig fields each one holds.
+_SECTION_FIELDS = {
+    "model": ("mu", "R", "zonal"),
+    "elements": ("a", "e", "i", "raan", "argp", "mean_anom"),
+    "grid": ("t0", "t1", "count", "step"),
+    "run": ("order", "oracle_nmax", "out_dir", "seed"),
+}
 
 
 @dataclass(frozen=True)
@@ -80,27 +87,10 @@ class RunConfig:
         return np.linspace(self.t0, self.t1, self.count)
 
     def as_document(self):
-        doc = {
-            "model": {"mu": self.mu, "R": self.R, "zonal": list(self.zonal)},
-            "elements": {
-                "a": self.a, "e": self.e, "i": self.i,
-                "raan": self.raan, "argp": self.argp, "mean_anom": self.mean_anom,
-            },
-            "grid": {"t0": self.t0, "t1": self.t1, "count": self.count, "step": self.step},
-            "run": {
-                "order": self.order, "oracle_nmax": self.oracle_nmax,
-                "out_dir": self.out_dir, "seed": self.seed,
-            },
+        return {
+            section: {key: getattr(self, key) for key in keys}
+            for section, keys in _SECTION_FIELDS.items()
         }
-        return doc
-
-
-_SECTION_FIELDS = {
-    "model": ("mu", "R", "zonal"),
-    "elements": ("a", "e", "i", "raan", "argp", "mean_anom"),
-    "grid": ("t0", "t1", "count", "step"),
-    "run": ("order", "oracle_nmax", "out_dir", "seed"),
-}
 
 
 def load_config(path=None) -> RunConfig:

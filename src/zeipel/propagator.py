@@ -155,7 +155,11 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel, nmax=No
         atol=1e-12,
     )
     if not sol.success:
-        raise IntegrationError(f"oracle integration failed: {sol.message}")
+        state = ", ".join(f"{name}={float(x)!r}" for name, x in zip(("x", "y", "z", "vx", "vy", "vz"), y0))
+        raise IntegrationError(
+            f"oracle integration failed: {sol.message}; initial state {state}; "
+            f"last time reached {float(sol.t[-1])!r}"
+        )
     kep_list = []
     cart_list = []
     energy = np.empty(len(times))

@@ -3,9 +3,9 @@
 The mixed-variable generator S(P, q) = P.q + J2*S1(P, q) + J2^2*S2(P, q)
 defines the map implicitly through p = dS/dq, Q = dS/dP.  The forward
 direction solves for the osculating angles q given (P, Q); the inverse
-solves for the mean momenta P given (p, q).  Both are damped-free Newton
-iterations with a frozen first-order Jacobian.  The map's own Jacobian is
-assembled from the second derivatives of S at the solved (P, q) pair.
+solves for the mean momenta P given (p, q).  Both are Newton iterations on
+the exact S_qP block of the closed-form generator.  The map's own Jacobian
+is assembled from the second derivatives of S at the solved (P, q) pair.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 from . import vonzeipel as vz
 from .elements import DelaunayState, PhysicalModel
 from .errors import DomainError, MapError
+from .hamiltonian import eccentricity_from_momenta
 from .symplectic import generating_jacobian, symplectic_inverse
 
-FD_REL = 1e-6
 J2_GUARD = 0.01
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 25
@@ -31,24 +31,20 @@ def momentum_scale(model: PhysicalModel) -> float:
     return math.sqrt(model.mu * model.R)
 
 
-def _momentum_step(P, k, model: PhysicalModel):
-    """Central-difference step in momentum P[k]: FD_REL relative to |P[k]|,
-    floored at sqrt(mu R) so that H near 0 gets no tiny step, and capped so
-    that L >= G stays true at the probe points."""
-    h = FD_REL * max(momentum_scale(model), abs(P[k]))
-    room = 0.25 * (P[0] - P[1])
-    if k in (0, 1) and room > 0.0:
-        h = min(h, room)
-    return max(h, 1e-300)
-
-
 def _describe(state: DelaunayState):
     return ", ".join(f"{name}={float(getattr(state, name))!r}" for name in "LGHlgh")
 
 
+def _derivatives(generator, q):
+    """Gradient and Hessian of S - P.q in (L, G, H, l, g, h) at angles q.
+    Nothing depends on h: the field is axisymmetric."""
+    _, grad, hess = generator.derivatives(q[0], q[1])
+    return np.append(grad, 0.0), np.pad(hess, (0, 1))
+
+
 @dataclass(frozen=True)
 class GeneratingSeries:
-    """Gradients of the non-trivial part of S, i.e. S - P.q."""
+    """The non-trivial part of S, i.e. S - P.q, in closed form."""
 
     model: PhysicalModel
     order: int = 2
@@ -57,40 +53,17 @@ class GeneratingSeries:
         if self.order not in (1, 2):
             raise DomainError("order must be 1 or 2")
 
+    def at(self, P, j2):
+        """J2*S1 (+ J2^2*S2) at momenta P."""
+        return vz.ClosedFormGenerator(*P, self.model, (j2, j2 * j2 if self.order == 2 else 0.0))
+
     def grad_q(self, P, q, j2):
-        """(dS/dl, dS/dg, dS/dh) minus the P.q part.  dS/dh = 0 throughout:
-        the field is axisymmetric."""
-        L, G, H = P
-        l, g = q[0], q[1]
-        out = j2 * np.array([
-            vz.ds1_dl(L, G, H, l, g, self.model),
-            vz.ds1_dg(L, G, H, l, g, self.model),
-            0.0,
-        ])
-        if self.order == 2:
-            tab = vz.second_order_tables(L, G, H, self.model)
-            out += j2 * j2 * np.array([tab.dl(l, g), tab.dg(l, g), 0.0])
-        return out
+        """(dS/dl, dS/dg, dS/dh) minus the P.q part."""
+        return _derivatives(self.at(P, j2), q)[0][3:]
 
     def grad_P(self, P, q, j2):
-        """(dS/dL, dS/dG, dS/dH) minus the P.q part.  The S2 term is a
-        central difference over rebuilt coefficient tables."""
-        L, G, H = P
-        l, g = q[0], q[1]
-        out = j2 * vz.ds1_dP(L, G, H, l, g, self.model)
-        if self.order == 2:
-            fd = np.zeros(3)
-            for k in range(3):
-                h = _momentum_step(P, k, self.model)
-                hi = P.copy()
-                lo = P.copy()
-                hi[k] += h
-                lo[k] -= h
-                up = vz.second_order_tables(hi[0], hi[1], hi[2], self.model).value(l, g)
-                dn = vz.second_order_tables(lo[0], lo[1], lo[2], self.model).value(l, g)
-                fd[k] = (up - dn) / (2.0 * h)
-            out += j2 * j2 * fd
-        return out
+        """(dS/dL, dS/dG, dS/dH) minus the P.q part."""
+        return _derivatives(self.at(P, j2), q)[0][:3]
 
 
 class CanonicalMap:
@@ -106,45 +79,38 @@ class CanonicalMap:
 
     # -- Newton drivers -----------------------------------------------------
 
-    def _solve(self, residual, jac_at, x0, scale, start, image):
-        """Newton iteration for residual(x) = 0 from x0; returns (image(x),
-        iterations).  Any failure raises MapError naming the input state
-        `start` and the last scaled step (nan before the first step)."""
+    def _solve(self, system, x0, scale, start, image):
+        """Newton iteration for F(x) = 0 from x0, where system(x) returns
+        (F, dF/dx); returns (image(x), iterations).  Any failure raises
+        MapError naming the input state `start` and the last scaled step
+        (nan before the first step)."""
         x = x0.copy()
         step = math.nan
-        polish = False
         try:
+            self._check_eccentricity(start)
             for its in range(1, NEWTON_MAXITER + 1):
-                F = residual(x)
+                F, jac = system(x)
                 if not np.all(np.isfinite(F)):
                     why = "residual became non-finite"
                     break
-                x = x + np.linalg.solve(jac_at(x), -F)
-                if polish:
-                    return image(x), its
+                x = x + np.linalg.solve(jac, -F)
                 step = np.abs(F / scale).max()
                 if step <= NEWTON_TOL:
-                    polish = True  # one extra pass sharpens the FD-Jacobian limit
+                    return image(x), its
             else:
                 why = f"no convergence in {NEWTON_MAXITER} iterations"
         except DomainError as exc:
             why = f"map left the admissible domain: {exc}"
         raise MapError(f"{why}; input {_describe(start)}; last scaled step {step:.3e}")
 
-    def _jac_angles(self, P, q):
-        """I + J2 * d(dS1/dP)/d(l,g), frozen quasi-Newton matrix."""
-        L, G, H = P
-        jac = np.eye(3)
-        for col, h in ((0, FD_REL), (1, FD_REL)):
-            qp, qm = q.copy(), q.copy()
-            qp[col] += h
-            qm[col] -= h
-            dcol = (
-                vz.ds1_dP(L, G, H, qp[0], qp[1], self.model)
-                - vz.ds1_dP(L, G, H, qm[0], qm[1], self.model)
-            ) / (2.0 * h)
-            jac[:, col] += self.j2 * dcol
-        return jac
+    def _check_eccentricity(self, state: DelaunayState):
+        """The generator's momentum partials carry 1/e factors, so its J2
+        series in Delaunay variables needs e above |J2| (R/a)^2, the size of
+        the eccentricity oscillation it describes."""
+        e = float(eccentricity_from_momenta(state.L, state.G))
+        bound = abs(self.j2) * (self.model.R * self.model.mu / state.L**2) ** 2
+        if e <= bound:
+            raise DomainError(f"e = {e:.3e} is not above |J2| (R/a)^2 = {bound:.3e}")
 
     # -- the map ------------------------------------------------------------
 
@@ -153,13 +119,18 @@ class CanonicalMap:
         Q = mean.angles
         if self.j2 == 0.0:
             return (mean, {"iterations": 0}) if return_info else mean
+        generator = self.series.at(P, self.j2)
+
+        def system(q):
+            grad, hess = _derivatives(generator, q)
+            return q + grad[:3] - Q, np.eye(3) + hess[:3, 3:]
+
         osc, its = self._solve(
-            lambda qq: qq + self.series.grad_P(P, qq, self.j2) - Q,
-            lambda qq: self._jac_angles(P, qq),
+            system,
             Q,
             np.ones(3),
             mean,
-            lambda q: DelaunayState(*(P + self.series.grad_q(P, q, self.j2)), *q),
+            lambda q: DelaunayState(*(P + _derivatives(generator, q)[0][3:]), *q),
         )
         return (osc, {"iterations": its}) if return_info else osc
 
@@ -168,9 +139,13 @@ class CanonicalMap:
         q = osc.angles
         if self.j2 == 0.0:
             return (osc, {"iterations": 0}) if return_info else osc
+
+        def system(P):
+            grad, hess = _derivatives(self.series.at(P, self.j2), q)
+            return P + grad[3:] - p, np.eye(3) + hess[3:, :3]
+
         mean, its = self._solve(
-            lambda PP: PP + self.series.grad_q(PP, q, self.j2) - p,
-            lambda PP: self._jac_angles(PP, q).T,  # mixed partials commute
+            system,
             p,
             np.maximum(1.0, np.abs(p)),
             osc,
@@ -180,35 +155,12 @@ class CanonicalMap:
 
     # -- derived linear objects ----------------------------------------------
 
-    def _hessian_blocks(self, P, q, shrink):
-        """(A, B, C) = (S_qP, S_qq, S_PP) of the full generator by central
-        differences of its gradients, with every step divided by `shrink`.
-        S does not depend on h, so only l and g are differenced."""
-        grad_P, grad_q, j2 = self.series.grad_P, self.series.grad_q, self.j2
-        At = np.eye(3)  # transpose of A, from the angle columns of grad_P
-        B = np.zeros((3, 3))
-        C = np.zeros((3, 3))
-        h = FD_REL / shrink
-        for k in (0, 1):
-            qp, qm = q.copy(), q.copy()
-            qp[k] += h
-            qm[k] -= h
-            At[:, k] += (grad_P(P, qp, j2) - grad_P(P, qm, j2)) / (2.0 * h)
-            B[:, k] = (grad_q(P, qp, j2) - grad_q(P, qm, j2)) / (2.0 * h)
-        for k in range(3):
-            hk = _momentum_step(P, k, self.model) / shrink
-            hi, lo = P.copy(), P.copy()
-            hi[k] += hk
-            lo[k] -= hk
-            C[:, k] = (grad_P(hi, q, j2) - grad_P(lo, q, j2)) / (2.0 * hk)
-        return At.T, B, C
-
     def map_jacobian(self, at: DelaunayState, direction="mean_to_osculating", scaled=False):
-        """Jacobian of the map at `at`, assembled from the generator's
-        Hessian blocks at the (P, q) pair the map solves for.
+        """Jacobian of the map at `at`, assembled from the generator's exact
+        Hessian blocks (S_qP, S_qq, S_PP) at the (P, q) pair the map solves
+        for.
 
-        The blocks take one Richardson pass over central differences.  The
-        matrix is built in momentum units of sqrt(mu R), where all six
+        The matrix is built in momentum units of sqrt(mu R), where all six
         variables are O(1); `scaled=True` returns it as is (itself
         symplectic, since the unit change has block-diagonal Jacobian T with
         T J T^t proportional to J), `scaled=False` converts back to km^2/s
@@ -221,11 +173,9 @@ class CanonicalMap:
             P, q = self.osculating_to_mean(at).momenta, at.angles
         else:
             raise DomainError(f"unknown direction {direction!r}")
-        coarse = self._hessian_blocks(P, q, 1.0)
-        fine = self._hessian_blocks(P, q, 2.0)
-        A, B, C = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
+        _, hess = _derivatives(self.series.at(P, self.j2), q)
         s = momentum_scale(self.model)
-        M = generating_jacobian(A, 0.5 * (B + B.T) / s, 0.5 * (C + C.T) * s)
+        M = generating_jacobian(np.eye(3) + hess[3:, :3], hess[3:, 3:] / s, hess[:3, :3] * s)
         if direction == "osculating_to_mean":
             M = symplectic_inverse(M)
         if not scaled:
@@ -237,12 +187,6 @@ class CanonicalMap:
 def first_order_displacement(mean: DelaunayState, model: PhysicalModel, j2):
     """Leading-order osc minus mean offset predicted by the generator:
     (J2 dS1/dq, -J2 dS1/dP) at the mean point."""
-    L, G, H = mean.momenta
-    l, g = mean.l, mean.g
-    dq = np.array([
-        vz.ds1_dl(L, G, H, l, g, model),
-        vz.ds1_dg(L, G, H, l, g, model),
-        0.0,
-    ])
-    dP = vz.ds1_dP(L, G, H, l, g, model)
-    return np.concatenate([j2 * dq, -j2 * dP])
+    series = GeneratingSeries(model, order=1)
+    P, q = mean.momenta, mean.angles
+    return np.concatenate([series.grad_q(P, q, j2), -series.grad_P(P, q, j2)])

@@ -3,7 +3,10 @@
 Secular/periodic operators on the angle torus, the first-order solution
 (new Hamiltonian term k1, generator s1 and its partials, both closed-form
 and via the generic characteristic-line integral), and the second-order
-solution (k2 closed form and quadrature, spectral tables for s2).
+solution (k2 closed form and quadrature, s2 closed form, with spectral
+tables as its independent oracle).  `ClosedFormGenerator` evaluates s1 and
+s2 with their first and second derivatives from generated coefficient
+tables; the map uses it and nothing else.
 
 Conventions.  The generating series is S = P.q + J2*S1 + J2^2*S2 in mixed
 variables (new momenta P, old angles q); the first-order PDE is
@@ -148,36 +151,9 @@ def ds1_dg(L, G, H, l, g, model):
 
 
 def ds1_dP(L, G, H, l, g, model):
-    """(d s1/dL, d s1/dG, d s1/dH) at fixed (l, g), analytic chain rule."""
-    e = eccentricity_from_momenta(L, G)
-    _check_ecc(e)
-    nu = true_from_mean(l, e)
-    sn, cs = np.sin(nu), np.cos(nu)
-    one = 1.0 - e * e
-
-    A = l - nu - e * sn
-    B = 1.5 * np.sin(2 * g + 2 * nu) + 1.5 * e * np.sin(2 * g + nu) + 0.5 * e * np.sin(2 * g + 3 * nu)
-
-    nu_e = (2.0 + e * cs) * sn / one
-    A_e = -(1.0 + e * cs) * nu_e - sn
-    B_e = (
-        3.0 * np.cos(2 * g + 2 * nu) * nu_e
-        + 1.5 * np.sin(2 * g + nu) + 1.5 * e * np.cos(2 * g + nu) * nu_e
-        + 0.5 * np.sin(2 * g + 3 * nu) + 1.5 * e * np.cos(2 * g + 3 * nu) * nu_e
-    )
-
-    c1 = (G * G - 3.0 * H * H) / G**5
-    c2 = (G * G - H * H) / G**5
-    c1_G = (15.0 * H * H - 3.0 * G * G) / G**6
-    c2_G = (5.0 * H * H - 3.0 * G * G) / G**6
-    e_L = G * G / (e * L**3)
-    e_G = -G / (e * L * L)
-
-    f = model.mu**2 * model.R**2 / 4.0
-    dL = f * (c1 * A_e + c2 * B_e) * e_L
-    dG = f * ((c1_G * A + c2_G * B) + (c1 * A_e + c2 * B_e) * e_G)
-    dH = f * (-6.0 * H * A - 2.0 * H * B) / G**5
-    return np.array([dL, dG, dH])
+    """(d s1/dL, d s1/dG, d s1/dH) at fixed (l, g), from the generated
+    coefficient tables."""
+    return ClosedFormGenerator(L, G, H, model, (1.0, 0.0)).derivatives(l, g)[1][:3]
 
 
 def solve_homological(w, f_per, q, nodes=129):
@@ -245,12 +221,6 @@ def hbar_closed(L, G, H, l, g, model):
     e = eccentricity_from_momenta(L, G)
     nu = true_from_mean(l, e)
     return hbar_closed_true(L, G, H, nu, g, model)
-
-
-def hbar_constant_bracket(L, G, H, model):
-    """Coefficient of (a/r)^0 in the closed-form expansion of the cross term:
-    3 mu^6 R^4 (G^2 - 3H^2)^2 / (32 G^10 L^4)."""
-    return 3.0 * model.mu**6 * model.R**4 * (G * G - 3.0 * H * H) ** 2 / (32.0 * G**10 * L**4)
 
 
 # k2 = mu^6 R^4 / 128 * sum c * G^(i-11) H^j L^(k-5) over the monomials below.
@@ -406,20 +376,97 @@ def second_order_tables(L, G, H, model):
 def s2(L, G, H, l, g, model):
     """Periodic (torus single-valued, zero l-mean) part of the second-order
     generator."""
-    return second_order_tables(L, G, H, model).value(l, g)
+    return ClosedFormGenerator(L, G, H, model, (0.0, 1.0)).derivatives(l, g)[0]
 
 
 def ds2_dl(L, G, H, l, g, model):
-    return second_order_tables(L, G, H, model).dl(l, g)
+    return ClosedFormGenerator(L, G, H, model, (0.0, 1.0)).derivatives(l, g)[1][3]
 
 
 def ds2_dg(L, G, H, l, g, model):
-    return second_order_tables(L, G, H, model).dg(l, g)
+    return ClosedFormGenerator(L, G, H, model, (0.0, 1.0)).derivatives(l, g)[1][4]
 
 
 def ds2_dl_solution(L, G, H, l, g, model):
-    """d S2/dl including the long-period ramp; the exact PDE solution."""
-    return second_order_tables(L, G, H, model).pde_dl(l, g)
+    """d S2/dl including the long-period ramp c2 cos(2g) / w1; the exact PDE
+    solution."""
+    ramp = long_period_coefficient(L, G, H, model) * np.cos(2.0 * np.asarray(g))
+    return ds2_dl(L, G, H, l, g, model) - ramp / dh0_dL(L, model)
+
+
+class ClosedFormGenerator:
+    """w1 * S1 + w2 * S2 at fixed momenta (L, G, H), in closed form.
+
+    Each generator is a sum c_j(L, G, H) * phi_j(nu, l, g) over the angle
+    basis of `_secondorder`, phi = (nu - l)^p sin(k nu + m g + p pi/2), where
+    p = 1 only with k = 0; S2's k = 0 sine terms are the Hansen l-means that
+    give it zero l-mean.  The coefficients and their first and second
+    momentum partials are computed once, here; `derivatives` chains them
+    with nu(l, e(L, G)).
+    """
+
+    def __init__(self, L, G, H, model, weights):
+        e = float(eccentricity_from_momenta(L, G))
+        _check_ecc(e)
+        self.L, self.G, self.e = L, G, e
+        parts = [(weights[0] * model.mu**2 * model.R**2, _secondorder.s1_coefficients, _secondorder.S1_BASIS)]
+        if weights[1]:
+            parts.append((weights[1] * model.mu**4 * model.R**4, _secondorder.s2_coefficients, _secondorder.S2_BASIS))
+        coef = np.concatenate([w * np.reshape(fn(e, L, G, H), (-1, 13)) for w, fn, _ in parts])
+        self.c, self.dc, self.d2c = coef[:, 0], coef[:, 1:4], coef[:, 4:].reshape(-1, 3, 3)
+        self.p, self.k, self.m = np.concatenate([basis for *_, basis in parts]).T[:, :, None]
+
+    def derivatives(self, l, g):
+        """(value, gradient, Hessian) in (L, G, H, l, g) at mean anomaly l and
+        argument of pericenter g, from one Kepler solve.  l and g broadcast;
+        the angle shape trails: (5,) + shape and (5, 5) + shape."""
+        l, g = np.broadcast_arrays(np.asarray(l, dtype=float), np.asarray(g, dtype=float))
+        shape = l.shape
+        l, g = l.ravel(), g.ravel()
+        L, G, e = self.L, self.G, self.e
+        eta2 = 1.0 - e * e
+        nu = true_from_mean(l, e)
+        cn, sn = np.cos(nu), np.sin(nu)
+        # nu(l, e) and its partials at fixed l; e(L, G) and its partials.
+        one = 1.0 + e * cn
+        nu_l = one**2 / eta2**1.5
+        nu_e = (2.0 + e * cn) * sn / eta2
+        nu_ll = -2.0 * e * sn * one / eta2**1.5 * nu_l
+        nu_le = one * (2.0 * cn + 3.0 * e * one / eta2 - 2.0 * e * sn * nu_e) / eta2**1.5
+        nu_ee = (cn * sn + 2.0 * e * nu_e + (2.0 * cn + e * np.cos(2.0 * nu)) * nu_e) / eta2
+        e_L, e_G = G * G / (e * L**3), -G / (e * L * L)
+        e_P = np.array([e_L, e_G])
+        e_PP = np.array([[-3.0 * e_L / L, 2.0 * e_L / G], [2.0 * e_L / G, e_G / G]]) - np.outer(e_P, e_P) / e
+        zero, unit = np.zeros_like(nu), np.ones_like(nu)
+        Y = np.array([  # d(nu, l, g)/d(L, G, H, l, g)
+            [e_L * nu_e, e_G * nu_e, zero, nu_l, zero],
+            [zero, zero, zero, unit, zero],
+            [zero, zero, zero, zero, unit],
+        ])
+        nu_xx = np.zeros((5, 5, len(nu)))
+        nu_xx[:2, :2] = np.multiply.outer(e_PP, nu_e) + np.multiply.outer(np.outer(e_P, e_P), nu_ee)
+        nu_xx[:2, 3] = nu_xx[3, :2] = np.outer(e_P, nu_le)
+        nu_xx[3, 3] = nu_ll
+
+        # Basis values and their (nu, l, g) derivatives, one row per term.
+        p, k, m = self.p, self.k, self.m
+        theta = k * nu + m * g + 0.5 * np.pi * p
+        S, C = np.sin(theta), np.cos(theta)
+        U = np.where(p == 1, nu - l, 1.0)
+        phi = U * S
+        d_phi = np.array([p * S + k * U * C, -p * S, m * U * C])
+        h_ng, h_lg, z = p * m * C - k * m * U * S, -p * m * C, np.zeros_like(phi)
+        h_phi = np.array([[-k * k * U * S, z, h_ng], [z, z, h_lg], [h_ng, h_lg, -m * m * U * S]])
+
+        g_y = np.einsum("j,ajn->an", self.c, d_phi)
+        grad = np.einsum("an,axn->xn", g_y, Y)
+        grad[:3] += self.dc.T @ phi
+        hess = np.einsum("axn,abn,byn->xyn", Y, np.einsum("j,abjn->abn", self.c, h_phi), Y) + g_y[0] * nu_xx
+        cross = np.einsum("jp,ajn,axn->pxn", self.dc, d_phi, Y)
+        hess[:3] += cross
+        hess[:, :3] += cross.transpose(1, 0, 2)
+        hess[:3, :3] += np.einsum("jpq,jn->pqn", self.d2c, phi)
+        return (self.c @ phi).reshape(shape), grad.reshape((5,) + shape), hess.reshape((5, 5) + shape)
 
 
 class MeanHamiltonian:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zeipel.elements import EARTH, DelaunayState, PhysicalModel
+from zeipel.elements import EARTH, DelaunayState, PhysicalModel, delaunay_momenta
 
 UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
 
@@ -14,11 +14,8 @@ def draw_states(rng, n, model=EARTH, a_lo=6800.0, a_hi=8200.0,
         a = rng.uniform(a_lo, a_hi)
         e = rng.uniform(e_lo, e_hi)
         inc = rng.uniform(0.15, np.pi - 0.15)
-        L = np.sqrt(model.mu * a)
-        G = L * np.sqrt(1.0 - e * e)
-        H = G * np.cos(inc)
-        l, g, h = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        out.append(DelaunayState(L, G, H, l, g, h))
+        momenta = delaunay_momenta(a, e, inc, model)
+        out.append(DelaunayState(*momenta, *rng.uniform(0.0, 2.0 * np.pi, size=3)))
     return out
 
 

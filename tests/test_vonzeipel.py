@@ -1,10 +1,14 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 from numpy.testing import assert_allclose
 
-from zeipel.elements import EARTH, PhysicalModel, true_from_mean
+from zeipel import _secondorder
+from zeipel.elements import EARTH, PhysicalModel, delaunay_momenta, true_from_mean
 from zeipel.errors import DegenerateFrequencyError, DomainError
 from zeipel.hamiltonian import (
     dh0_dL,
@@ -15,6 +19,7 @@ from zeipel.hamiltonian import (
 )
 from zeipel.vonzeipel import (
     AveragingOperator,
+    ClosedFormGenerator,
     MeanHamiltonian,
     SecondOrderTables,
     dk1,
@@ -27,7 +32,6 @@ from zeipel.vonzeipel import (
     ds2_dl_solution,
     hbar,
     hbar_closed_true,
-    hbar_constant_bracket,
     hbar_true,
     k1,
     k2,
@@ -288,10 +292,6 @@ def test_hbar_two_routes_agree(rng):
         assert_allclose(b, a, rtol=1e-8, atol=1e-8 * np.abs(a).max())
 
 
-def test_hbar_constant_bracket_unit_point():
-    assert hbar_constant_bracket(1.0, 1.0, 0.0, UNIT) == pytest.approx(3.0 / 32.0, abs=1e-15)
-
-
 def test_k2_unit_point():
     # symbolic average of the cross term at L = G = 1, H = 0 (quadrature
     # confirms the same value at nearby admissible points)
@@ -440,3 +440,88 @@ def test_mean_hamiltonian_gradient_matches_finite_difference():
         ]
     )
     assert_allclose(grad, fd, rtol=0, atol=1e-9 * np.abs(grad).max())
+
+
+# -- closed-form generator ------------------------------------------------------
+
+
+def test_closed_form_s2_matches_spectral_tables():
+    # The spectral tables are the independent oracle; their own l-truncation
+    # error stays below 1e-10 up to e = 0.4.
+    rng = np.random.default_rng(5)
+    l = rng.uniform(0.0, TWO_PI, size=16)
+    g = rng.uniform(0.0, TWO_PI, size=16)
+    for e in (0.001, 0.01, 0.1, 0.2, 0.3, 0.4):
+        for inc in np.linspace(0.1, np.pi - 0.1, 5):
+            L, G, H = delaunay_momenta(7000.0, e, inc, EARTH)
+            tab = second_order_tables(L, G, H, EARTH)
+            for closed, spectral in (
+                (s2(L, G, H, l, g, EARTH), tab.value(l, g)),
+                (ds2_dl(L, G, H, l, g, EARTH), tab.dl(l, g)),
+                (ds2_dg(L, G, H, l, g, EARTH), tab.dg(l, g)),
+            ):
+                assert np.abs(closed - spectral).max() <= 1e-10 * np.abs(spectral).max()
+
+
+@pytest.mark.parametrize("e", [0.05, 0.2, 0.5, 0.7])
+def test_closed_form_partials_match_richardson(rng, e):
+    # S2's momentum partials against differences of its value, and the whole
+    # Hessian of J2 S1 + J2^2 S2 in (L, G, H, l, g) against differences of
+    # its gradient.
+    L = rng.uniform(0.8, 1.5)
+    G = L * np.sqrt(1.0 - e * e)
+    H = G * np.cos(rng.uniform(0.1, np.pi - 0.1))
+    l, g = rng.uniform(0.0, TWO_PI, size=2)
+    x0 = np.array([L, G, H, l, g])
+    steps = np.array([1e-3 * (L - G), 1e-3 * (L - G), 1e-4 * G, 1e-4, 1e-4])
+
+    def at(x, weights):
+        return ClosedFormGenerator(x[0], x[1], x[2], UNIT, weights).derivatives(x[3], x[4])
+
+    def column(k, weights, part):
+        def f(t):
+            x = x0.copy()
+            x[k] = t
+            return at(x, weights)[part]
+
+        return richardson(f, x0[k], steps[k])
+
+    _, grad2, _ = at(x0, (0.0, 1.0))
+    fd = np.array([column(k, (0.0, 1.0), 0) for k in range(3)])
+    assert np.abs(grad2[:3] - fd).max() <= 1e-8 * np.abs(grad2[:3]).max()
+
+    weights = (1e-3, 1e-6)
+    _, _, hess = at(x0, weights)
+    fd = np.column_stack([column(k, weights, 1) for k in range(5)])
+    assert np.abs(hess - fd).max() <= 1e-8 * np.abs(hess).max()
+    assert np.abs(hess - hess.T).max() <= 1e-14 * np.abs(hess).max()
+
+
+@pytest.mark.parametrize("e", [0.05, 0.3, 0.5, 0.7])
+def test_closed_form_s2_generator_equation(rng, e):
+    # w1 dS2/dl + cross term - k2 - c2 cos 2g = 0, also beyond the e <= 0.4
+    # range the spectral tables resolve.
+    L = rng.uniform(0.8, 1.5)
+    G = L * np.sqrt(1.0 - e * e)
+    H = G * np.cos(rng.uniform(0.1, np.pi - 0.1))
+    l = rng.uniform(0.0, TWO_PI, size=40)
+    g = rng.uniform(0.0, TWO_PI, size=40)
+    per = hbar_true(L, G, H, true_from_mean(l, e), g, UNIT) - k2(L, G, H, UNIT)
+    per -= long_period_coefficient(L, G, H, UNIT) * np.cos(2.0 * g)
+    res = dh0_dL(L, UNIT) * ds2_dl(L, G, H, l, g, UNIT) + per
+    assert np.abs(res).max() <= 1e-7 * np.abs(per).max()
+
+
+def test_closed_form_s1_matches_hand_written():
+    L, G, H = 1.2, 1.05, -0.5
+    l = np.linspace(0.0, TWO_PI, 13)
+    value = ClosedFormGenerator(L, G, H, UNIT, (1.0, 0.0)).derivatives(l, 0.7)[0]
+    ref = s1(L, G, H, l, 0.7, UNIT)
+    assert np.abs(value - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_generated_module_matches_derive_script():
+    # _secondorder.py records the SHA-256 of the script that generated it;
+    # a changed script means the module must be regenerated.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "derive_second_order.py"
+    assert hashlib.sha256(script.read_bytes()).hexdigest() == _secondorder.SCRIPT_SHA256
