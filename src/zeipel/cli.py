@@ -123,16 +123,8 @@ def _fmt(x):
 
 
 def write_ephemeris_csv(path, eph):
-    lines = [CSV_HEADER]
-    for k in range(len(eph)):
-        el, cs, st = eph.kep[k], eph.cart[k], eph.delaunay[k]
-        row = [
-            eph.t[k],
-            el.a, el.e, el.i, el.raan, el.argp, el.mean_anom,
-            cs.r[0], cs.r[1], cs.r[2], cs.v[0], cs.v[1], cs.v[2],
-            st.L, st.G, st.H, st.l, st.g, st.h,
-        ]
-        lines.append(",".join(_fmt(x) for x in row))
+    rows = np.column_stack([eph.t, eph.kep.rows, eph.cart.rows, eph.delaunay.rows])
+    lines = [CSV_HEADER] + [",".join(_fmt(x) for x in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -8,6 +8,7 @@ the element conversions, so the two can check each other.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .elements import (
     delaunay_to_kep,
     kep_to_cartesian,
     kep_to_delaunay,
+    normalize_angle,
 )
 from .errors import DomainError, IntegrationError, UsageError
 from .hamiltonian import polar_angular_momentum, specific_energy, zonal_accel
@@ -52,27 +54,55 @@ def mean_rates(P, model: PhysicalModel, order=2, j2=None) -> MeanRates:
     return MeanRates(*(-grad))
 
 
+def _mean_angles(mean0: DelaunayState, t, model, order, j2):
+    """Mean (l, g, h) after elapsed times t, (3,) + shape(t): linear in t."""
+    rates = mean_rates(mean0.momenta, model, order, j2).as_array
+    t = np.asarray(t, dtype=float)
+    col = (slice(None),) + (None,) * t.ndim
+    return mean0.angles[col] + rates[col] * t
+
+
 def propagate_mean(mean0: DelaunayState, t, model: PhysicalModel, order=2, j2=None) -> DelaunayState:
     """Trivial flow of the mean Hamiltonian: fixed momenta, linear angles."""
-    rates = mean_rates(mean0.momenta, model, order, j2)
-    return DelaunayState(
-        mean0.L,
-        mean0.G,
-        mean0.H,
-        mean0.l + rates.dl * t,
-        mean0.g + rates.dg * t,
-        mean0.h + rates.dh * t,
-    )
+    return DelaunayState(mean0.L, mean0.G, mean0.H, *_mean_angles(mean0, t, model, order, j2))
+
+
+class States(Sequence):
+    """N states of one representation, stored as the rows of an (N, 6)
+    array; indexing builds the state object of one row."""
+
+    def __init__(self, rows, build):
+        self.rows = rows
+        self._build = build
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        return self._build(self.rows[k])
+
+
+# representation -> (state object to row, row to state object)
+_ROWS = {
+    "kep": (lambda el: (el.a, el.e, el.i, el.raan, el.argp, el.mean_anom), lambda r: KeplerianElements(*r)),
+    "cart": (lambda cs: (*cs.r, *cs.v), lambda r: CartesianState(r[:3], r[3:])),
+    "delaunay": (lambda st: (st.L, st.G, st.H, st.l, st.g, st.h), lambda r: DelaunayState(*r)),
+}
 
 
 @dataclass(frozen=True)
 class Ephemeris:
-    """Time-ordered samples in all three element representations."""
+    """Time-ordered samples in all three element representations.
+
+    `kep`, `cart` and `delaunay` accept sequences of state objects and are
+    stored as `States`: one (N, 6) array each, about a sixth of the memory
+    of three state objects per sample.
+    """
 
     t: np.ndarray
-    kep: tuple
-    cart: tuple
-    delaunay: tuple
+    kep: States
+    cart: States
+    delaunay: States
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,21 +114,23 @@ class Ephemeris:
         if not (len(self.kep) == len(self.cart) == len(self.delaunay) == len(t)):
             raise DomainError("sample lists must share the grid length")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "kep", tuple(self.kep))
-        object.__setattr__(self, "cart", tuple(self.cart))
-        object.__setattr__(self, "delaunay", tuple(self.delaunay))
+        for name, (row, build) in _ROWS.items():
+            samples = getattr(self, name)
+            if not isinstance(samples, States):
+                samples = States(np.array([row(s) for s in samples], dtype=float), build)
+            object.__setattr__(self, name, samples)
 
     def __len__(self):
         return len(self.t)
 
     def positions(self):
-        return np.array([cs.r for cs in self.cart])
+        return self.cart.rows[:, :3].copy()
 
     def velocities(self):
-        return np.array([cs.v for cs in self.cart])
+        return self.cart.rows[:, 3:].copy()
 
     def momenta(self):
-        return np.array([st.momenta for st in self.delaunay])
+        return self.delaunay.rows[:, :3].copy()
 
     def validate(self, model: PhysicalModel, tol=1e-9):
         """Cross-representation consistency; raises on violation."""
@@ -124,16 +156,17 @@ def _ephemeris_from_kep(t, kep_list, model, extras=None):
 
 
 def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2, j2=None) -> Ephemeris:
-    """Full analytic pipeline at the given theory order."""
+    """Full analytic pipeline at the given theory order: one inverse map of
+    the initial state, the mean flow over all times, and one forward map
+    of every sample, whose shared mean momenta need one generator."""
     times = np.asarray(times, dtype=float)
     if j2 is None:
         j2 = model.j2
     cmap = CanonicalMap(model, j2=j2, order=order)
     mean0 = cmap.osculating_to_mean(kep_to_delaunay(osc0, model))
-    kep_list = []
-    for t in times:
-        osc_t = cmap.mean_to_osculating(propagate_mean(mean0, t - times[0], model, order, j2))
-        kep_list.append(delaunay_to_kep(osc_t, model))
+    angles = normalize_angle(_mean_angles(mean0, times - times[0], model, order, j2))
+    p, q, _ = cmap.mean_to_osculating_batch(mean0.momenta, angles)
+    kep_list = [delaunay_to_kep(DelaunayState(*p[:, k], *q[:, k]), model) for k in range(len(times))]
     return _ephemeris_from_kep(times, kep_list, model)
 
 
@@ -192,15 +225,9 @@ def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
         raise UsageError("ephemerides must share the time grid exactly")
     dr = eph_a.positions() - eph_b.positions()
     pos_err = np.linalg.norm(dr, axis=1)
-    elem = {}
-    for name in ("a", "e", "i"):
-        va = np.array([getattr(el, name) for el in eph_a.kep])
-        vb = np.array([getattr(el, name) for el in eph_b.kep])
-        elem[name] = va - vb
-    for name in ("raan", "argp", "mean_anom"):
-        va = np.array([getattr(el, name) for el in eph_a.kep])
-        vb = np.array([getattr(el, name) for el in eph_b.kep])
-        elem[name] = (va - vb + np.pi) % (2.0 * np.pi) - np.pi
+    diff = eph_a.kep.rows - eph_b.kep.rows
+    elem = dict(zip(("a", "e", "i"), diff[:, :3].T))
+    elem.update(zip(("raan", "argp", "mean_anom"), ((diff[:, 3:] + np.pi) % (2.0 * np.pi) - np.pi).T))
     dmom = eph_a.momenta() - eph_b.momenta()
     return CompareReport(
         t=eph_a.t,
@@ -214,12 +241,11 @@ def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
 
 
 def mean_history(eph: Ephemeris, model: PhysicalModel, order=2, j2=None):
-    """Mean momenta time series obtained by inverting the map along an
-    osculating trajectory; flat up to the truncation order."""
+    """Mean momenta time series, (N, 3), obtained by inverting the map along
+    an osculating trajectory in one solve; flat up to the truncation order."""
     if j2 is None:
         j2 = model.j2
     cmap = CanonicalMap(model, j2=j2, order=order)
-    out = np.empty((len(eph), 3))
-    for k, st in enumerate(eph.delaunay):
-        out[k] = cmap.osculating_to_mean(st).momenta
-    return out
+    osc = eph.delaunay.rows.T
+    P, _, _ = cmap.osculating_to_mean_batch(osc[:3], osc[3:])
+    return P.T

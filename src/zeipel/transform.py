@@ -4,8 +4,10 @@ The mixed-variable generator S(P, q) = P.q + J2*S1(P, q) + J2^2*S2(P, q)
 defines the map implicitly through p = dS/dq, Q = dS/dP.  The forward
 direction solves for the osculating angles q given (P, Q); the inverse
 solves for the mean momenta P given (p, q).  Both are Newton iterations on
-the exact S_qP block of the closed-form generator.  The map's own Jacobian
-is assembled from the second derivatives of S at the solved (P, q) pair.
+the exact S_qP block of the closed-form generator, run over (3, N) arrays
+of states with one batched linear solve per step; a single state is the
+N = 1 case.  The map's own Jacobian is assembled from the second
+derivatives of S at the solved (P, q) pair.
 """
 
 from __future__ import annotations
@@ -31,15 +33,32 @@ def momentum_scale(model: PhysicalModel) -> float:
     return math.sqrt(model.mu * model.R)
 
 
-def _describe(state: DelaunayState):
-    return ", ".join(f"{name}={float(getattr(state, name))!r}" for name in "LGHlgh")
+def _describe(column):
+    return ", ".join(f"{name}={float(x)!r}" for name, x in zip("LGHlgh", column))
 
 
-def _derivatives(generator, q):
-    """Gradient and Hessian of S - P.q in (L, G, H, l, g, h) at angles q.
-    Nothing depends on h: the field is axisymmetric."""
-    _, grad, hess = generator.derivatives(q[0], q[1])
-    return np.append(grad, 0.0), np.pad(hess, (0, 1))
+def _per_column(fn, x, cols, why):
+    """(cols, fn(x[:, cols], cols)), where fn returns arrays whose last axis
+    runs over the columns.  If fn raises DomainError, each column is tried
+    alone: those that raise get their reason in `why` and are dropped."""
+    try:
+        return cols, fn(x[:, cols], cols)
+    except DomainError:
+        pass
+    kept, parts = [], []
+    for col in cols:
+        one = np.array([col])
+        try:
+            parts.append(fn(x[:, one], one))
+            kept.append(col)
+        except DomainError as exc:
+            why[col] = f"map left the admissible domain: {exc}"
+    return np.array(kept, dtype=int), tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+
+
+def _eye(k):
+    """(3, 3, k): one identity matrix per column."""
+    return np.repeat(np.eye(3)[:, :, None], k, axis=2)
 
 
 @dataclass(frozen=True)
@@ -54,20 +73,28 @@ class GeneratingSeries:
             raise DomainError("order must be 1 or 2")
 
     def at(self, P, j2):
-        """J2*S1 (+ J2^2*S2) at momenta P."""
-        return vz.ClosedFormGenerator(*P, self.model, (j2, j2 * j2 if self.order == 2 else 0.0))
+        """J2*S1 (+ J2^2*S2) at momenta P: one 3-vector, or (3, N) columns.
+        A single column reaches the generator as Python floats, the fast
+        route through the generated coefficients."""
+        P = np.asarray(P, dtype=float)
+        L, G, H = P.reshape(3).tolist() if P.size == 3 else P
+        return vz.ClosedFormGenerator(L, G, H, self.model, (j2, j2 * j2 if self.order == 2 else 0.0))
 
     def grad_q(self, P, q, j2):
-        """(dS/dl, dS/dg, dS/dh) minus the P.q part."""
-        return _derivatives(self.at(P, j2), q)[0][3:]
+        """(dS/dl, dS/dg) minus the P.q part; dS/dh vanishes."""
+        return self.at(P, j2).derivatives(q[0], q[1])[1][3:]
 
     def grad_P(self, P, q, j2):
-        """(dS/dL, dS/dG, dS/dH) minus the P.q part."""
-        return _derivatives(self.at(P, j2), q)[0][:3]
+        """(dS/dL, dS/dG, dS/dH) minus the P.q part, at one state or at
+        (3, N) columns of momenta and angles."""
+        return self.at(P, j2).derivatives(q[0], q[1])[1][:3]
 
 
 class CanonicalMap:
-    """Osculating (p, q) <-> mean (P, Q) Delaunay map at a fixed J2."""
+    """Osculating (p, q) <-> mean (P, Q) Delaunay map at a fixed J2.
+
+    Each direction solves N states at once, as (3, N) arrays of momenta and
+    angles; the single-state methods are its N = 1 case."""
 
     def __init__(self, model: PhysicalModel, j2=None, order=2):
         self.model = model
@@ -77,80 +104,131 @@ class CanonicalMap:
         self.series = GeneratingSeries(model, order)
         self.order = order
 
-    # -- Newton drivers -----------------------------------------------------
+    # -- Newton driver --------------------------------------------------------
 
     def _solve(self, system, x0, scale, start, image):
-        """Newton iteration for F(x) = 0 from x0, where system(x) returns
-        (F, dF/dx); returns (image(x), iterations).  Any failure raises
-        MapError naming the input state `start` and the last scaled step
-        (nan before the first step)."""
-        x = x0.copy()
-        step = math.nan
-        try:
-            self._check_eccentricity(start)
-            for its in range(1, NEWTON_MAXITER + 1):
-                F, jac = system(x)
-                if not np.all(np.isfinite(F)):
-                    why = "residual became non-finite"
-                    break
-                x = x + np.linalg.solve(jac, -F)
-                step = np.abs(F / scale).max()
-                if step <= NEWTON_TOL:
-                    return image(x), its
-            else:
-                why = f"no convergence in {NEWTON_MAXITER} iterations"
-        except DomainError as exc:
-            why = f"map left the admissible domain: {exc}"
-        raise MapError(f"{why}; input {_describe(start)}; last scaled step {step:.3e}")
+        """Newton iteration for F(x) = 0 on the columns of x0, (3, N).
 
-    def _check_eccentricity(self, state: DelaunayState):
-        """The generator's momentum partials carry 1/e factors, so its J2
-        series in Delaunay variables needs e above |J2| (R/a)^2, the size of
-        the eccentricity oscillation it describes."""
-        e = float(eccentricity_from_momenta(state.L, state.G))
-        bound = abs(self.j2) * (self.model.R * self.model.mu / state.L**2) ** 2
-        if e <= bound:
-            raise DomainError(f"e = {e:.3e} is not above |J2| (R/a)^2 = {bound:.3e}")
+        system(x, cols) returns F, (3, k), and dF/dx, (3, 3, k), at the
+        columns `cols` of the iterate; one batched solve takes every step.
+        A column stops at the step where its own scaled step first falls to
+        NEWTON_TOL, as a lone solve would, so its iterate and count do not
+        depend on the batch.  Returns (image(x, all columns), iterations per
+        column).  Any failure raises MapError naming the first failing
+        column's input state (its column of `start`) and its last scaled
+        step (nan before its first step).
+        """
+        x = x0.copy()
+        n = x.shape[1]
+        its = np.zeros(n, dtype=int)
+        step = np.full(n, math.nan)
+        why = self._refusals(start)
+        done = np.zeros(n, dtype=bool)
+        for it in range(1, NEWTON_MAXITER + 1):
+            cols = np.array([c for c in range(n) if not done[c] and why[c] is None], dtype=int)
+            if not cols.size:
+                break
+            cols, out = _per_column(system, x, cols, why)
+            if not cols.size:
+                continue
+            F, jac = out
+            finite = np.isfinite(F).all(axis=0)
+            for col in cols[~finite]:
+                why[col] = "residual became non-finite"
+            cols, F, jac = cols[finite], F[:, finite], jac[..., finite]
+            x[:, cols] += np.linalg.solve(jac.transpose(2, 0, 1), -F.T[..., None])[..., 0].T
+            step[cols] = np.abs(F / scale[:, cols]).max(axis=0)
+            its[cols] = it
+            done[cols] = step[cols] <= NEWTON_TOL
+        for col in range(n):
+            if not done[col] and why[col] is None:
+                why[col] = f"no convergence in {NEWTON_MAXITER} iterations"
+        if all(reason is None for reason in why):
+            _, out = _per_column(image, x, np.arange(n), why)
+        failed = [col for col, reason in enumerate(why) if reason is not None]
+        if failed:
+            col = failed[0]
+            raise MapError(f"{why[col]}; input {_describe(start[:, col])}; last scaled step {step[col]:.3e}")
+        return out, its
+
+    def _refusals(self, start):
+        """Per column of `start`, the reason to refuse it, or None.  The
+        generator's momentum partials carry 1/e factors, so its J2 series in
+        Delaunay variables needs e above |J2| (R/a)^2, the size of the
+        eccentricity oscillation it describes."""
+        L, G = start[0], start[1]
+        e = eccentricity_from_momenta(L, G)
+        bound = abs(self.j2) * (self.model.R * self.model.mu / L**2) ** 2
+        return [
+            f"map left the admissible domain: e = {ek:.3e} is not above |J2| (R/a)^2 = {bk:.3e}" if ek <= bk else None
+            for ek, bk in zip(e, bound)
+        ]
 
     # -- the map ------------------------------------------------------------
 
-    def mean_to_osculating(self, mean: DelaunayState, return_info=False):
-        P = mean.momenta
-        Q = mean.angles
+    def mean_to_osculating_batch(self, P, Q):
+        """Osculating momenta and angles, both (3, N), and the Newton
+        iterations of each column, for mean momenta P, one 3-vector shared
+        by every column, and mean angles Q, (3, N).  The shared momenta let
+        one generator serve every column and every step."""
+        P = np.asarray(P, dtype=float)
+        Q = np.asarray(Q, dtype=float)
+        Ps = np.repeat(P[:, None], Q.shape[1], axis=1)
         if self.j2 == 0.0:
-            return (mean, {"iterations": 0}) if return_info else mean
+            return Ps, Q.copy(), np.zeros(Q.shape[1], dtype=int)
         generator = self.series.at(P, self.j2)
 
-        def system(q):
-            grad, hess = _derivatives(generator, q)
-            return q + grad[:3] - Q, np.eye(3) + hess[:3, 3:]
+        def system(q, cols):
+            _, grad, hess = generator.derivatives(q[0], q[1])
+            jac = _eye(len(cols))
+            jac[:, :2] += hess[:3, 3:]
+            return q + grad[:3] - Q[:, cols], jac
 
-        osc, its = self._solve(
-            system,
-            Q,
-            np.ones(3),
-            mean,
-            lambda q: DelaunayState(*(P + _derivatives(generator, q)[0][3:]), *q),
-        )
+        def image(q, cols):
+            p = Ps[:, cols]
+            p[:2] += generator.derivatives(q[0], q[1])[1][3:]
+            return p, q
+
+        (p, q), its = self._solve(system, Q, np.ones_like(Q), np.vstack([Ps, Q]), image)
+        return p, q, its
+
+    def osculating_to_mean_batch(self, p, q):
+        """Mean momenta and angles, both (3, N), and the Newton iterations
+        of each column, for osculating momenta p and angles q, (3, N)."""
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        if self.j2 == 0.0:
+            return p.copy(), q.copy(), np.zeros(p.shape[1], dtype=int)
+
+        def system(P, cols):
+            qc = q[:, cols]
+            _, grad, hess = self.series.at(P, self.j2).derivatives(qc[0], qc[1])
+            F = P - p[:, cols]
+            F[:2] += grad[3:]
+            jac = _eye(len(cols))
+            jac[:2] += hess[3:, :3]
+            return F, jac
+
+        def image(P, cols):
+            return P, q[:, cols] + self.series.grad_P(P, q[:, cols], self.j2)
+
+        (P, Q), its = self._solve(system, p, np.maximum(1.0, np.abs(p)), np.vstack([p, q]), image)
+        return P, Q, its
+
+    def mean_to_osculating(self, mean: DelaunayState, return_info=False):
+        """One state: the N = 1 case of `mean_to_osculating_batch`."""
+        osc, its = mean, 0
+        if self.j2 != 0.0:
+            p, q, its = self.mean_to_osculating_batch(mean.momenta, mean.angles[:, None])
+            osc, its = DelaunayState(*p[:, 0], *q[:, 0]), int(its[0])
         return (osc, {"iterations": its}) if return_info else osc
 
     def osculating_to_mean(self, osc: DelaunayState, return_info=False):
-        p = osc.momenta
-        q = osc.angles
-        if self.j2 == 0.0:
-            return (osc, {"iterations": 0}) if return_info else osc
-
-        def system(P):
-            grad, hess = _derivatives(self.series.at(P, self.j2), q)
-            return P + grad[3:] - p, np.eye(3) + hess[3:, :3]
-
-        mean, its = self._solve(
-            system,
-            p,
-            np.maximum(1.0, np.abs(p)),
-            osc,
-            lambda P: DelaunayState(*P, *(q + self.series.grad_P(P, q, self.j2))),
-        )
+        """One state: the N = 1 case of `osculating_to_mean_batch`."""
+        mean, its = osc, 0
+        if self.j2 != 0.0:
+            P, Q, its = self.osculating_to_mean_batch(osc.momenta[:, None], osc.angles[:, None])
+            mean, its = DelaunayState(*P[:, 0], *Q[:, 0]), int(its[0])
         return (mean, {"iterations": its}) if return_info else mean
 
     # -- derived linear objects ----------------------------------------------
@@ -173,20 +251,17 @@ class CanonicalMap:
             P, q = self.osculating_to_mean(at).momenta, at.angles
         else:
             raise DomainError(f"unknown direction {direction!r}")
-        _, hess = _derivatives(self.series.at(P, self.j2), q)
+        _, _, hess = self.series.at(P, self.j2).derivatives(q[0], q[1])
         s = momentum_scale(self.model)
-        M = generating_jacobian(np.eye(3) + hess[3:, :3], hess[3:, 3:] / s, hess[:3, :3] * s)
+        # S has no h-terms (the field is axisymmetric): the h rows are zero.
+        A = np.eye(3)
+        A[:2] += hess[3:, :3]
+        B = np.zeros((3, 3))
+        B[:2, :2] = hess[3:, 3:] / s
+        M = generating_jacobian(A, B, hess[:3, :3] * s)
         if direction == "osculating_to_mean":
             M = symplectic_inverse(M)
         if not scaled:
             M[:3, 3:] *= s
             M[3:, :3] /= s
         return M
-
-
-def first_order_displacement(mean: DelaunayState, model: PhysicalModel, j2):
-    """Leading-order osc minus mean offset predicted by the generator:
-    (J2 dS1/dq, -J2 dS1/dP) at the mean point."""
-    series = GeneratingSeries(model, order=1)
-    P, q = mean.momenta, mean.angles
-    return np.concatenate([series.grad_q(P, q, j2), -series.grad_P(P, q, j2)])

@@ -11,11 +11,13 @@ from zeipel.elements import (
     KeplerianElements,
     PhysicalModel,
     delaunay_momenta,
+    delaunay_to_kep,
     kep_to_cartesian,
     kep_to_delaunay,
     normalize_angle,
 )
 from zeipel import propagator
+from zeipel.transform import CanonicalMap
 from zeipel.errors import DomainError, IntegrationError, UsageError
 from zeipel.propagator import (
     Ephemeris,
@@ -215,6 +217,36 @@ def test_mean_history_is_flatter_than_osculating():
     assert np.all(mean_ptp[:2] < 0.1 * osc_ptp[:2])
     # H is exactly conserved by the field, both histories sit at round-off
     assert osc_ptp[2] < 1e-9 * eph.momenta()[0, 2]
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_batched_map_matches_per_sample_calls(order):
+    # propagate_analytic and mean_history solve every sample in one batched
+    # Newton run; each column must match a lone CanonicalMap call and take
+    # its iteration count, which shows converged columns are frozen.
+    for a, e, inc in ((7000.0, 0.01, 0.5), (8300.0, 0.3, 2.0)):
+        el0 = KeplerianElements(a=a, e=e, i=inc, raan=0.3, argp=1.1, mean_anom=0.2)
+        times = np.linspace(0.0, 3.0 * kepler_period(a, EARTH), 49)
+        cm = CanonicalMap(EARTH, order=order)
+        mean0 = cm.osculating_to_mean(kep_to_delaunay(el0, EARTH))
+        means = [propagate_mean(mean0, t, EARTH, order) for t in times]
+
+        eph = propagate_analytic(el0, times, EARTH, order)
+        lone = [cm.mean_to_osculating(m, return_info=True) for m in means]
+        for got, (osc, _) in zip(eph.delaunay, lone):
+            want = kep_to_delaunay(delaunay_to_kep(osc, EARTH), EARTH)
+            assert_allclose(got.momenta, want.momenta, rtol=1e-12, atol=0)
+            assert np.abs(wrap(got.angles - want.angles)).max() <= 1e-12
+        _, _, its = cm.mean_to_osculating_batch(mean0.momenta, np.array([m.angles for m in means]).T)
+        assert its.tolist() == [info["iterations"] for _, info in lone]
+
+        hist = mean_history(eph, EARTH, order)
+        lone = [cm.osculating_to_mean(st, return_info=True) for st in eph.delaunay]
+        assert_allclose(hist, [m.momenta for m, _ in lone], rtol=1e-12, atol=0)
+        osc = np.array([(*st.momenta, *st.angles) for st in eph.delaunay]).T
+        _, Q, its = cm.osculating_to_mean_batch(osc[:3], osc[3:])
+        assert np.abs(wrap(Q.T - [m.angles for m, _ in lone])).max() <= 1e-12
+        assert its.tolist() == [info["iterations"] for _, info in lone]
 
 
 def test_compare_identical_and_swapped():

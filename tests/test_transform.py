@@ -6,7 +6,7 @@ from conftest import draw_states
 from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
 from zeipel.errors import DomainError, MapError
 from zeipel.symplectic import block_identities, symplectic_residual
-from zeipel.transform import CanonicalMap, first_order_displacement, momentum_scale
+from zeipel.transform import CanonicalMap, GeneratingSeries, momentum_scale
 
 J2 = EARTH.j2
 FD_REL = 1e-6  # relative step of the whole-map difference oracle
@@ -14,6 +14,14 @@ FD_REL = 1e-6  # relative step of the whole-map difference oracle
 
 def wrap(d):
     return (np.asarray(d) + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def first_order_displacement(mean, model, j2):
+    """Leading-order osc minus mean offset predicted by the generator:
+    (J2 dS1/dq, -J2 dS1/dP) at the mean point; dS1/dh vanishes."""
+    series = GeneratingSeries(model, order=1)
+    P, q = mean.momenta, mean.angles
+    return np.concatenate([series.grad_q(P, q, j2), [0.0], -series.grad_P(P, q, j2)])
 
 
 def offset(cm, mean):
@@ -192,13 +200,30 @@ def test_near_circular_exit_is_map_error():
     e = 1e-7
     G = L * np.sqrt(1.0 - e * e)
     st = DelaunayState(L, G, G * np.cos(0.5), 0.3, 1.1, 2.0)
+    # e = 1e-3 is above the refusal bound, but the inverse Newton iterate
+    # walks to e = 0 from this state
+    walks = kep_to_delaunay(KeplerianElements(7000.0, 1e-3, 0.5, 0.3, 0.26, 0.1), EARTH)
+    good = kep_to_delaunay(KeplerianElements(7200.0, 0.05, 0.6, 0.3, 1.1, 2.0), EARTH)
     cm = CanonicalMap(EARTH)
-    for direction in (cm.osculating_to_mean, cm.mean_to_osculating):
+
+    def batch(bad):
+        # a three-column batch whose middle column alone fails
+        cols = np.array([(*s.momenta, *s.angles) for s in (good, bad, good)]).T
+        return cm.osculating_to_mean_batch(cols[:3], cols[3:])
+
+    for bad, call in (
+        (st, cm.osculating_to_mean),
+        (st, cm.mean_to_osculating),
+        (st, batch),
+        (walks, batch),
+    ):
         with pytest.raises(MapError) as failure:
-            direction(st)
-        # the message names the input state and the last scaled step
+            call(bad)
+        # the message names the failing input state and the last scaled step
         for name in "LGHlgh":
-            assert f"{name}={float(getattr(st, name))!r}" in str(failure.value)
+            assert f"{name}={float(getattr(bad, name))!r}" in str(failure.value)
+        for name in "LGH":
+            assert f"{name}={float(getattr(good, name))!r}" not in str(failure.value)
         assert "last scaled step" in str(failure.value)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 from zeipel import _secondorder
-from zeipel.elements import EARTH, PhysicalModel, delaunay_momenta, true_from_mean
+from zeipel.elements import EARTH, PhysicalModel, a_over_r, delaunay_momenta, true_from_mean
 from zeipel.errors import DegenerateFrequencyError, DomainError
 from zeipel.hamiltonian import (
     dh0_dL,
@@ -27,7 +27,6 @@ from zeipel.vonzeipel import (
     ds1_dP,
     ds1_dg,
     ds1_dl,
-    ds2_dg,
     ds2_dl,
     ds2_dl_solution,
     hbar,
@@ -37,7 +36,6 @@ from zeipel.vonzeipel import (
     k2,
     k2_quadrature,
     long_period_coefficient,
-    mean_anomaly_average,
     s1,
     s2,
     second_order_tables,
@@ -47,6 +45,17 @@ from zeipel.vonzeipel import (
 
 UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
 TWO_PI = 2.0 * np.pi
+
+
+def mean_anomaly_average(f_of_nu, e, nodes=256):
+    """Average over the mean anomaly computed on a true-anomaly grid, with
+    dl = (1/eta) * (r/a)^2 dnu: exact for trigonometric integrands."""
+    nu = TWO_PI * np.arange(nodes) / nodes
+    return float(np.mean(f_of_nu(nu) / a_over_r(nu, e) ** 2)) / np.sqrt(1.0 - e * e)
+
+
+def ds2_dg(L, G, H, l, g, model):
+    return ClosedFormGenerator(L, G, H, model, (0.0, 1.0)).derivatives(l, g)[1][4]
 
 
 def richardson(fun, x, h):
@@ -113,8 +122,6 @@ def test_mean_anomaly_average_known_integrals():
     assert mean_anomaly_average(lambda nu: np.ones_like(nu), e) == pytest.approx(1.0, abs=1e-13)
     # <cos nu>_l = -e, <a/r>_l = 1
     assert mean_anomaly_average(np.cos, e) == pytest.approx(-e, abs=1e-12)
-    from zeipel.elements import a_over_r
-
     assert mean_anomaly_average(lambda nu: a_over_r(nu, e), e) == pytest.approx(1.0, abs=1e-12)
 
 
