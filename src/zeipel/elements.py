@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, raise_first
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,15 +228,25 @@ def delaunay_momenta(a, e, i, model):
     return L, G, H
 
 
+def kep_to_delaunay_batch(kep, model: PhysicalModel):
+    """(N, 6) Keplerian rows (a, e, i, raan, argp, M) to (N, 6) Delaunay rows
+    (L, G, H, l, g, h).  Rejects e or sin(i) below the guard thresholds,
+    where g or h is undefined, naming the first such sample."""
+    a, e, i, raan, argp, mean_anom = np.asarray(kep, dtype=float).T
+    sin_i = np.sin(i)
+    raise_first(
+        (e < ECC_MIN, lambda k: f"e = {e[k]:.3e} below {ECC_MIN}, pericenter angle undefined"),
+        (sin_i < SIN_INC_MIN, lambda k: f"sin(i) = {sin_i[k]:.3e} below {SIN_INC_MIN}, node undefined"),
+    )
+    L = np.sqrt(model.mu * a)
+    G = L * np.sqrt(1.0 - e * e)
+    return np.column_stack((L, G, G * np.cos(i), mean_anom, argp, raan))
+
+
 def kep_to_delaunay(el: KeplerianElements, model: PhysicalModel) -> DelaunayState:
-    """Keplerian to Delaunay.  Rejects e or sin(i) below the guard
-    thresholds, where g or h is undefined."""
-    if el.e < ECC_MIN:
-        raise DomainError(f"e = {el.e:.3e} below {ECC_MIN}, pericenter angle undefined")
-    if math.sin(el.i) < SIN_INC_MIN:
-        raise DomainError(f"sin(i) = {math.sin(el.i):.3e} below {SIN_INC_MIN}, node undefined")
-    L, G, H = delaunay_momenta(el.a, el.e, el.i, model)
-    return DelaunayState(L=L, G=G, H=H, l=el.mean_anom, g=el.argp, h=el.raan)
+    """Keplerian to Delaunay: the one-state case of `kep_to_delaunay_batch`."""
+    row = (el.a, el.e, el.i, el.raan, el.argp, el.mean_anom)
+    return DelaunayState(*kep_to_delaunay_batch([row], model)[0].tolist())
 
 
 def delaunay_to_kep(st: DelaunayState, model: PhysicalModel) -> KeplerianElements:
@@ -273,38 +283,45 @@ def kep_to_cartesian(el: KeplerianElements, model: PhysicalModel) -> CartesianSt
     return CartesianState(r=rot @ r_pf, v=rot @ v_pf)
 
 
+def cartesian_to_kep_batch(cart, model: PhysicalModel):
+    """(N, 6) Cartesian rows (x, y, z, vx, vy, vz) to (N, 6) osculating
+    Keplerian rows (a, e, i, raan, argp, M), angles in [0, 2*pi).  Rejects
+    rectilinear, non-elliptical, near-circular and near-equatorial states,
+    naming the first such sample."""
+    x, y, z, vx, vy, vz = np.asarray(cart, dtype=float).T
+    mu = model.mu
+    r_mag = np.sqrt(x * x + y * y + z * z)
+    v2 = vx * vx + vy * vy + vz * vz
+    hx, hy, hz = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
+    h_mag = np.sqrt(hx * hx + hy * hy + hz * hz)
+    inv_a = 2.0 / r_mag - v2 / mu
+    cr, cv = (v2 - mu / r_mag) / mu, (x * vx + y * vy + z * vz) / mu
+    ex, ey, ez = cr * x - cv * vx, cr * y - cv * vy, cr * z - cv * vz
+    e = np.sqrt(ex * ex + ey * ey + ez * ez)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i = np.arccos(np.clip(hz / h_mag, -1.0, 1.0))
+    sin_i = np.sin(i)
+    raise_first(
+        (h_mag <= 1e-12 * r_mag * np.sqrt(v2), "rectilinear orbit, angular momentum too small"),
+        (inv_a <= 0, "state is not elliptical"),
+        (e >= 1.0, "state is not elliptical"),
+        (e < ECC_MIN, lambda k: f"e = {e[k]:.3e} below {ECC_MIN}, pericenter angle undefined"),
+        (sin_i < SIN_INC_MIN, lambda k: f"sin(i) = {sin_i[k]:.3e} below {SIN_INC_MIN}, node undefined"),
+    )
+
+    # Node vector n = z_hat x h = (-hy, hx, 0); argp and nu are angles in
+    # the orbit plane, measured about h.
+    raan = np.arctan2(hx, -hy)
+    argp = np.arctan2(ez * (hx * hx + hy * hy) - hz * (hx * ex + hy * ey), h_mag * (hx * ey - hy * ex))
+    nu = np.arctan2(
+        (hx * (ey * z - ez * y) + hy * (ez * x - ex * z) + hz * (ex * y - ey * x)) / h_mag,
+        ex * x + ey * y + ez * z,
+    )
+    angles = normalize_angle(np.column_stack((raan, argp, mean_from_true(nu, e))))
+    return np.column_stack((1.0 / inv_a, e, i, angles))
+
+
 def cartesian_to_kep(cs: CartesianState, model: PhysicalModel) -> KeplerianElements:
-    """Inertial Cartesian to osculating Keplerian elements."""
-    r = cs.r
-    v = cs.v
-    r_mag = np.linalg.norm(r)
-    v_mag = np.linalg.norm(v)
-    h_vec = np.cross(r, v)
-    h_mag = np.linalg.norm(h_vec)
-    if h_mag <= 1e-12 * r_mag * v_mag:
-        raise DomainError("rectilinear orbit, angular momentum too small")
-
-    inv_a = 2.0 / r_mag - v_mag * v_mag / model.mu
-    if inv_a <= 0:
-        raise DomainError("state is not elliptical")
-    a = 1.0 / inv_a
-
-    e_vec = ((v_mag * v_mag - model.mu / r_mag) * r - np.dot(r, v) * v) / model.mu
-    e = np.linalg.norm(e_vec)
-    if e >= 1.0:
-        raise DomainError("state is not elliptical")
-    if e < ECC_MIN:
-        raise DomainError(f"e = {e:.3e} below {ECC_MIN}, pericenter angle undefined")
-
-    h_hat = h_vec / h_mag
-    i = math.acos(min(1.0, max(-1.0, h_hat[2])))
-    if math.sin(i) < SIN_INC_MIN:
-        raise DomainError(f"sin(i) = {math.sin(i):.3e} below {SIN_INC_MIN}, node undefined")
-
-    n_vec = np.array([-h_vec[1], h_vec[0], 0.0])
-    n_mag = np.linalg.norm(n_vec)
-    raan = math.atan2(n_vec[1], n_vec[0])
-    argp = math.atan2(np.dot(np.cross(n_vec, e_vec), h_hat) / n_mag, np.dot(n_vec, e_vec) / n_mag)
-    nu = math.atan2(np.dot(np.cross(e_vec, r), h_hat) / e, np.dot(e_vec, r) / e)
-    mean_anom = float(mean_from_true(nu, e))
-    return KeplerianElements(a=a, e=e, i=i, raan=raan, argp=argp, mean_anom=mean_anom)
+    """Inertial Cartesian to osculating Keplerian elements: the one-state
+    case of `cartesian_to_kep_batch`."""
+    return KeplerianElements(*cartesian_to_kep_batch([(*cs.r, *cs.v)], model)[0].tolist())

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ZeipelError(Exception):
     """Base class for package errors."""
@@ -27,3 +29,20 @@ class IntegrationError(ZeipelError):
 
 class UsageError(ZeipelError):
     """Inconsistent arguments at a command or API boundary."""
+
+
+def raise_first(*guards):
+    """Raise a DomainError for the first sample that fails a guard.
+
+    Each guard is (failed, message): a boolean (N,) mask, given in check
+    order, and a string or a function of the sample index.  The lowest
+    failing index wins, and on it the earliest guard; the message names the
+    index when N > 1.
+    """
+    failed = np.array([mask for mask, _ in guards])
+    if not failed.any():
+        return
+    k = int(np.argmax(failed.any(axis=0)))
+    message = guards[int(np.argmax(failed[:, k]))][1]
+    text = message(k) if callable(message) else message
+    raise DomainError(f"sample {k}: {text}" if failed.shape[1] > 1 else text)

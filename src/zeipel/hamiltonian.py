@@ -2,17 +2,21 @@
 
 The perturbed Hamiltonian is written H = h0(L) + J2 * h1(L,G,H,l,g); the
 functions here evaluate the series coefficients, so the small parameter J2 is
-NOT included in h1 or its derivatives.  The zonal potential and acceleration
-at the bottom do include the physical Jn values; they feed the independent
-Cartesian oracle integrator and share no code with the series evaluators.
+NOT included in h1 or its derivatives.  The zonal field at the bottom does
+include the physical Jn values.  It feeds the independent Cartesian oracle and
+shares no code with the series evaluators: the acceleration, the oracle's
+right-hand side, is a kernel on Python floats with its own Legendre
+recurrence, and the potential, energy and h_z take one state or N as arrays.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .elements import a_over_r, true_from_mean
-from .errors import DomainError
+from .errors import DomainError, raise_first
 
 
 def eccentricity_from_momenta(L, G):
@@ -121,18 +125,23 @@ def legendre_upward(nmax, x):
     return P, dP
 
 
-def zonal_potential(r_vec, model, nmax=None):
-    """Disturbing potential U = sum_n (mu/r) Jn (R/r)^n Pn(z/r), n >= 2."""
-    r_vec = np.asarray(r_vec, dtype=float)
-    r = np.linalg.norm(r_vec)
-    if r <= model.R / 2.0:
-        raise DomainError("position inside the central-body guard radius")
+def zonal_degree(model, nmax=None):
+    """Highest zonal degree summed: `nmax`, or the model's own by default."""
     if nmax is None:
         nmax = max(2, len(model.zonal) + 1)
     if nmax < 2:
         raise DomainError("nmax must be at least 2")
-    s = r_vec[2] / r
-    P, _ = legendre_upward(nmax, s)
+    return nmax
+
+
+def zonal_potential(r_vec, model, nmax=None):
+    """Disturbing potential U = sum_n (mu/r) Jn (R/r)^n Pn(z/r), n >= 2, at a
+    position (3,) or at each row of an (N, 3) array."""
+    r_vec = np.asarray(r_vec, dtype=float)
+    r = np.linalg.norm(r_vec, axis=-1)
+    raise_first((np.atleast_1d(r <= model.R / 2.0), "position inside the central-body guard radius"))
+    nmax = zonal_degree(model, nmax)
+    P, _ = legendre_upward(nmax, r_vec[..., 2] / r)
     U = 0.0
     for n in range(2, nmax + 1):
         Jn = model.zonal[n - 2] if n - 2 < len(model.zonal) else 0.0
@@ -140,43 +149,50 @@ def zonal_potential(r_vec, model, nmax=None):
     return U
 
 
-def zonal_grad(r_vec, model, nmax=None):
-    """Gradient of the disturbing potential."""
-    r_vec = np.asarray(r_vec, dtype=float)
-    r = np.linalg.norm(r_vec)
-    if r <= model.R / 2.0:
-        raise DomainError("position inside the central-body guard radius")
-    if nmax is None:
-        nmax = max(2, len(model.zonal) + 1)
-    s = r_vec[2] / r
-    r_hat = r_vec / r
-    z_hat = np.array([0.0, 0.0, 1.0])
-    P, dP = legendre_upward(nmax, s)
-    grad = np.zeros(3)
-    for n in range(2, nmax + 1):
-        Jn = model.zonal[n - 2] if n - 2 < len(model.zonal) else 0.0
-        if Jn == 0.0:
-            continue
-        scale = model.mu * Jn * model.R**n / r ** (n + 2)
-        grad += scale * (dP[n] * (z_hat - s * r_hat) - (n + 1) * P[n] * r_hat)
-    return grad
-
-
 def zonal_accel(r_vec, model, nmax=None):
-    """Total acceleration: Kepler term plus zonal perturbation."""
-    r_vec = np.asarray(r_vec, dtype=float)
-    r = np.linalg.norm(r_vec)
-    if r <= model.R / 2.0:
+    """Total acceleration at one position: Kepler term plus zonal perturbation.
+
+    The oracle's right-hand side, so it runs on Python floats: the Legendre
+    recurrence P_n, P_n' in s = z/r and the sum of
+    grad U_n = mu Jn R^n / r^(n+2) * (P_n' (z_hat - s r_hat) - (n+1) P_n r_hat)
+    collapse into one coefficient of r_vec and one of z_hat.
+    """
+    x, y, z = map(float, r_vec)
+    mu, R, zonal = model.mu, model.R, model.zonal
+    r = math.sqrt(x * x + y * y + z * z)
+    if r <= R / 2.0:
         raise DomainError("position inside the central-body guard radius")
-    return -model.mu * r_vec / r**3 - zonal_grad(r_vec, model, nmax)
+    nmax = zonal_degree(model, nmax)
+    s = z / r
+    q = R / r
+    scale = mu / (r * r) * q  # mu R^n / r^(n+2) at n = 1
+    p_prev, p = 1.0, s  # P_{n-2}, P_{n-1}
+    dp_prev, dp = 0.0, 1.0
+    radial = 0.0  # sum of Jn scale_n (-s P_n' - (n+1) P_n), coefficient of r_hat
+    polar = 0.0  # sum of Jn scale_n P_n', coefficient of z_hat
+    for n in range(2, nmax + 1):
+        p_prev, p = p, ((2 * n - 1) * s * p - (n - 1) * p_prev) / n
+        dp_prev, dp = dp, dp_prev + (2 * n - 1) * p_prev
+        scale *= q
+        Jn = zonal[n - 2] if n - 2 < len(zonal) else 0.0
+        if Jn != 0.0:
+            radial -= Jn * scale * (s * dp + (n + 1) * p)
+            polar += Jn * scale * dp
+    c = -(mu / (r * r) + radial) / r
+    return np.array((c * x, c * y, c * z - polar))
 
 
-def specific_energy(cs, model, nmax=None):
-    """v^2/2 - mu/|r| + U, conserved along zonal-field trajectories."""
-    r = np.linalg.norm(cs.r)
-    return 0.5 * float(np.dot(cs.v, cs.v)) - model.mu / r + zonal_potential(cs.r, model, nmax)
+def specific_energy(r, v, model, nmax=None):
+    """v^2/2 - mu/|r| + U, conserved along zonal-field trajectories; r and v
+    are (3,) or (N, 3)."""
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return 0.5 * np.sum(v * v, axis=-1) - model.mu / np.linalg.norm(r, axis=-1) + zonal_potential(r, model, nmax)
 
 
-def polar_angular_momentum(cs):
-    """z-component of r x v, conserved in any axisymmetric field."""
-    return float(np.cross(cs.r, cs.v)[2])
+def polar_angular_momentum(r, v):
+    """z-component of r x v, conserved in any axisymmetric field; r and v
+    are (3,) or (N, 3)."""
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return r[..., 0] * v[..., 1] - r[..., 1] * v[..., 0]

@@ -19,14 +19,15 @@ from .elements import (
     DelaunayState,
     KeplerianElements,
     PhysicalModel,
-    cartesian_to_kep,
+    cartesian_to_kep_batch,
     delaunay_to_kep,
     kep_to_cartesian,
     kep_to_delaunay,
+    kep_to_delaunay_batch,
     normalize_angle,
 )
 from .errors import DomainError, IntegrationError, UsageError
-from .hamiltonian import polar_angular_momentum, specific_energy, zonal_accel
+from .hamiltonian import polar_angular_momentum, specific_energy, zonal_accel, zonal_degree
 from .transform import CanonicalMap
 from .vonzeipel import MeanHamiltonian
 
@@ -149,10 +150,17 @@ class Ephemeris:
         return True
 
 
-def _ephemeris_from_kep(t, kep_list, model, extras=None):
+def _ephemeris(t, kep, cart, model, extras=None):
+    """Ephemeris from (N, 6) Keplerian rows and Cartesian rows or states;
+    the Delaunay rows follow from the Keplerian ones."""
+    delaunay = States(kep_to_delaunay_batch(kep, model), _ROWS["delaunay"][1])
+    return Ephemeris(t, States(kep, _ROWS["kep"][1]), cart, delaunay, extras or {})
+
+
+def _ephemeris_from_kep(t, kep_list, model):
     cart = [kep_to_cartesian(el, model) for el in kep_list]
-    dela = [kep_to_delaunay(el, model) for el in kep_list]
-    return Ephemeris(np.asarray(t, dtype=float), kep_list, cart, dela, extras or {})
+    kep = np.array([_ROWS["kep"][0](el) for el in kep_list], dtype=float)
+    return _ephemeris(np.asarray(t, dtype=float), kep, cart, model)
 
 
 def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2, j2=None) -> Ephemeris:
@@ -171,12 +179,16 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
 
 
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel, nmax=None) -> Ephemeris:
-    """Adaptive high-order integration of the exact zonal-field equations."""
+    """Adaptive high-order integration of the exact zonal-field equations.
+    The samples are converted as (N, 6) arrays: elements, energy and h_z."""
     times = np.asarray(times, dtype=float)
+    nmax = zonal_degree(model, nmax)
     y0 = np.concatenate([cart0.r, cart0.v])
 
     def rhs(_, y):
-        return np.concatenate([y[3:], zonal_accel(y[:3], model, nmax)])
+        x, y_, z, vx, vy, vz = y.tolist()
+        ax, ay, az = zonal_accel((x, y_, z), model, nmax).tolist()
+        return np.array((vx, vy, vz, ax, ay, az))
 
     sol = solve_ivp(
         rhs,
@@ -193,18 +205,10 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel, nmax=No
             f"oracle integration failed: {sol.message}; initial state {state}; "
             f"last time reached {float(sol.t[-1])!r}"
         )
-    kep_list = []
-    cart_list = []
-    energy = np.empty(len(times))
-    hz = np.empty(len(times))
-    for k in range(len(times)):
-        cs = CartesianState(sol.y[:3, k].copy(), sol.y[3:, k].copy())
-        cart_list.append(cs)
-        kep_list.append(cartesian_to_kep(cs, model))
-        energy[k] = specific_energy(cs, model, nmax)
-        hz[k] = polar_angular_momentum(cs)
-    dela = [kep_to_delaunay(el, model) for el in kep_list]
-    return Ephemeris(times, kep_list, cart_list, dela, {"energy": energy, "hz": hz})
+    cart = np.ascontiguousarray(sol.y.T)
+    r, v = cart[:, :3], cart[:, 3:]
+    extras = {"energy": specific_energy(r, v, model, nmax), "hz": polar_angular_momentum(r, v)}
+    return _ephemeris(times, cartesian_to_kep_batch(cart, model), States(cart, _ROWS["cart"][1]), model, extras)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,14 @@ from zeipel.elements import (
     PhysicalModel,
     a_over_r,
     cartesian_to_kep,
+    cartesian_to_kep_batch,
     delaunay_momenta,
     delaunay_to_kep,
     dnu_dl,
     eccentric_from_true,
     kep_to_cartesian,
     kep_to_delaunay,
+    kep_to_delaunay_batch,
     kepler_solve,
     mean_from_eccentric,
     mean_from_true,
@@ -247,6 +249,24 @@ def test_hyperbolic_rejected():
     v = np.array([0.0, 12.0, 0.0])
     with pytest.raises(DomainError):
         cartesian_to_kep(CartesianState(r=r, v=v), EARTH)
+
+
+def test_batch_conversions_name_the_first_failing_sample():
+    # Middle row near-circular (e < ECC_MIN), last row rectilinear: the
+    # lowest failing index wins even though the last row fails an earlier
+    # guard, and a lone state's message carries no index.
+    good = KeplerianElements(a=7000.0, e=0.05, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
+    cs = kep_to_cartesian(good, EARTH)
+    r = np.array([7000.0, 0.0, 0.0])
+    circular = (*r, 0.0, np.sqrt(EARTH.mu / 7000.0) * np.cos(0.5), np.sqrt(EARTH.mu / 7000.0) * np.sin(0.5))
+    rectilinear = (*r, 1.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match=r"^sample 1: e = .* below 1e-08, pericenter angle undefined"):
+        cartesian_to_kep_batch([(*cs.r, *cs.v), circular, rectilinear], EARTH)
+    with pytest.raises(DomainError, match=r"^e = .* below 1e-08, pericenter angle undefined"):
+        cartesian_to_kep(CartesianState(r=circular[:3], v=circular[3:]), EARTH)
+    row = (good.a, good.e, good.i, good.raan, good.argp, good.mean_anom)
+    with pytest.raises(DomainError, match=r"^sample 1: e = 1\.000e-09 below"):
+        kep_to_delaunay_batch([row, (7000.0, 1e-9, 0.5, 0.3, 1.1, 0.2), row], EARTH)
 
 
 def test_invalid_constructions():

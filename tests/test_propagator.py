@@ -9,7 +9,9 @@ from zeipel.elements import (
     EARTH,
     DelaunayState,
     KeplerianElements,
+    CartesianState,
     PhysicalModel,
+    cartesian_to_kep,
     delaunay_momenta,
     delaunay_to_kep,
     kep_to_cartesian,
@@ -17,6 +19,7 @@ from zeipel.elements import (
     normalize_angle,
 )
 from zeipel import propagator
+from zeipel.hamiltonian import polar_angular_momentum, specific_energy
 from zeipel.transform import CanonicalMap
 from zeipel.errors import DomainError, IntegrationError, UsageError
 from zeipel.propagator import (
@@ -204,6 +207,47 @@ def test_oracle_failure_names_state_and_last_time(monkeypatch):
     for name, x in zip(("x", "y", "z", "vx", "vy", "vz"), np.concatenate([cs0.r, cs0.v])):
         assert f"{name}={float(x)!r}" in message
     assert "last time reached 1234.5" in message
+
+
+def test_oracle_rejects_nmax_below_two_before_integrating(monkeypatch):
+    el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
+
+    def integrator_must_not_run(*args, **kwargs):
+        raise AssertionError("solve_ivp called with an invalid nmax")
+
+    monkeypatch.setattr(propagator, "solve_ivp", integrator_must_not_run)
+    with pytest.raises(DomainError, match="nmax must be at least 2"):
+        propagate_oracle(kep_to_cartesian(el0, EARTH), np.linspace(0.0, 3000.0, 5), EARTH, nmax=1)
+
+
+def test_oracle_array_post_processing_matches_scalar_conversions(monkeypatch):
+    # The oracle converts its samples as (N, 6) arrays; each row must match
+    # the one-state conversions applied to the same integrator output.
+    solutions = []
+    integrate = propagator.solve_ivp
+
+    def recording_solve_ivp(*args, **kwargs):
+        solutions.append(integrate(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(propagator, "solve_ivp", recording_solve_ivp)
+    el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
+    times = np.linspace(0.0, 3.0 * kepler_period(el0.a, EARTH), 121)
+    eph = propagate_oracle(kep_to_cartesian(el0, EARTH), times, EARTH)
+    (sol,) = solutions
+    assert np.array_equal(eph.cart.rows, sol.y.T)
+    for k, y in enumerate(sol.y.T):
+        cs = CartesianState(y[:3], y[3:])
+        el = cartesian_to_kep(cs, EARTH)
+        st = kep_to_delaunay(el, EARTH)
+        for got, want in ((eph.kep.rows[k], (el.a, el.e, el.i, el.raan, el.argp, el.mean_anom)),
+                          (eph.delaunay.rows[k], (st.L, st.G, st.H, st.l, st.g, st.h))):
+            assert_allclose(got[:3], want[:3], rtol=1e-12, atol=0)
+            assert np.abs(wrap(got[3:] - np.array(want[3:]))).max() <= 1e-12
+        energy = specific_energy(cs.r, cs.v, EARTH)
+        hz = polar_angular_momentum(cs.r, cs.v)
+        assert abs(eph.extras["energy"][k] - energy) <= 1e-15 * abs(energy)
+        assert abs(eph.extras["hz"][k] - hz) <= 1e-15 * abs(hz)
 
 
 def test_mean_history_is_flatter_than_osculating():
