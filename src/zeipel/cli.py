@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -211,24 +211,17 @@ def cmd_verify(cfg: RunConfig, stdout):
     return 0
 
 
-_STATE_KEYS = {
-    "kep": ("a", "e", "i", "raan", "argp", "mean_anom"),
-    "delaunay": ("L", "G", "H", "l", "g", "h"),
-    "cartesian": ("r", "v"),
-}
+_STATES = {"kep": KeplerianElements, "delaunay": DelaunayState, "cartesian": CartesianState}
 
 
 def _state_from_json(direction, doc):
-    kind = direction.split("_")[0]
-    keys = _STATE_KEYS[kind]
+    """The input state of a direction from a JSON object keyed by its fields."""
+    cls = _STATES[direction.split("_")[0]]
+    keys = [f.name for f in fields(cls)]
     missing = [k for k in keys if k not in doc]
     if missing:
         raise UsageError(f"state for {direction} missing keys: {', '.join(missing)}")
-    if kind == "kep":
-        return KeplerianElements(**{k: doc[k] for k in keys})
-    if kind == "delaunay":
-        return DelaunayState(**{k: doc[k] for k in keys})
-    return CartesianState(np.asarray(doc["r"], dtype=float), np.asarray(doc["v"], dtype=float))
+    return cls(**{k: doc[k] for k in keys})
 
 
 def cmd_elements(cfg: RunConfig, direction, state_json, stdout):
@@ -251,12 +244,7 @@ def cmd_elements(cfg: RunConfig, direction, state_json, stdout):
     else:
         raise UsageError(f"direction {direction} requires --state")
     out = conv[direction](state, cfg.model)
-    if isinstance(out, KeplerianElements):
-        doc = {k: getattr(out, k) for k in _STATE_KEYS["kep"]}
-    elif isinstance(out, DelaunayState):
-        doc = {k: getattr(out, k) for k in _STATE_KEYS["delaunay"]}
-    else:
-        doc = {"r": list(out.r), "v": list(out.v)}
+    doc = {f.name: np.asarray(getattr(out, f.name)).tolist() for f in fields(out)}
     stdout.write(json.dumps(doc) + "\n")
     return 0
 

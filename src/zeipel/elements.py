@@ -4,12 +4,15 @@ Representations: Keplerian elements, Delaunay action-angle variables,
 Cartesian position/velocity.  Units are km, s, rad throughout.  Angles are
 normalized to [0, 2*pi) when a state object is constructed; free functions
 keep whatever branch the caller supplies so that derivatives stay smooth.
+Model and state objects refuse non-finite fields.  Each conversion has one
+implementation, `*_batch` on (N, 6) rows with one Kepler solve over all
+rows where one is needed; the one-state functions are its N = 1 case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +31,20 @@ def normalize_angle(x):
     return np.asarray(x, dtype=float) - TWO_PI * np.floor(np.asarray(x, dtype=float) / TWO_PI)
 
 
+def _require_finite(state):
+    """Refuse a model or state object with a NaN or infinite field, naming it."""
+    for f in fields(state):
+        if not np.isfinite(getattr(state, f.name)).all():
+            raise DomainError(f"{f.name} must be finite")
+
+
+def as_row(state):
+    """A state object's fields as one (6,) row, in the column order of the
+    (N, 6) conversions: (a, e, i, raan, argp, M), (L, G, H, l, g, h) or
+    (x, y, z, vx, vy, vz)."""
+    return np.hstack([getattr(state, f.name) for f in fields(state)])
+
+
 @dataclass(frozen=True)
 class PhysicalModel:
     """Central-body constants: mu [km^3/s^2], equatorial radius R [km],
@@ -38,11 +55,12 @@ class PhysicalModel:
     zonal: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "zonal", tuple(float(j) for j in self.zonal))
+        _require_finite(self)
         if not self.mu > 0:
             raise DomainError("mu must be positive")
         if not self.R > 0:
             raise DomainError("R must be positive")
-        object.__setattr__(self, "zonal", tuple(float(j) for j in self.zonal))
         if any(abs(j) >= 1.0 for j in self.zonal):
             raise DomainError("zonal coefficients must satisfy |Jn| < 1")
 
@@ -72,6 +90,7 @@ class KeplerianElements:
     mean_anom: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.a > 0:
             raise DomainError("semi-major axis must be positive")
         if not (0.0 <= self.e < 1.0):
@@ -94,6 +113,7 @@ class DelaunayState:
     h: float
 
     def __post_init__(self):
+        _require_finite(self)
         # Tiny slack absorbs round-off from conversions near e = 0.
         slack = 1e-12 * self.L
         if not self.L > 0:
@@ -126,10 +146,11 @@ class CartesianState:
         v = np.array(self.v, dtype=float)
         if r.shape != (3,) or v.shape != (3,):
             raise DomainError("r and v must be 3-vectors")
-        if not np.linalg.norm(r) > 0:
-            raise DomainError("|r| must be positive")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
+        _require_finite(self)
+        if not np.linalg.norm(r) > 0:
+            raise DomainError("|r| must be positive")
 
 
 def kepler_solve(mean_anom, e, tol=1e-14, maxiter=50):
@@ -228,16 +249,20 @@ def delaunay_momenta(a, e, i, model):
     return L, G, H
 
 
+def _angle_guards(e, sin_i):
+    """`raise_first` guards of the Delaunay angles g and h."""
+    return (
+        (e < ECC_MIN, lambda k: f"e = {e[k]:.3e} below {ECC_MIN}, pericenter angle undefined"),
+        (sin_i < SIN_INC_MIN, lambda k: f"sin(i) = {sin_i[k]:.3e} below {SIN_INC_MIN}, node undefined"),
+    )
+
+
 def kep_to_delaunay_batch(kep, model: PhysicalModel):
     """(N, 6) Keplerian rows (a, e, i, raan, argp, M) to (N, 6) Delaunay rows
     (L, G, H, l, g, h).  Rejects e or sin(i) below the guard thresholds,
     where g or h is undefined, naming the first such sample."""
     a, e, i, raan, argp, mean_anom = np.asarray(kep, dtype=float).T
-    sin_i = np.sin(i)
-    raise_first(
-        (e < ECC_MIN, lambda k: f"e = {e[k]:.3e} below {ECC_MIN}, pericenter angle undefined"),
-        (sin_i < SIN_INC_MIN, lambda k: f"sin(i) = {sin_i[k]:.3e} below {SIN_INC_MIN}, node undefined"),
-    )
+    raise_first(*_angle_guards(e, np.sin(i)))
     L = np.sqrt(model.mu * a)
     G = L * np.sqrt(1.0 - e * e)
     return np.column_stack((L, G, G * np.cos(i), mean_anom, argp, raan))
@@ -245,42 +270,49 @@ def kep_to_delaunay_batch(kep, model: PhysicalModel):
 
 def kep_to_delaunay(el: KeplerianElements, model: PhysicalModel) -> DelaunayState:
     """Keplerian to Delaunay: the one-state case of `kep_to_delaunay_batch`."""
-    row = (el.a, el.e, el.i, el.raan, el.argp, el.mean_anom)
-    return DelaunayState(*kep_to_delaunay_batch([row], model)[0].tolist())
+    return DelaunayState(*kep_to_delaunay_batch([as_row(el)], model)[0].tolist())
+
+
+def delaunay_to_kep_batch(delaunay, model: PhysicalModel):
+    """(N, 6) Delaunay rows (L, G, H, l, g, h) to (N, 6) Keplerian rows
+    (a, e, i, raan, argp, M), angles in [0, 2*pi), with the same guards as
+    `kep_to_delaunay_batch`."""
+    L, G, H, l, g, h = np.asarray(delaunay, dtype=float).T
+    ratio = np.minimum(G / L, 1.0)
+    e = np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+    i = np.arccos(np.clip(H / G, -1.0, 1.0))
+    raise_first(*_angle_guards(e, np.sin(i)))
+    return np.column_stack((L * L / model.mu, e, i, normalize_angle(np.column_stack((h, g, l)))))
 
 
 def delaunay_to_kep(st: DelaunayState, model: PhysicalModel) -> KeplerianElements:
-    """Delaunay to Keplerian, with the same degeneracy guards."""
-    a = st.L * st.L / model.mu
-    ratio = min(st.G / st.L, 1.0)
-    e = math.sqrt(max(0.0, 1.0 - ratio * ratio))
-    i = math.acos(min(1.0, max(-1.0, st.H / st.G)))
-    if e < ECC_MIN:
-        raise DomainError(f"e = {e:.3e} below {ECC_MIN}, pericenter angle undefined")
-    if math.sin(i) < SIN_INC_MIN:
-        raise DomainError(f"sin(i) = {math.sin(i):.3e} below {SIN_INC_MIN}, node undefined")
-    return KeplerianElements(a=a, e=e, i=i, raan=st.h, argp=st.g, mean_anom=st.l)
+    """Delaunay to Keplerian: the one-state case of `delaunay_to_kep_batch`."""
+    return KeplerianElements(*delaunay_to_kep_batch([as_row(st)], model)[0].tolist())
+
+
+def kep_to_cartesian_batch(kep, model: PhysicalModel):
+    """(N, 6) Keplerian rows (a, e, i, raan, argp, M) to (N, 6) inertial
+    Cartesian rows (x, y, z, vx, vy, vz), with one Kepler solve over all
+    rows.  Position and velocity are taken along the node line and its
+    normal in the orbit plane, at the argument of latitude u = argp + nu."""
+    a, e, i, raan, argp, mean_anom = np.asarray(kep, dtype=float).T
+    nu = true_from_mean(mean_anom, e)
+    cn, sn, cw, sw = np.cos(nu), np.sin(nu), np.cos(argp), np.sin(argp)
+    # cos u and sin u expanded, so that no rounding of u enters.
+    cu, su = cw * cn - sw * sn, sw * cn + cw * sn
+    p = a * (1.0 - e * e)
+    node = np.array((np.cos(raan), np.sin(raan), np.zeros_like(raan)))
+    normal = np.array((-node[1] * np.cos(i), node[0] * np.cos(i), np.sin(i)))
+    r = p / (1.0 + e * cn) * (cu * node + su * normal)
+    v = np.sqrt(model.mu / p) * ((cu + e * cw) * normal - (su + e * sw) * node)
+    return np.vstack((r, v)).T
 
 
 def kep_to_cartesian(el: KeplerianElements, model: PhysicalModel) -> CartesianState:
-    """Keplerian to inertial Cartesian state."""
-    nu = float(true_from_mean(el.mean_anom, el.e))
-    p = el.a * (1.0 - el.e * el.e)
-    r_mag = p / (1.0 + el.e * math.cos(nu))
-    r_pf = np.array([r_mag * math.cos(nu), r_mag * math.sin(nu), 0.0])
-    vs = math.sqrt(model.mu / p)
-    v_pf = np.array([-vs * math.sin(nu), vs * (el.e + math.cos(nu)), 0.0])
-
-    co, so = math.cos(el.raan), math.sin(el.raan)
-    ci, si = math.cos(el.i), math.sin(el.i)
-    cw, sw = math.cos(el.argp), math.sin(el.argp)
-    # R3(-raan) R1(-i) R3(-argp), perifocal to inertial.
-    rot = np.array([
-        [co * cw - so * sw * ci, -co * sw - so * cw * ci, so * si],
-        [so * cw + co * sw * ci, -so * sw + co * cw * ci, -co * si],
-        [sw * si, cw * si, ci],
-    ])
-    return CartesianState(r=rot @ r_pf, v=rot @ v_pf)
+    """Keplerian to inertial Cartesian: the one-state case of
+    `kep_to_cartesian_batch`."""
+    row = kep_to_cartesian_batch([as_row(el)], model)[0]
+    return CartesianState(r=row[:3], v=row[3:])
 
 
 def cartesian_to_kep_batch(cart, model: PhysicalModel):
@@ -300,13 +332,11 @@ def cartesian_to_kep_batch(cart, model: PhysicalModel):
     e = np.sqrt(ex * ex + ey * ey + ez * ez)
     with np.errstate(divide="ignore", invalid="ignore"):
         i = np.arccos(np.clip(hz / h_mag, -1.0, 1.0))
-    sin_i = np.sin(i)
     raise_first(
         (h_mag <= 1e-12 * r_mag * np.sqrt(v2), "rectilinear orbit, angular momentum too small"),
         (inv_a <= 0, "state is not elliptical"),
         (e >= 1.0, "state is not elliptical"),
-        (e < ECC_MIN, lambda k: f"e = {e[k]:.3e} below {ECC_MIN}, pericenter angle undefined"),
-        (sin_i < SIN_INC_MIN, lambda k: f"sin(i) = {sin_i[k]:.3e} below {SIN_INC_MIN}, node undefined"),
+        *_angle_guards(e, np.sin(i)),
     )
 
     # Node vector n = z_hat x h = (-hy, hx, 0); argp and nu are angles in
@@ -324,4 +354,4 @@ def cartesian_to_kep_batch(cart, model: PhysicalModel):
 def cartesian_to_kep(cs: CartesianState, model: PhysicalModel) -> KeplerianElements:
     """Inertial Cartesian to osculating Keplerian elements: the one-state
     case of `cartesian_to_kep_batch`."""
-    return KeplerianElements(*cartesian_to_kep_batch([(*cs.r, *cs.v)], model)[0].tolist())
+    return KeplerianElements(*cartesian_to_kep_batch([as_row(cs)], model)[0].tolist())

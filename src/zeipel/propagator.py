@@ -19,9 +19,10 @@ from .elements import (
     DelaunayState,
     KeplerianElements,
     PhysicalModel,
+    as_row,
     cartesian_to_kep_batch,
-    delaunay_to_kep,
-    kep_to_cartesian,
+    delaunay_to_kep_batch,
+    kep_to_cartesian_batch,
     kep_to_delaunay,
     kep_to_delaunay_batch,
     normalize_angle,
@@ -32,32 +33,19 @@ from .transform import CanonicalMap
 from .vonzeipel import MeanHamiltonian
 
 
-@dataclass(frozen=True)
-class MeanRates:
-    """Constant angle rates of the mean flow [rad/s]; momenta rates vanish."""
-
-    dl: float
-    dg: float
-    dh: float
-
-    @property
-    def as_array(self):
-        return np.array([self.dl, self.dg, self.dh])
-
-
-def mean_rates(P, model: PhysicalModel, order=2, j2=None) -> MeanRates:
-    """Angle rates -dK/dP.  The sign is anchored by the Kepler limit:
-    J2 = 0 gives dl/dt = mu^2/L^3 = n > 0."""
+def mean_rates(P, model: PhysicalModel, order=2, j2=None):
+    """Constant angle rates (dl, dg, dh) = -dK/dP of the mean flow [rad/s],
+    as a (3,) array; the momenta rates vanish.  The sign is anchored by the
+    Kepler limit: J2 = 0 gives dl/dt = mu^2/L^3 = n > 0."""
     L, G, H = float(P[0]), float(P[1]), float(P[2])
     if j2 is None:
         j2 = model.j2
-    grad = MeanHamiltonian(model, order).gradient(L, G, H, j2)
-    return MeanRates(*(-grad))
+    return -MeanHamiltonian(model, order).gradient(L, G, H, j2)
 
 
 def _mean_angles(mean0: DelaunayState, t, model, order, j2):
     """Mean (l, g, h) after elapsed times t, (3,) + shape(t): linear in t."""
-    rates = mean_rates(mean0.momenta, model, order, j2).as_array
+    rates = mean_rates(mean0.momenta, model, order, j2)
     t = np.asarray(t, dtype=float)
     col = (slice(None),) + (None,) * t.ndim
     return mean0.angles[col] + rates[col] * t
@@ -83,11 +71,11 @@ class States(Sequence):
         return self._build(self.rows[k])
 
 
-# representation -> (state object to row, row to state object)
-_ROWS = {
-    "kep": (lambda el: (el.a, el.e, el.i, el.raan, el.argp, el.mean_anom), lambda r: KeplerianElements(*r)),
-    "cart": (lambda cs: (*cs.r, *cs.v), lambda r: CartesianState(r[:3], r[3:])),
-    "delaunay": (lambda st: (st.L, st.G, st.H, st.l, st.g, st.h), lambda r: DelaunayState(*r)),
+# representation -> row to state object
+_BUILD = {
+    "kep": lambda r: KeplerianElements(*r),
+    "cart": lambda r: CartesianState(r[:3], r[3:]),
+    "delaunay": lambda r: DelaunayState(*r),
 }
 
 
@@ -115,10 +103,10 @@ class Ephemeris:
         if not (len(self.kep) == len(self.cart) == len(self.delaunay) == len(t)):
             raise DomainError("sample lists must share the grid length")
         object.__setattr__(self, "t", t)
-        for name, (row, build) in _ROWS.items():
+        for name, build in _BUILD.items():
             samples = getattr(self, name)
             if not isinstance(samples, States):
-                samples = States(np.array([row(s) for s in samples], dtype=float), build)
+                samples = States(np.array([as_row(s) for s in samples], dtype=float), build)
             object.__setattr__(self, name, samples)
 
     def __len__(self):
@@ -135,32 +123,25 @@ class Ephemeris:
 
     def validate(self, model: PhysicalModel, tol=1e-9):
         """Cross-representation consistency; raises on violation."""
-        for el, cs, st in zip(self.kep, self.cart, self.delaunay):
-            ref = kep_to_cartesian(el, model)
-            scale = max(1.0, float(np.linalg.norm(ref.r)))
-            if np.linalg.norm(ref.r - cs.r) > tol * scale:
-                raise DomainError("Cartesian positions inconsistent with elements")
-            if np.linalg.norm(ref.v - cs.v) > tol * max(1.0, float(np.linalg.norm(ref.v))):
-                raise DomainError("Cartesian velocities inconsistent with elements")
-            dl = kep_to_delaunay(el, model)
-            dm = np.abs(dl.momenta - st.momenta).max()
-            da = np.abs((dl.angles - st.angles + np.pi) % (2 * np.pi) - np.pi).max()
-            if dm > tol * max(1.0, st.L) or da > tol:
-                raise DomainError("Delaunay samples inconsistent with elements")
+        ref = kep_to_cartesian_batch(self.kep.rows, model)
+        for cols, what in ((slice(0, 3), "positions"), (slice(3, 6), "velocities")):
+            want = ref[:, cols]
+            err = np.linalg.norm(want - self.cart.rows[:, cols], axis=1)
+            if np.any(err > tol * np.maximum(1.0, np.linalg.norm(want, axis=1))):
+                raise DomainError(f"Cartesian {what} inconsistent with elements")
+        ref, st = kep_to_delaunay_batch(self.kep.rows, model), self.delaunay.rows
+        dm = np.abs(ref[:, :3] - st[:, :3]).max(axis=1)
+        da = np.abs((ref[:, 3:] - st[:, 3:] + np.pi) % (2 * np.pi) - np.pi).max(axis=1)
+        if np.any((dm > tol * np.maximum(1.0, st[:, 0])) | (da > tol)):
+            raise DomainError("Delaunay samples inconsistent with elements")
         return True
 
 
 def _ephemeris(t, kep, cart, model, extras=None):
-    """Ephemeris from (N, 6) Keplerian rows and Cartesian rows or states;
-    the Delaunay rows follow from the Keplerian ones."""
-    delaunay = States(kep_to_delaunay_batch(kep, model), _ROWS["delaunay"][1])
-    return Ephemeris(t, States(kep, _ROWS["kep"][1]), cart, delaunay, extras or {})
-
-
-def _ephemeris_from_kep(t, kep_list, model):
-    cart = [kep_to_cartesian(el, model) for el in kep_list]
-    kep = np.array([_ROWS["kep"][0](el) for el in kep_list], dtype=float)
-    return _ephemeris(np.asarray(t, dtype=float), kep, cart, model)
+    """Ephemeris from (N, 6) Keplerian and Cartesian rows; the Delaunay rows
+    follow from the Keplerian ones."""
+    delaunay = States(kep_to_delaunay_batch(kep, model), _BUILD["delaunay"])
+    return Ephemeris(t, States(kep, _BUILD["kep"]), States(cart, _BUILD["cart"]), delaunay, extras or {})
 
 
 def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2, j2=None) -> Ephemeris:
@@ -174,8 +155,8 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
     mean0 = cmap.osculating_to_mean(kep_to_delaunay(osc0, model))
     angles = normalize_angle(_mean_angles(mean0, times - times[0], model, order, j2))
     p, q, _ = cmap.mean_to_osculating_batch(mean0.momenta, angles)
-    kep_list = [delaunay_to_kep(DelaunayState(*p[:, k], *q[:, k]), model) for k in range(len(times))]
-    return _ephemeris_from_kep(times, kep_list, model)
+    kep = delaunay_to_kep_batch(np.vstack((p, q)).T, model)
+    return _ephemeris(times, kep, kep_to_cartesian_batch(kep, model), model)
 
 
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel, nmax=None) -> Ephemeris:
@@ -208,7 +189,7 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel, nmax=No
     cart = np.ascontiguousarray(sol.y.T)
     r, v = cart[:, :3], cart[:, 3:]
     extras = {"energy": specific_energy(r, v, model, nmax), "hz": polar_angular_momentum(r, v)}
-    return _ephemeris(times, cartesian_to_kep_batch(cart, model), States(cart, _ROWS["cart"][1]), model, extras)
+    return _ephemeris(times, cartesian_to_kep_batch(cart, model), cart, model, extras)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,23 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):
+    # JSON accepts NaN and Infinity: each is refused by its field name
+    # before it reaches a solver or the output.
+    cfg = write_config(tmp_path, {"elements": {"mean_anom": float("nan")}, **SMALL_GRID})
+    assert run(["propagate", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
+    assert "error: mean_anom must be finite" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"elements": {"raan": float("inf")}}, "inf.json")
+    assert run(["elements", "--direction", "kep_to_cartesian", "--config", cfg])[0] == 2
+    assert "error: raan must be finite" in capsys.readouterr().err
+    state = '{"L": 52000, "G": 51990, "H": 40000, "l": NaN, "g": 1, "h": 1}'
+    assert run(["elements", "--direction", "delaunay_to_kep", "--state", state]) == (2, "")
+    assert "error: l must be finite" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"model": {"zonal": [float("nan")]}, **SMALL_GRID}, "zonal.json")
+    assert run(["propagate", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
+    assert "error: zonal must be finite" in capsys.readouterr().err
+
+
 def test_print_config_dumps_sections():
     rc, out = run(["propagate", "--print-config"])
     assert rc == 0

@@ -15,9 +15,11 @@ from zeipel.elements import (
     cartesian_to_kep_batch,
     delaunay_momenta,
     delaunay_to_kep,
+    delaunay_to_kep_batch,
     dnu_dl,
     eccentric_from_true,
     kep_to_cartesian,
+    kep_to_cartesian_batch,
     kep_to_delaunay,
     kep_to_delaunay_batch,
     kepler_solve,
@@ -72,6 +74,10 @@ def test_kepler_vectorized_matches_scalar():
     for Mk, Ek in zip(M, E):
         assert Ek == pytest.approx(kepler_solve(float(Mk), e), abs=1e-14)
 
+
+# Keplerian draw bounds (a, e, i, raan, argp, M) of the Cartesian tests.
+KEP_LO = (6800.0, 1e-3, 0.05, 0.0, 0.0, 0.0)
+KEP_HI = (9000.0, 0.75, np.pi - 0.05, TWO_PI, TWO_PI, TWO_PI)
 
 mean_anoms = st.floats(min_value=-12.0, max_value=12.0)
 eccs = st.floats(min_value=0.0, max_value=0.9)
@@ -157,21 +163,12 @@ def test_delaunay_momenta_degenerate_limits():
 
 
 def test_kep_delaunay_roundtrip(rng):
-    for _ in range(200):
-        el = KeplerianElements(
-            a=rng.uniform(6800.0, 9000.0),
-            e=rng.uniform(1e-4, 0.8),
-            i=rng.uniform(0.05, np.pi - 0.05),
-            raan=rng.uniform(0.0, TWO_PI),
-            argp=rng.uniform(0.0, TWO_PI),
-            mean_anom=rng.uniform(0.0, TWO_PI),
-        )
-        back = delaunay_to_kep(kep_to_delaunay(el, EARTH), EARTH)
-        assert back.a == pytest.approx(el.a, rel=1e-12)
-        assert back.e == pytest.approx(el.e, rel=1e-12, abs=1e-12)
-        assert back.i == pytest.approx(el.i, rel=1e-12)
-        for name in ("raan", "argp", "mean_anom"):
-            assert getattr(back, name) == pytest.approx(getattr(el, name), abs=1e-12)
+    lo = (6800.0, 1e-4, 0.05, 0.0, 0.0, 0.0)
+    hi = (9000.0, 0.8, np.pi - 0.05, TWO_PI, TWO_PI, TWO_PI)
+    kep = rng.uniform(lo, hi, size=(200, 6))
+    err = np.abs(delaunay_to_kep_batch(kep_to_delaunay_batch(kep, EARTH), EARTH) - kep)
+    assert np.all(err[:, :3] <= np.maximum(1e-12 * kep[:, :3], 1e-12))
+    assert err[:, 3:].max() <= 1e-12
 
 
 def test_cartesian_roundtrip_sample():
@@ -185,27 +182,45 @@ def test_cartesian_roundtrip_sample():
 
 
 def test_cartesian_roundtrip_thousand_states(rng):
-    worst = 0.0
-    for _ in range(1000):
-        el = KeplerianElements(
-            a=rng.uniform(6800.0, 9000.0),
-            e=rng.uniform(1e-3, 0.75),
-            i=rng.uniform(0.05, np.pi - 0.05),
-            raan=rng.uniform(0.0, TWO_PI),
-            argp=rng.uniform(0.0, TWO_PI),
-            mean_anom=rng.uniform(0.0, TWO_PI),
-        )
-        back = cartesian_to_kep(kep_to_cartesian(el, EARTH), EARTH)
-        errs = [
-            abs(back.a - el.a) / el.a,
-            abs(back.e - el.e),
-            abs(back.i - el.i),
-            abs(normalize_angle(back.raan - el.raan + np.pi) - np.pi),
-            abs(normalize_angle(back.argp - el.argp + np.pi) - np.pi),
-            abs(normalize_angle(back.mean_anom - el.mean_anom + np.pi) - np.pi),
-        ]
-        worst = max(worst, max(errs))
-    assert worst < 1e-10
+    kep = rng.uniform(KEP_LO, KEP_HI, size=(1000, 6))
+    d = cartesian_to_kep_batch(kep_to_cartesian_batch(kep, EARTH), EARTH) - kep
+    errs = (
+        np.abs(d[:, 0]) / kep[:, 0],
+        np.abs(d[:, 1]),
+        np.abs(d[:, 2]),
+        np.abs(normalize_angle(d[:, 3:] + np.pi) - np.pi),
+    )
+    assert max(x.max() for x in errs) < 1e-10
+
+
+def rotation_kep_to_cartesian(el, model):
+    """One-state Keplerian to Cartesian through the perifocal rotation
+    matrix: the per-row reference for `kep_to_cartesian_batch`."""
+    nu = float(true_from_mean(el.mean_anom, el.e))
+    p = el.a * (1.0 - el.e * el.e)
+    r_mag = p / (1.0 + el.e * np.cos(nu))
+    r_pf = np.array([r_mag * np.cos(nu), r_mag * np.sin(nu), 0.0])
+    vs = np.sqrt(model.mu / p)
+    v_pf = np.array([-vs * np.sin(nu), vs * (el.e + np.cos(nu)), 0.0])
+    co, so = np.cos(el.raan), np.sin(el.raan)
+    ci, si = np.cos(el.i), np.sin(el.i)
+    cw, sw = np.cos(el.argp), np.sin(el.argp)
+    # R3(-raan) R1(-i) R3(-argp), perifocal to inertial.
+    rot = np.array([
+        [co * cw - so * sw * ci, -co * sw - so * cw * ci, so * si],
+        [so * cw + co * sw * ci, -so * sw + co * cw * ci, -co * si],
+        [sw * si, cw * si, ci],
+    ])
+    return np.concatenate([rot @ r_pf, rot @ v_pf])
+
+
+def test_kep_to_cartesian_batch_matches_rotation_matrix(rng):
+    kep = rng.uniform(KEP_LO, KEP_HI, size=(200, 6))
+    got = kep_to_cartesian_batch(kep, EARTH)
+    want = np.array([rotation_kep_to_cartesian(KeplerianElements(*row), EARTH) for row in kep])
+    for cols in (slice(0, 3), slice(3, 6)):
+        err = np.linalg.norm(got[:, cols] - want[:, cols], axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want[:, cols], axis=1))
 
 
 def test_vis_viva():
@@ -267,6 +282,13 @@ def test_batch_conversions_name_the_first_failing_sample():
     row = (good.a, good.e, good.i, good.raan, good.argp, good.mean_anom)
     with pytest.raises(DomainError, match=r"^sample 1: e = 1\.000e-09 below"):
         kep_to_delaunay_batch([row, (7000.0, 1e-9, 0.5, 0.3, 1.1, 0.2), row], EARTH)
+    # Delaunay rows: equatorial (H = G) before circular (G = L).
+    L, G, H = delaunay_momenta(good.a, good.e, good.i, EARTH)
+    angles = (good.mean_anom, good.argp, good.raan)
+    with pytest.raises(DomainError, match=r"^sample 1: sin\(i\) = 0\.000e\+00 below 1e-08, node undefined"):
+        delaunay_to_kep_batch([(L, G, H, *angles), (L, G, G, *angles), (L, L, H, *angles)], EARTH)
+    with pytest.raises(DomainError, match=r"^e = 0\.000e\+00 below 1e-08, pericenter angle undefined"):
+        delaunay_to_kep(DelaunayState(L, L, H, *angles), EARTH)
 
 
 def test_invalid_constructions():
@@ -284,6 +306,27 @@ def test_invalid_constructions():
         PhysicalModel(mu=-1.0, R=1.0)
     with pytest.raises(DomainError):
         kepler_solve(1.0, 1.2)
+    # NaN and inf fields are refused by name.
+    kep = dict(a=7000.0, e=0.1, i=0.5, raan=0.0, argp=0.0, mean_anom=0.0)
+    dl = dict(L=52000.0, G=51990.0, H=40000.0, l=1.0, g=1.0, h=1.0)
+    for cls, good, name, bad in (
+        (KeplerianElements, kep, "mean_anom", np.nan),
+        (KeplerianElements, kep, "raan", np.inf),
+        (KeplerianElements, kep, "a", np.inf),
+        (DelaunayState, dl, "H", np.nan),
+        (DelaunayState, dl, "l", np.nan),
+        (DelaunayState, dl, "g", -np.inf),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            cls(**{**good, name: bad})
+    with pytest.raises(DomainError, match="^v must be finite$"):
+        CartesianState(r=(7000.0, 0.0, 0.0), v=(0.0, np.nan, 0.0))
+    with pytest.raises(DomainError, match="^r must be finite$"):
+        CartesianState(r=(7000.0, np.inf, 0.0), v=(0.0, 7.5, 0.0))
+    with pytest.raises(DomainError, match="^zonal must be finite$"):
+        PhysicalModel(mu=1.0, R=1.0, zonal=(1e-3, np.nan))
+    with pytest.raises(DomainError, match="^mu must be finite$"):
+        PhysicalModel(mu=np.inf, R=1.0)
 
 
 def test_angles_normalized_on_construction():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from zeipel.elements import (
     kep_to_delaunay,
     normalize_angle,
 )
-from zeipel import propagator
+from zeipel import elements, propagator
 from zeipel.hamiltonian import polar_angular_momentum, specific_energy
 from zeipel.transform import CanonicalMap
 from zeipel.errors import DomainError, IntegrationError, UsageError
@@ -48,9 +49,9 @@ def test_rates_kepler_limit():
     P = delaunay_momenta(7000.0, 0.05, 0.8, EARTH)
     r = mean_rates(P, EARTH, j2=0.0)
     n = EARTH.mu**2 / P[0] ** 3
-    assert r.dl == pytest.approx(n, rel=1e-15)
-    assert r.dg == 0.0
-    assert r.dh == 0.0
+    assert r[0] == pytest.approx(n, rel=1e-15)
+    assert r[1] == 0.0
+    assert r[2] == 0.0
 
 
 def test_rates_match_secular_formulas():
@@ -63,9 +64,9 @@ def test_rates_match_secular_formulas():
     eta = np.sqrt(1.0 - e * e)
     j2 = EARTH.j2
     k = j2 * (EARTH.R / p) ** 2
-    assert r.dg == pytest.approx(0.75 * n * k * (5.0 * np.cos(inc) ** 2 - 1.0), rel=1e-12)
-    assert r.dh == pytest.approx(-1.5 * n * k * np.cos(inc), rel=1e-12)
-    assert r.dl == pytest.approx(
+    assert r[1] == pytest.approx(0.75 * n * k * (5.0 * np.cos(inc) ** 2 - 1.0), rel=1e-12)
+    assert r[2] == pytest.approx(-1.5 * n * k * np.cos(inc), rel=1e-12)
+    assert r[0] == pytest.approx(
         n * (1.0 + 0.75 * k * (3.0 * np.cos(inc) ** 2 - 1.0) * eta), rel=1e-12
     )
 
@@ -75,15 +76,15 @@ def test_rates_node_drift_antisymmetric_in_inclination():
     for inc in (0.4, 1.0, 1.4):
         r_pro = mean_rates(delaunay_momenta(a, e, inc, EARTH), EARTH)
         r_ret = mean_rates(delaunay_momenta(a, e, np.pi - inc, EARTH), EARTH)
-        assert r_pro.dh == pytest.approx(-r_ret.dh, rel=1e-12)
-        assert r_pro.dg == pytest.approx(r_ret.dg, rel=1e-12)
+        assert r_pro[2] == pytest.approx(-r_ret[2], rel=1e-12)
+        assert r_pro[1] == pytest.approx(r_ret[1], rel=1e-12)
 
 
 def test_rates_match_gradient_finite_difference():
     L, G, H = delaunay_momenta(7000.0, 0.08, 0.9, EARTH)
     K = MeanHamiltonian(EARTH, order=2)
     j2 = EARTH.j2
-    r = mean_rates((L, G, H), EARTH).as_array
+    r = mean_rates((L, G, H), EARTH)
 
     def richardson(fun, x, h):
         d1 = (fun(x + h) - fun(x - h)) / (2 * h)
@@ -152,6 +153,38 @@ def test_analytic_ephemeris_is_consistent():
     assert eph.kep[0].a == pytest.approx(el0.a, rel=1e-9)
     assert eph.kep[0].e == pytest.approx(el0.e, rel=1e-9)
     assert abs(wrap(eph.kep[0].mean_anom - el0.mean_anom)) < 1e-9
+
+
+def test_validate_names_each_inconsistent_representation():
+    el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
+    eph = propagate_analytic(el0, np.linspace(0.0, 3000.0, 11), EARTH)
+    assert eph.validate(EARTH)
+    cs, st = eph.cart[7], eph.delaunay[7]
+    for rep, bad, message in (
+        ("cart", CartesianState(cs.r + (0.0, 1e-3, 0.0), cs.v), "Cartesian positions"),
+        ("cart", CartesianState(cs.r, cs.v + (0.0, 0.0, 1e-6)), "Cartesian velocities"),
+        ("delaunay", replace(st, g=st.g + 1e-6), "Delaunay samples"),
+    ):
+        samples = {name: list(getattr(eph, name)) for name in ("kep", "cart", "delaunay")}
+        samples[rep][7] = bad
+        with pytest.raises(DomainError, match=f"^{message} inconsistent with elements$"):
+            Ephemeris(eph.t, samples["kep"], samples["cart"], samples["delaunay"]).validate(EARTH)
+
+
+def test_analytic_kepler_solves_do_not_grow_with_samples(monkeypatch):
+    # Each map call makes one Kepler solve per Newton step and one to
+    # finish, the Cartesian rows one more; none is made per sample.  The
+    # longer grid may take one more forward Newton step on some columns.
+    el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
+    solve = elements.kepler_solve
+    for order in (1, 2):
+        calls = {}
+        for n in (11, 401):
+            counted = []
+            monkeypatch.setattr(elements, "kepler_solve", lambda *a, **k: counted.append(1) or solve(*a, **k))
+            propagate_analytic(el0, np.linspace(0.0, 58285.0, n), EARTH, order)
+            calls[n] = len(counted)
+        assert calls[11] <= 10 and 0 <= calls[401] - calls[11] <= 1, calls
 
 
 def test_oracle_closed_orbit_return():
