@@ -225,7 +225,7 @@ def symplectic_algebra(rng, n):
 def identity_at_zero(rng, model, e_range, i_range):
     """max |map(x) - x| at J2 = 0, where the map is the identity bit for bit."""
     st = _state_draw(rng, model, e_range, i_range)
-    ident = CanonicalMap(model, j2=0.0).mean_to_osculating(st)
+    ident = CanonicalMap(model.with_j2(0.0)).mean_to_osculating(st)
     return float(np.abs(np.concatenate([ident.momenta - st.momenta, ident.angles - st.angles])).max())
 
 
@@ -264,15 +264,15 @@ class HalvingLevel:
     mean: np.ndarray        # mean momenta recovered along the oracle run
 
 
-def halving_study(el0: KeplerianElements, times, model: PhysicalModel, order, nmax=None):
-    """Analytic ephemeris of `order` against the Cartesian oracle (zonal
-    degree `nmax`) at J2, J2/2 and J2/4, with the mean momenta recovered
-    along each oracle run.  A neglected remainder of O(J2^n) shows
-    successive error ratios near 2^n."""
+def halving_study(el0: KeplerianElements, times, model: PhysicalModel, order):
+    """Analytic ephemeris of `order` against the Cartesian oracle at J2, J2/2
+    and J2/4 (each level `model.with_j2`, the oracle's degrees those of
+    `model.zonal`), with the mean momenta recovered along each oracle run.
+    A neglected remainder of O(J2^n) shows successive error ratios near 2^n."""
     levels = []
     for factor in (1.0, 0.5, 0.25):
         m = model.with_j2(model.j2 * factor)
-        oracle = propagate_oracle(kep_to_cartesian(el0, m), times, m, nmax)
+        oracle = propagate_oracle(kep_to_cartesian(el0, m), times, m)
         analytic = propagate_analytic(el0, times, m, order=order)
         mean = mean_history(oracle, m, order=order)
         levels.append(HalvingLevel(m, compare(analytic, oracle), oracle, mean))

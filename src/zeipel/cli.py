@@ -36,8 +36,22 @@ _SECTION_FIELDS = {
     "model": ("mu", "R", "zonal"),
     "elements": ("a", "e", "i", "raan", "argp", "mean_anom"),
     "grid": ("t0", "t1", "count", "step"),
-    "run": ("order", "oracle_nmax", "out_dir", "seed"),
+    "run": ("order", "out_dir", "seed"),
 }
+
+
+def _require_type(name, value, like):
+    """Refuse, naming it, a JSON value unlike `like`: a string, a list of
+    numbers for a tuple, an integer, or a number (or null, for None)."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+    kind, ok = {
+        str: ("a string", isinstance(value, str)),
+        tuple: ("a list of numbers", isinstance(value, (list, tuple)) and all(map(number, value))),
+        int: ("an integer", number(value) and isinstance(value, int)),
+    }.get(type(like), ("a number", number(value) or (like is None and value is None)))
+    if not ok:
+        raise UsageError(f"{name} must be {kind}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +70,12 @@ class RunConfig:
     count: int = 401
     step: float | None = None
     order: int = 2
-    oracle_nmax: int | None = None
     out_dir: str = "out"
     seed: int = 20260818
 
     def validate(self):
+        for f in fields(self):
+            _require_type(f.name, getattr(self, f.name), f.default)
         if not self.t1 > self.t0:
             raise UsageError("grid requires t1 > t0")
         if self.step is not None and not self.step > 0:
@@ -114,7 +129,7 @@ def load_config(path=None) -> RunConfig:
         for key, value in payload.items():
             if key not in _SECTION_FIELDS[section]:
                 raise UsageError(f"unknown config key {section}.{key}")
-            updates[key] = tuple(value) if key == "zonal" else value
+            updates[key] = value
     return replace(cfg, **updates)
 
 
@@ -140,7 +155,7 @@ def cmd_propagate(cfg: RunConfig, oracle: bool, stdout):
     stdout.write(f"analytic ephemeris: {out / 'analytic.csv'} ({len(eph_a)} rows)\n")
     if oracle:
         cart0 = kep_to_cartesian(cfg.elements, model)
-        eph_o = propagate_oracle(cart0, cfg.times, model, cfg.oracle_nmax)
+        eph_o = propagate_oracle(cart0, cfg.times, model)
         write_ephemeris_csv(out / "oracle.csv", eph_o)
         stdout.write(f"oracle ephemeris: {out / 'oracle.csv'} ({len(eph_o)} rows)\n")
     return 0
@@ -151,7 +166,7 @@ def cmd_compare(cfg: RunConfig, oracle: bool, stdout):
         raise UsageError("compare requires --oracle (nothing to compare against)")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    levels = checks.halving_study(cfg.elements, cfg.times, cfg.model, cfg.order, cfg.oracle_nmax)
+    levels = checks.halving_study(cfg.elements, cfg.times, cfg.model, cfg.order)
     full = levels[0].report
     lines = [
         f"# analytic(order={cfg.order}) vs oracle, J2={_fmt(cfg.model.j2)}",
@@ -216,11 +231,15 @@ _STATES = {"kep": KeplerianElements, "delaunay": DelaunayState, "cartesian": Car
 
 def _state_from_json(direction, doc):
     """The input state of a direction from a JSON object keyed by its fields."""
+    if not isinstance(doc, dict):
+        raise UsageError("--state must be a JSON object")
     cls = _STATES[direction.split("_")[0]]
     keys = [f.name for f in fields(cls)]
     missing = [k for k in keys if k not in doc]
     if missing:
         raise UsageError(f"state for {direction} missing keys: {', '.join(missing)}")
+    for k in keys:
+        _require_type(k, doc[k], () if cls is CartesianState else 0.0)
     return cls(**{k: doc[k] for k in keys})
 
 

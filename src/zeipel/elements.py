@@ -68,10 +68,9 @@ class PhysicalModel:
     def j2(self):
         return self.zonal[0] if self.zonal else 0.0
 
-    def with_j2(self, j2):
+    def with_j2(self, value):
         """Copy of the model with the degree-2 coefficient replaced."""
-        rest = self.zonal[1:] if len(self.zonal) > 1 else ()
-        return PhysicalModel(self.mu, self.R, (float(j2),) + rest)
+        return PhysicalModel(self.mu, self.R, (float(value),) + self.zonal[1:])
 
 
 #: Standard Earth constants used as defaults by the CLI and test profiles.
@@ -249,6 +248,12 @@ def delaunay_momenta(a, e, i, model):
     return L, G, H
 
 
+def eccentricity_from_momenta(L, G):
+    """e = sqrt(1 - (G/L)^2), clipped against round-off."""
+    ratio = np.minimum(np.asarray(G, dtype=float) / L, 1.0)
+    return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+
+
 def _angle_guards(e, sin_i):
     """`raise_first` guards of the Delaunay angles g and h."""
     return (
@@ -278,8 +283,7 @@ def delaunay_to_kep_batch(delaunay, model: PhysicalModel):
     (a, e, i, raan, argp, M), angles in [0, 2*pi), with the same guards as
     `kep_to_delaunay_batch`."""
     L, G, H, l, g, h = np.asarray(delaunay, dtype=float).T
-    ratio = np.minimum(G / L, 1.0)
-    e = np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+    e = eccentricity_from_momenta(L, G)
     i = np.arccos(np.clip(H / G, -1.0, 1.0))
     raise_first(*_angle_guards(e, np.sin(i)))
     return np.column_stack((L * L / model.mu, e, i, normalize_angle(np.column_stack((h, g, l)))))

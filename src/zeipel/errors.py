@@ -31,6 +31,11 @@ class UsageError(ZeipelError):
     """Inconsistent arguments at a command or API boundary."""
 
 
+def describe(names, values):
+    """`name=value` pairs of a failing state, each value as a float repr."""
+    return ", ".join(f"{name}={float(x)!r}" for name, x in zip(names, values))
+
+
 def raise_first(*guards):
     """Raise a DomainError for the first sample that fails a guard.
 

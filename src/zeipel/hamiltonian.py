@@ -3,10 +3,11 @@
 The perturbed Hamiltonian is written H = h0(L) + J2 * h1(L,G,H,l,g); the
 functions here evaluate the series coefficients, so the small parameter J2 is
 NOT included in h1 or its derivatives.  The zonal field at the bottom does
-include the physical Jn values.  It feeds the independent Cartesian oracle and
-shares no code with the series evaluators: the acceleration, the oracle's
-right-hand side, is a kernel on Python floats with its own Legendre
-recurrence, and the potential, energy and h_z take one state or N as arrays.
+include the physical Jn, one per degree of `model.zonal`; a shorter `zonal`
+truncates it.  It feeds the independent Cartesian oracle and shares no code
+with the series evaluators: the acceleration, the oracle's right-hand side, is
+a kernel on Python floats with its own Legendre recurrence, and the potential,
+energy and h_z take one state or N as arrays.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ import math
 
 import numpy as np
 
-from .elements import a_over_r, true_from_mean
+from .elements import a_over_r, eccentricity_from_momenta, true_from_mean
 from .errors import DomainError, raise_first
-
-
-def eccentricity_from_momenta(L, G):
-    """e = sqrt(1 - (G/L)^2), clipped against round-off."""
-    ratio = np.minimum(np.asarray(G, dtype=float) / L, 1.0)
-    return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
 
 
 def h0(L, model):
@@ -125,31 +120,20 @@ def legendre_upward(nmax, x):
     return P, dP
 
 
-def zonal_degree(model, nmax=None):
-    """Highest zonal degree summed: `nmax`, or the model's own by default."""
-    if nmax is None:
-        nmax = max(2, len(model.zonal) + 1)
-    if nmax < 2:
-        raise DomainError("nmax must be at least 2")
-    return nmax
-
-
-def zonal_potential(r_vec, model, nmax=None):
-    """Disturbing potential U = sum_n (mu/r) Jn (R/r)^n Pn(z/r), n >= 2, at a
-    position (3,) or at each row of an (N, 3) array."""
+def zonal_potential(r_vec, model):
+    """Disturbing potential U = sum_n (mu/r) Jn (R/r)^n Pn(z/r), Jn in
+    `model.zonal`, at a position (3,) or at each row of an (N, 3) array."""
     r_vec = np.asarray(r_vec, dtype=float)
     r = np.linalg.norm(r_vec, axis=-1)
     raise_first((np.atleast_1d(r <= model.R / 2.0), "position inside the central-body guard radius"))
-    nmax = zonal_degree(model, nmax)
-    P, _ = legendre_upward(nmax, r_vec[..., 2] / r)
-    U = 0.0
-    for n in range(2, nmax + 1):
-        Jn = model.zonal[n - 2] if n - 2 < len(model.zonal) else 0.0
+    P, _ = legendre_upward(len(model.zonal) + 1, r_vec[..., 2] / r)
+    U = 0.0 * r
+    for n, Jn in enumerate(model.zonal, start=2):
         U += model.mu / r * Jn * (model.R / r) ** n * P[n]
     return U
 
 
-def zonal_accel(r_vec, model, nmax=None):
+def zonal_accel(r_vec, model):
     """Total acceleration at one position: Kepler term plus zonal perturbation.
 
     The oracle's right-hand side, so it runs on Python floats: the Legendre
@@ -162,7 +146,6 @@ def zonal_accel(r_vec, model, nmax=None):
     r = math.sqrt(x * x + y * y + z * z)
     if r <= R / 2.0:
         raise DomainError("position inside the central-body guard radius")
-    nmax = zonal_degree(model, nmax)
     s = z / r
     q = R / r
     scale = mu / (r * r) * q  # mu R^n / r^(n+2) at n = 1
@@ -170,11 +153,10 @@ def zonal_accel(r_vec, model, nmax=None):
     dp_prev, dp = 0.0, 1.0
     radial = 0.0  # sum of Jn scale_n (-s P_n' - (n+1) P_n), coefficient of r_hat
     polar = 0.0  # sum of Jn scale_n P_n', coefficient of z_hat
-    for n in range(2, nmax + 1):
+    for n, Jn in enumerate(zonal, start=2):
         p_prev, p = p, ((2 * n - 1) * s * p - (n - 1) * p_prev) / n
         dp_prev, dp = dp, dp_prev + (2 * n - 1) * p_prev
         scale *= q
-        Jn = zonal[n - 2] if n - 2 < len(zonal) else 0.0
         if Jn != 0.0:
             radial -= Jn * scale * (s * dp + (n + 1) * p)
             polar += Jn * scale * dp
@@ -182,12 +164,12 @@ def zonal_accel(r_vec, model, nmax=None):
     return np.array((c * x, c * y, c * z - polar))
 
 
-def specific_energy(r, v, model, nmax=None):
+def specific_energy(r, v, model):
     """v^2/2 - mu/|r| + U, conserved along zonal-field trajectories; r and v
     are (3,) or (N, 3)."""
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)
-    return 0.5 * np.sum(v * v, axis=-1) - model.mu / np.linalg.norm(r, axis=-1) + zonal_potential(r, model, nmax)
+    return 0.5 * np.sum(v * v, axis=-1) - model.mu / np.linalg.norm(r, axis=-1) + zonal_potential(r, model)
 
 
 def polar_angular_momentum(r, v):

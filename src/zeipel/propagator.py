@@ -27,33 +27,31 @@ from .elements import (
     kep_to_delaunay_batch,
     normalize_angle,
 )
-from .errors import DomainError, IntegrationError, UsageError
-from .hamiltonian import polar_angular_momentum, specific_energy, zonal_accel, zonal_degree
+from .errors import DomainError, IntegrationError, UsageError, describe
+from .hamiltonian import polar_angular_momentum, specific_energy, zonal_accel
 from .transform import CanonicalMap
 from .vonzeipel import MeanHamiltonian
 
 
-def mean_rates(P, model: PhysicalModel, order=2, j2=None):
+def mean_rates(P, model: PhysicalModel, order=2):
     """Constant angle rates (dl, dg, dh) = -dK/dP of the mean flow [rad/s],
     as a (3,) array; the momenta rates vanish.  The sign is anchored by the
     Kepler limit: J2 = 0 gives dl/dt = mu^2/L^3 = n > 0."""
     L, G, H = float(P[0]), float(P[1]), float(P[2])
-    if j2 is None:
-        j2 = model.j2
-    return -MeanHamiltonian(model, order).gradient(L, G, H, j2)
+    return -MeanHamiltonian(model, order).gradient(L, G, H)
 
 
-def _mean_angles(mean0: DelaunayState, t, model, order, j2):
+def _mean_angles(mean0: DelaunayState, t, model, order):
     """Mean (l, g, h) after elapsed times t, (3,) + shape(t): linear in t."""
-    rates = mean_rates(mean0.momenta, model, order, j2)
+    rates = mean_rates(mean0.momenta, model, order)
     t = np.asarray(t, dtype=float)
     col = (slice(None),) + (None,) * t.ndim
     return mean0.angles[col] + rates[col] * t
 
 
-def propagate_mean(mean0: DelaunayState, t, model: PhysicalModel, order=2, j2=None) -> DelaunayState:
+def propagate_mean(mean0: DelaunayState, t, model: PhysicalModel, order=2) -> DelaunayState:
     """Trivial flow of the mean Hamiltonian: fixed momenta, linear angles."""
-    return DelaunayState(mean0.L, mean0.G, mean0.H, *_mean_angles(mean0, t, model, order, j2))
+    return DelaunayState(mean0.L, mean0.G, mean0.H, *_mean_angles(mean0, t, model, order))
 
 
 class States(Sequence):
@@ -144,31 +142,28 @@ def _ephemeris(t, kep, cart, model, extras=None):
     return Ephemeris(t, States(kep, _BUILD["kep"]), States(cart, _BUILD["cart"]), delaunay, extras or {})
 
 
-def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2, j2=None) -> Ephemeris:
+def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2) -> Ephemeris:
     """Full analytic pipeline at the given theory order: one inverse map of
     the initial state, the mean flow over all times, and one forward map
     of every sample, whose shared mean momenta need one generator."""
     times = np.asarray(times, dtype=float)
-    if j2 is None:
-        j2 = model.j2
-    cmap = CanonicalMap(model, j2=j2, order=order)
+    cmap = CanonicalMap(model, order=order)
     mean0 = cmap.osculating_to_mean(kep_to_delaunay(osc0, model))
-    angles = normalize_angle(_mean_angles(mean0, times - times[0], model, order, j2))
+    angles = normalize_angle(_mean_angles(mean0, times - times[0], model, order))
     p, q, _ = cmap.mean_to_osculating_batch(mean0.momenta, angles)
     kep = delaunay_to_kep_batch(np.vstack((p, q)).T, model)
     return _ephemeris(times, kep, kep_to_cartesian_batch(kep, model), model)
 
 
-def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel, nmax=None) -> Ephemeris:
-    """Adaptive high-order integration of the exact zonal-field equations.
+def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
+    """Adaptive high-order integration in the zonal field of `model.zonal`.
     The samples are converted as (N, 6) arrays: elements, energy and h_z."""
     times = np.asarray(times, dtype=float)
-    nmax = zonal_degree(model, nmax)
     y0 = np.concatenate([cart0.r, cart0.v])
 
     def rhs(_, y):
         x, y_, z, vx, vy, vz = y.tolist()
-        ax, ay, az = zonal_accel((x, y_, z), model, nmax).tolist()
+        ax, ay, az = zonal_accel((x, y_, z), model).tolist()
         return np.array((vx, vy, vz, ax, ay, az))
 
     sol = solve_ivp(
@@ -181,14 +176,14 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel, nmax=No
         atol=1e-12,
     )
     if not sol.success:
-        state = ", ".join(f"{name}={float(x)!r}" for name, x in zip(("x", "y", "z", "vx", "vy", "vz"), y0))
+        state = describe(("x", "y", "z", "vx", "vy", "vz"), y0)
         raise IntegrationError(
             f"oracle integration failed: {sol.message}; initial state {state}; "
             f"last time reached {float(sol.t[-1])!r}"
         )
     cart = np.ascontiguousarray(sol.y.T)
     r, v = cart[:, :3], cart[:, 3:]
-    extras = {"energy": specific_energy(r, v, model, nmax), "hz": polar_angular_momentum(r, v)}
+    extras = {"energy": specific_energy(r, v, model), "hz": polar_angular_momentum(r, v)}
     return _ephemeris(times, cartesian_to_kep_batch(cart, model), cart, model, extras)
 
 
@@ -225,12 +220,10 @@ def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
     )
 
 
-def mean_history(eph: Ephemeris, model: PhysicalModel, order=2, j2=None):
+def mean_history(eph: Ephemeris, model: PhysicalModel, order=2):
     """Mean momenta time series, (N, 3), obtained by inverting the map along
     an osculating trajectory in one solve; flat up to the truncation order."""
-    if j2 is None:
-        j2 = model.j2
-    cmap = CanonicalMap(model, j2=j2, order=order)
+    cmap = CanonicalMap(model, order=order)
     osc = eph.delaunay.rows.T
     P, _, _ = cmap.osculating_to_mean_batch(osc[:3], osc[3:])
     return P.T

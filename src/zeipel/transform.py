@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vonzeipel as vz
-from .elements import DelaunayState, PhysicalModel
-from .errors import DomainError, MapError
-from .hamiltonian import eccentricity_from_momenta
+from .elements import DelaunayState, PhysicalModel, eccentricity_from_momenta
+from .errors import DomainError, MapError, describe
 from .symplectic import generating_jacobian, symplectic_inverse
 
 J2_GUARD = 0.01
@@ -31,10 +30,6 @@ NEWTON_MAXITER = 25
 def momentum_scale(model: PhysicalModel) -> float:
     """sqrt(mu R): Delaunay momenta in these units are O(1) for low orbits."""
     return math.sqrt(model.mu * model.R)
-
-
-def _describe(column):
-    return ", ".join(f"{name}={float(x)!r}" for name, x in zip("LGHlgh", column))
 
 
 def _per_column(fn, x, cols, why):
@@ -72,35 +67,35 @@ class GeneratingSeries:
         if self.order not in (1, 2):
             raise DomainError("order must be 1 or 2")
 
-    def at(self, P, j2):
+    def at(self, P):
         """J2*S1 (+ J2^2*S2) at momenta P: one 3-vector, or (3, N) columns.
         A single column reaches the generator as Python floats, the fast
         route through the generated coefficients."""
         P = np.asarray(P, dtype=float)
         L, G, H = P.reshape(3).tolist() if P.size == 3 else P
+        j2 = self.model.j2
         return vz.ClosedFormGenerator(L, G, H, self.model, (j2, j2 * j2 if self.order == 2 else 0.0))
 
-    def grad_q(self, P, q, j2):
+    def grad_q(self, P, q):
         """(dS/dl, dS/dg) minus the P.q part; dS/dh vanishes."""
-        return self.at(P, j2).derivatives(q[0], q[1])[1][3:]
+        return self.at(P).derivatives(q[0], q[1])[1][3:]
 
-    def grad_P(self, P, q, j2):
+    def grad_P(self, P, q):
         """(dS/dL, dS/dG, dS/dH) minus the P.q part, at one state or at
         (3, N) columns of momenta and angles."""
-        return self.at(P, j2).derivatives(q[0], q[1])[1][:3]
+        return self.at(P).derivatives(q[0], q[1])[1][:3]
 
 
 class CanonicalMap:
-    """Osculating (p, q) <-> mean (P, Q) Delaunay map at a fixed J2.
+    """Osculating (p, q) <-> mean (P, Q) Delaunay map at J2 = model.j2.
 
     Each direction solves N states at once, as (3, N) arrays of momenta and
     angles; the single-state methods are its N = 1 case."""
 
-    def __init__(self, model: PhysicalModel, j2=None, order=2):
+    def __init__(self, model: PhysicalModel, order=2):
         self.model = model
-        self.j2 = model.j2 if j2 is None else float(j2)
-        if abs(self.j2) >= J2_GUARD:
-            raise DomainError(f"|J2| = {abs(self.j2):.3e} exceeds the {J2_GUARD} guard")
+        if abs(model.j2) >= J2_GUARD:
+            raise DomainError(f"|J2| = {abs(model.j2):.3e} exceeds the {J2_GUARD} guard")
         self.series = GeneratingSeries(model, order)
         self.order = order
 
@@ -148,7 +143,7 @@ class CanonicalMap:
         failed = [col for col, reason in enumerate(why) if reason is not None]
         if failed:
             col = failed[0]
-            raise MapError(f"{why[col]}; input {_describe(start[:, col])}; last scaled step {step[col]:.3e}")
+            raise MapError(f"{why[col]}; input {describe('LGHlgh', start[:, col])}; last scaled step {step[col]:.3e}")
         return out, its
 
     def _refusals(self, start):
@@ -158,7 +153,7 @@ class CanonicalMap:
         eccentricity oscillation it describes."""
         L, G = start[0], start[1]
         e = eccentricity_from_momenta(L, G)
-        bound = abs(self.j2) * (self.model.R * self.model.mu / L**2) ** 2
+        bound = abs(self.model.j2) * (self.model.R * self.model.mu / L**2) ** 2
         return [
             f"map left the admissible domain: e = {ek:.3e} is not above |J2| (R/a)^2 = {bk:.3e}" if ek <= bk else None
             for ek, bk in zip(e, bound)
@@ -174,9 +169,9 @@ class CanonicalMap:
         P = np.asarray(P, dtype=float)
         Q = np.asarray(Q, dtype=float)
         Ps = np.repeat(P[:, None], Q.shape[1], axis=1)
-        if self.j2 == 0.0:
+        if self.model.j2 == 0.0:
             return Ps, Q.copy(), np.zeros(Q.shape[1], dtype=int)
-        generator = self.series.at(P, self.j2)
+        generator = self.series.at(P)
 
         def system(q, cols):
             _, grad, hess = generator.derivatives(q[0], q[1])
@@ -197,12 +192,12 @@ class CanonicalMap:
         of each column, for osculating momenta p and angles q, (3, N)."""
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        if self.j2 == 0.0:
+        if self.model.j2 == 0.0:
             return p.copy(), q.copy(), np.zeros(p.shape[1], dtype=int)
 
         def system(P, cols):
             qc = q[:, cols]
-            _, grad, hess = self.series.at(P, self.j2).derivatives(qc[0], qc[1])
+            _, grad, hess = self.series.at(P).derivatives(qc[0], qc[1])
             F = P - p[:, cols]
             F[:2] += grad[3:]
             jac = _eye(len(cols))
@@ -210,7 +205,7 @@ class CanonicalMap:
             return F, jac
 
         def image(P, cols):
-            return P, q[:, cols] + self.series.grad_P(P, q[:, cols], self.j2)
+            return P, q[:, cols] + self.series.grad_P(P, q[:, cols])
 
         (P, Q), its = self._solve(system, p, np.maximum(1.0, np.abs(p)), np.vstack([p, q]), image)
         return P, Q, its
@@ -218,7 +213,7 @@ class CanonicalMap:
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""
         osc, its = mean, 0
-        if self.j2 != 0.0:
+        if self.model.j2 != 0.0:
             p, q, its = self.mean_to_osculating_batch(mean.momenta, mean.angles[:, None])
             osc, its = DelaunayState(*p[:, 0], *q[:, 0]), int(its[0])
         return (osc, {"iterations": its}) if return_info else osc
@@ -226,7 +221,7 @@ class CanonicalMap:
     def osculating_to_mean(self, osc: DelaunayState, return_info=False):
         """One state: the N = 1 case of `osculating_to_mean_batch`."""
         mean, its = osc, 0
-        if self.j2 != 0.0:
+        if self.model.j2 != 0.0:
             P, Q, its = self.osculating_to_mean_batch(osc.momenta[:, None], osc.angles[:, None])
             mean, its = DelaunayState(*P[:, 0], *Q[:, 0]), int(its[0])
         return (mean, {"iterations": its}) if return_info else mean
@@ -251,7 +246,7 @@ class CanonicalMap:
             P, q = self.osculating_to_mean(at).momenta, at.angles
         else:
             raise DomainError(f"unknown direction {direction!r}")
-        _, _, hess = self.series.at(P, self.j2).derivatives(q[0], q[1])
+        _, _, hess = self.series.at(P).derivatives(q[0], q[1])
         s = momentum_scale(self.model)
         # S has no h-terms (the field is axisymmetric): the h rows are zero.
         A = np.eye(3)

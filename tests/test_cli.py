@@ -162,6 +162,9 @@ def test_config_errors(tmp_path):
     assert run(["propagate", "--config", cfg])[0] == 2
     cfg = write_config(tmp_path, {"mystery": {}}, "sec.json")
     assert run(["propagate", "--config", cfg])[0] == 2
+    # the oracle sums the model's zonal degrees; there is no degree key
+    cfg = write_config(tmp_path, {"run": {"oracle_nmax": 3}}, "nmax.json")
+    assert run(["propagate", "--config", cfg])[0] == 2
 
 
 def test_unknown_command_exits_with_usage_code(capsys):
@@ -193,6 +196,15 @@ def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"zonal": [float("nan")]}, **SMALL_GRID}, "zonal.json")
     assert run(["propagate", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
     assert "error: zonal must be finite" in capsys.readouterr().err
+    # values of the wrong JSON type are usage errors that name the field
+    cfg = write_config(tmp_path, {"elements": {"a": "x"}, **SMALL_GRID}, "type.json")
+    assert run(["propagate", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
+    assert "error: a must be a number" in capsys.readouterr().err
+    assert run(["elements", "--direction", "delaunay_to_kep", "--state", "5"]) == (2, "")
+    assert "error: --state must be a JSON object" in capsys.readouterr().err
+    state = '{"r": "abc", "v": [1, 2, 3]}'
+    assert run(["elements", "--direction", "cartesian_to_kep", "--state", state]) == (2, "")
+    assert "error: r must be a list of numbers" in capsys.readouterr().err
 
 
 def test_print_config_dumps_sections():

@@ -47,7 +47,7 @@ def wrap(d):
 
 def test_rates_kepler_limit():
     P = delaunay_momenta(7000.0, 0.05, 0.8, EARTH)
-    r = mean_rates(P, EARTH, j2=0.0)
+    r = mean_rates(P, EARTH.with_j2(0.0))
     n = EARTH.mu**2 / P[0] ** 3
     assert r[0] == pytest.approx(n, rel=1e-15)
     assert r[1] == 0.0
@@ -83,7 +83,6 @@ def test_rates_node_drift_antisymmetric_in_inclination():
 def test_rates_match_gradient_finite_difference():
     L, G, H = delaunay_momenta(7000.0, 0.08, 0.9, EARTH)
     K = MeanHamiltonian(EARTH, order=2)
-    j2 = EARTH.j2
     r = mean_rates((L, G, H), EARTH)
 
     def richardson(fun, x, h):
@@ -93,9 +92,9 @@ def test_rates_match_gradient_finite_difference():
 
     fd = -np.array(
         [
-            richardson(lambda x: K.value(x, G, H, j2), L, 1e-3 * L),
-            richardson(lambda x: K.value(L, x, H, j2), G, 1e-3 * G),
-            richardson(lambda x: K.value(L, G, x, j2), H, 1e-3 * abs(H)),
+            richardson(lambda x: K.value(x, G, H), L, 1e-3 * L),
+            richardson(lambda x: K.value(L, x, H), G, 1e-3 * G),
+            richardson(lambda x: K.value(L, G, x), H, 1e-3 * abs(H)),
         ]
     )
     assert_allclose(r, fd, rtol=0, atol=1e-9 * np.abs(r).max())
@@ -118,7 +117,7 @@ def test_propagate_mean_period_return(rng):
     st = draw_states(rng, 1)[0]
     n = EARTH.mu**2 / st.L**3
     T = TWO_PI / n
-    out = propagate_mean(st, T, EARTH, j2=0.0)
+    out = propagate_mean(st, T, EARTH.with_j2(0.0))
     assert abs(wrap(out.l - st.l)) < 1e-12
     assert out.g == st.g and out.h == st.h
 
@@ -127,7 +126,7 @@ def test_analytic_zero_j2_matches_kepler():
     el0 = KeplerianElements(a=7100.0, e=0.05, i=0.6, raan=0.3, argp=1.2, mean_anom=0.1)
     T = kepler_period(el0.a, EARTH)
     times = np.linspace(0.0, 2.0 * T, 41)
-    eph = propagate_analytic(el0, times, EARTH, j2=0.0)
+    eph = propagate_analytic(el0, times, EARTH.with_j2(0.0))
     n = np.sqrt(EARTH.mu / el0.a**3)
     for t, el, cs in zip(times, eph.kep, eph.cart):
         two_body = KeplerianElements(
@@ -242,15 +241,16 @@ def test_oracle_failure_names_state_and_last_time(monkeypatch):
     assert "last time reached 1234.5" in message
 
 
-def test_oracle_rejects_nmax_below_two_before_integrating(monkeypatch):
+def test_oracle_zero_zonal_terms_change_nothing():
+    # The oracle sums the degrees of model.zonal; zero coefficients above
+    # the last nonzero one leave positions and energy bit-identical.
     el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
-
-    def integrator_must_not_run(*args, **kwargs):
-        raise AssertionError("solve_ivp called with an invalid nmax")
-
-    monkeypatch.setattr(propagator, "solve_ivp", integrator_must_not_run)
-    with pytest.raises(DomainError, match="nmax must be at least 2"):
-        propagate_oracle(kep_to_cartesian(el0, EARTH), np.linspace(0.0, 3000.0, 5), EARTH, nmax=1)
+    j23 = PhysicalModel(mu=EARTH.mu, R=EARTH.R, zonal=(EARTH.j2, -2.53265649e-6))
+    padded = PhysicalModel(mu=EARTH.mu, R=EARTH.R, zonal=j23.zonal + (0.0, 0.0))
+    times = np.linspace(0.0, 2.0 * kepler_period(el0.a, EARTH), 41)
+    a, b = (propagate_oracle(kep_to_cartesian(el0, m), times, m) for m in (j23, padded))
+    assert np.array_equal(a.cart.rows, b.cart.rows)
+    assert np.array_equal(a.extras["energy"], b.extras["energy"])
 
 
 def test_oracle_array_post_processing_matches_scalar_conversions(monkeypatch):

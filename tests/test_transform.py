@@ -16,12 +16,12 @@ def wrap(d):
     return (np.asarray(d) + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def first_order_displacement(mean, model, j2):
+def first_order_displacement(mean, model):
     """Leading-order osc minus mean offset predicted by the generator:
     (J2 dS1/dq, -J2 dS1/dP) at the mean point; dS1/dh vanishes."""
     series = GeneratingSeries(model, order=1)
     P, q = mean.momenta, mean.angles
-    return np.concatenate([series.grad_q(P, q, j2), [0.0], -series.grad_P(P, q, j2)])
+    return np.concatenate([series.grad_q(P, q), [0.0], -series.grad_P(P, q)])
 
 
 def offset(cm, mean):
@@ -30,7 +30,7 @@ def offset(cm, mean):
 
 
 def test_zero_j2_is_identity(rng):
-    cm = CanonicalMap(EARTH, j2=0.0)
+    cm = CanonicalMap(EARTH.with_j2(0.0))
     st = draw_states(rng, 1)[0]
     assert cm.mean_to_osculating(st) is st
     assert cm.osculating_to_mean(st) is st
@@ -38,7 +38,7 @@ def test_zero_j2_is_identity(rng):
 
 def test_guard_rejects_large_j2():
     with pytest.raises(DomainError):
-        CanonicalMap(EARTH, j2=0.02)
+        CanonicalMap(EARTH.with_j2(0.02))
 
 
 def test_round_trips(rng):
@@ -57,8 +57,8 @@ def test_round_trips(rng):
 
 def test_offsets_scale_linearly(rng):
     # halving J2 halves the osc - mean offset to within 5%
-    cm1 = CanonicalMap(EARTH, j2=J2)
-    cm2 = CanonicalMap(EARTH, j2=J2 / 2.0)
+    cm1 = CanonicalMap(EARTH)
+    cm2 = CanonicalMap(EARTH.with_j2(J2 / 2.0))
     for st in draw_states(rng, 5):
         d1 = offset(cm1, st)
         d2 = offset(cm2, st)
@@ -74,8 +74,8 @@ def test_first_order_consistency(rng):
     st = draw_states(rng, 1, e_lo=0.05, e_hi=0.15)[0]
     res = {}
     for j2 in (J2, J2 / 2.0):
-        cm = CanonicalMap(EARTH, j2=j2, order=1)
-        res[j2] = offset(cm, st) - first_order_displacement(st, EARTH, j2)
+        model = EARTH.with_j2(j2)
+        res[j2] = offset(CanonicalMap(model, order=1), st) - first_order_displacement(st, model)
     scale = np.abs(res[J2]).max()
     mask = np.abs(res[J2]) > 1e-7 * scale
     ratio = res[J2][mask] / res[J2 / 2.0][mask]
@@ -84,7 +84,7 @@ def test_first_order_consistency(rng):
 
 def test_newton_iteration_budget(rng):
     for j2 in (2e-3, -2e-3, J2):
-        cm = CanonicalMap(EARTH, j2=j2)
+        cm = CanonicalMap(EARTH.with_j2(j2))
         for st in draw_states(rng, 8):
             _, info = cm.mean_to_osculating(st, return_info=True)
             assert info["iterations"] <= 6
@@ -139,7 +139,7 @@ def test_map_jacobian_matches_richardson_oracle():
 
 
 def test_map_jacobian_identity_at_zero_j2(rng):
-    cm = CanonicalMap(EARTH, j2=0.0)
+    cm = CanonicalMap(EARTH.with_j2(0.0))
     st = draw_states(rng, 1)[0]
     M = cm.map_jacobian(st)
     assert_allclose(M, np.eye(6), atol=1e-9)
@@ -185,8 +185,8 @@ def test_order_one_and_two_differ_quadratically(rng):
     st = draw_states(rng, 1, e_lo=0.05, e_hi=0.15)[0]
     d = {}
     for j2 in (J2, J2 / 2.0):
-        o1 = CanonicalMap(EARTH, j2=j2, order=1).mean_to_osculating(st)
-        o2 = CanonicalMap(EARTH, j2=j2, order=2).mean_to_osculating(st)
+        o1 = CanonicalMap(EARTH.with_j2(j2), order=1).mean_to_osculating(st)
+        o2 = CanonicalMap(EARTH.with_j2(j2), order=2).mean_to_osculating(st)
         d[j2] = np.concatenate([o1.momenta - o2.momenta, wrap(o1.angles - o2.angles)])
     big = np.abs(d[J2]).max()
     assert big > 0.0
@@ -232,6 +232,6 @@ def test_displacement_prediction_matches_map(rng):
     st = draw_states(rng, 1, e_lo=0.05, e_hi=0.15)[0]
     cm = CanonicalMap(EARTH, order=1)
     d_map = offset(cm, st)
-    d_lin = first_order_displacement(st, EARTH, J2)
+    d_lin = first_order_displacement(st, EARTH)
     scale = np.abs(d_lin).max()
     assert np.abs(d_map - d_lin).max() < 50.0 * J2 * scale

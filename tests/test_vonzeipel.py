@@ -428,22 +428,23 @@ def test_mean_hamiltonian_orders():
         MeanHamiltonian(UNIT, order=3)
     K1 = MeanHamiltonian(UNIT, order=1)
     K2m = MeanHamiltonian(UNIT, order=2)
-    L, G, H, j2 = 1.2, 1.0, 0.4, 1e-3
-    assert K1.value(L, G, H, 0.0) == pytest.approx(UNIT.mu**2 / (2 * L * L), rel=1e-15)
-    assert K2m.value(L, G, H, j2) - K1.value(L, G, H, j2) == pytest.approx(
+    L, G, H, j2 = 1.2, 1.0, 0.4, UNIT.j2
+    kepler = MeanHamiltonian(UNIT.with_j2(0.0), order=1)
+    assert kepler.value(L, G, H) == pytest.approx(UNIT.mu**2 / (2 * L * L), rel=1e-15)
+    assert K2m.value(L, G, H) - K1.value(L, G, H) == pytest.approx(
         j2 * j2 * k2(L, G, H, UNIT), rel=1e-12
     )
 
 
 def test_mean_hamiltonian_gradient_matches_finite_difference():
     K = MeanHamiltonian(UNIT, order=2)
-    L, G, H, j2 = 1.2, 1.0, 0.4, 1e-3
-    grad = K.gradient(L, G, H, j2)
+    L, G, H = 1.2, 1.0, 0.4
+    grad = K.gradient(L, G, H)
     fd = np.array(
         [
-            richardson(lambda x: K.value(x, G, H, j2), L, 1e-5),
-            richardson(lambda x: K.value(L, x, H, j2), G, 1e-5),
-            richardson(lambda x: K.value(L, G, x, j2), H, 1e-5),
+            richardson(lambda x: K.value(x, G, H), L, 1e-5),
+            richardson(lambda x: K.value(L, x, H), G, 1e-5),
+            richardson(lambda x: K.value(L, G, x), H, 1e-5),
         ]
     )
     assert_allclose(grad, fd, rtol=0, atol=1e-9 * np.abs(grad).max())
