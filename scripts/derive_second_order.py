@@ -11,20 +11,19 @@ Derived objects; the first three scale by mu^6 R^4:
      as sum a[(k,m)] cos(k*nu + m*g),
   2. the l-averaged long-period remainder m(g) = <hb>_l - <hb>_{l,g}
      = c2 cos(2g) + c4 cos(4g),
-  3. the secular average <hb>_{l,g}, asserted equal to the hand-written
-     polynomial used by zeipel.vonzeipel.k2,
-  4. the generators S1 and S2 (periodic, zero l-mean part) as coefficient
-     tables over a fixed angle basis, sin(k*nu + m*g) and cos(m*g)*(nu - l),
-     with every coefficient's first and second (L, G, H) partials; S1 is
-     asserted equal to zeipel.vonzeipel.s1_true, S2 is spot-checked against
-     its generator equation.  These scale by mu^2 R^2 and mu^4 R^4.
+  3. the secular average <hb>_{l,g} = k2, asserted equal to a hand-written
+     polynomial,
+  4. the generators S1 and S2 (periodic, zero l-mean part) over a fixed angle
+     basis, sin(k*nu + m*g) and cos(m*g)*(nu - l); S1 is asserted equal to
+     zeipel.vonzeipel.s1_true, S2 is spot-checked against its generator
+     equation.  These scale by mu^2 R^2 and mu^4 R^4.
 
 The l-average uses dl = (1/eta) (r/a)^2 dnu, i.e. <f>_l is the plain nu
 average of f * rho^-2 / eta, which is exact term by term because every
 rho power in hb is >= 2 except the constant.
 
 Run from the repository root:  python scripts/derive_second_order.py
-(about a minute).  The output records this script's SHA-256, which a test
+(about half a minute).  The output records this script's SHA-256, which a test
 compares with the script.  Output is deterministic for a fixed sympy
 version; cosmetic differences may appear across sympy releases.
 """
@@ -36,7 +35,7 @@ from collections import defaultdict
 
 import sympy as sp
 
-e, eta, L, G, H = sp.symbols("e eta L G H", positive=True)
+e, eta, L, G, H, u = sp.symbols("e eta L G H u", positive=True)
 z, w = sp.symbols("z w")
 I = sp.I
 
@@ -176,10 +175,26 @@ for c, p in terms:
             avg[kw] += cc * cr / eta
 avg[0] += const_term  # <rho^0 * rho^-2>_nu / eta = 1 exactly
 
-# Secular part: eliminate (e, eta) via eta^2 = 1 - e^2, eta = G/L.
-k2_expr = sp.expand(avg[0])
-k2_expr = sp.expand(k2_expr.subs(e**2, 1 - eta**2)).subs(eta, G / L)
-k2_expr = sp.cancel(sp.together(k2_expr))
+def reduce_on_manifold(expr):
+    """expr as A + e B with A, B rational in (L, G, H), using eta = G/L and
+    e^2 = 1 - G^2/L^2.  Equal to expr wherever eta and e are the functions
+    of (L, G) they stand for, so its momentum partials are too."""
+    num, den = sp.fraction(sp.together(expr.subs(eta, G / L)))
+
+    def fold(poly):
+        out = 0
+        for (k,), c in sp.Poly(sp.expand(poly), e).terms():
+            out += c * (1 - G**2 / L**2) ** (k // 2) * e ** (k % 2)
+        return sp.expand(out)
+
+    num, den = fold(num), fold(den)
+    a, b = den.coeff(e, 0), den.coeff(e, 1)
+    if b != 0:  # (a + e b)(a - e b) = a^2 - e^2 b^2
+        num, den = fold(num * (a - e * b)), fold(a * a - (1 - G**2 / L**2) * b * b)
+    return sp.factor(sp.cancel(num.coeff(e, 0) / den)) + e * sp.factor(sp.cancel(num.coeff(e, 1) / den))
+
+
+k2_expr = reduce_on_manifold(avg[0])
 K2_HAND = (
     15 * G**6 + 12 * G**5 * L - 54 * G**4 * H**2 - 15 * G**4 * L**2
     - 72 * G**3 * H**2 * L + 15 * G**2 * H**4 + 30 * G**2 * H**2 * L**2
@@ -188,22 +203,14 @@ K2_HAND = (
 assert sp.cancel(k2_expr - K2_HAND) == 0, "secular average disagrees with the hand polynomial"
 print("  secular average matches the hand-written k2 polynomial")
 
-def on_manifold(expr):
-    """Eliminate (e, eta) via eta^2 = 1 - e^2 and eta = G/L.  Valid only for
-    expressions even in e; asserted below."""
-    expr = sp.expand(expr)
-    expr = sp.expand(expr.subs(e**2, 1 - eta**2))
-    assert e not in expr.free_symbols, "odd powers of e survive"
-    return sp.cancel(sp.together(sp.expand(expr.subs(eta, G / L))))
-
-
 lp = {}
 for m in (2, 4):
     c = avg.get(m, sp.Integer(0))
     cc = avg.get(-m, sp.Integer(0))
     sin_part = sp.expand(c - cc)
     assert sin_part == 0, f"sine term in the long-period remainder at m={m}"
-    lp[m] = on_manifold(c + cc)
+    lp[m] = reduce_on_manifold(c + cc)
+    assert e not in lp[m].free_symbols, "odd powers of e survive"
 assert lp[4] == 0, "cos(4g) harmonic expected to cancel on eta = G/L"
 assert lp[2] != 0
 print("  long-period remainder reduces to a single cos(2g) harmonic")
@@ -260,11 +267,11 @@ print("  table agrees with direct evaluation")
 # S1 takes f = h1 and keeps this gauge (the one s1_true uses); S2 takes the
 # cross term (its lone rho^0 constant has f - <f>_l = 0 and drops out) and
 # subtracts its l-mean with Hansen's <cos k nu>_l = (1 + k eta)(-e/(1+eta))^k,
-# which adds k = 0 terms sin(m g).
+# which adds k = 0 terms sin(m g); its e^k and 1/(1 + eta) = L u stay unreduced.
 
 
 def hansen_cos_mean(k):
-    return (1 + k * eta) * (-e / (1 + eta)) ** k
+    return (1 + k * G / L) * (-e * L * u) ** k
 
 
 def generator_table(source_terms, zero_mean):
@@ -279,33 +286,28 @@ def generator_table(source_terms, zero_mean):
                 b[(kz + kr, kw)] += cc * cr / eta
     out = defaultdict(lambda: sp.Integer(0))
     for (k, m), coeff in fold_to_cosine(b).items():
+        coeff = reduce_on_manifold(L**3 * coeff)
         if k == 0:
-            out[(1, 0, m)] += L**3 * coeff
+            out[(1, 0, m)] += coeff
             continue
-        out[(0, k, m)] += L**3 * coeff / k
+        out[(0, k, m)] += coeff / k
         if zero_mean and m != 0:  # <sin(k nu + m g)>_l = sin(m g) <cos k nu>_l
-            out[(0, 0, abs(m))] -= sp.sign(m) * L**3 * coeff / k * hansen_cos_mean(k)
-    reduced = {key: reduce_on_manifold(c) for key, c in out.items()}
-    return {key: c for key, c in sorted(reduced.items()) if c != 0}
+            out[(0, 0, abs(m))] -= sp.sign(m) * coeff / k * hansen_cos_mean(k)
+    return {key: c for key, c in sorted(out.items()) if c != 0}
 
 
-def reduce_on_manifold(expr):
-    """expr as A + e B with A, B rational in (L, G, H), using eta = G/L and
-    e^2 = 1 - G^2/L^2.  Equal to expr wherever eta and e are the functions
-    of (L, G) they stand for, so its momentum partials are too."""
-    num, den = sp.fraction(sp.together(expr.subs(eta, G / L)))
-
-    def fold(poly):
-        out = 0
-        for (k,), c in sp.Poly(sp.expand(poly), e).terms():
-            out += c * (1 - G**2 / L**2) ** (k // 2) * e ** (k % 2)
-        return sp.expand(out)
-
-    num, den = fold(num), fold(den)
-    a, b = den.coeff(e, 0), den.coeff(e, 1)
-    if b != 0:  # (a + e b)(a - e b) = a^2 - e^2 b^2
-        num, den = fold(num * (a - e * b)), fold(a * a - (1 - G**2 / L**2) * b * b)
-    return sp.factor(sp.cancel(num.coeff(e, 0) / den)) + e * sp.factor(sp.cancel(num.coeff(e, 1) / den))
+def monomials(table):
+    """Rows (term, coefficient, powers of e, L, G, H, u) of a {basis key:
+    expression} table.  Factors G + L and L - G become 1/u and e^2 L^2 u, as
+    an expanded L - G would cancel near e = 0."""
+    rows = []
+    for j, expr in enumerate(table.values()):
+        for term in sp.Add.make_args(sp.expand(expr.subs([(G + L, 1 / u), (L - G, e**2 * L**2 * u)]))):
+            coeff, rest = term.as_coeff_Mul()
+            powers = rest.as_powers_dict() if rest != 1 else {}
+            assert coeff.is_Rational and all(x in (e, L, G, H, u) and p.is_Integer for x, p in powers.items()), term
+            rows.append((j, coeff, *(int(powers.get(x, 0)) for x in (e, L, G, H, u))))
+    return sorted(rows, key=lambda row: (row[0], row[2:]))
 
 
 print("closed-form generators ...")
@@ -328,7 +330,7 @@ for ee, GG, HH, LL, nuv, gv in [(0.3, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.09), 0.7, 
                                 (0.7, 1.3, -0.5, 1.3 / math.sqrt(1 - 0.49), 2.9, 0.3)]:
     et = math.sqrt(1 - ee * ee)
     nu_l = (1 + ee * math.cos(nuv)) ** 2 / et**3
-    subs = {e: ee, G: GG, H: HH, L: LL}
+    subs = {e: ee, G: GG, H: HH, L: LL, u: 1 / (LL + GG)}
     ds2dl = 0.0
     for (p, k, m), cf in s2_table.items():
         cf = float(cf.subs(subs))
@@ -341,38 +343,6 @@ for ee, GG, HH, LL, nuv, gv in [(0.3, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.09), 0.7, 
     res = -ds2dl / LL**3 + source - mean_l
     assert abs(res) < 1e-11 * abs(source - mean_l), f"S2 generator equation residual {res:.3e}"
 print("  S2 satisfies its generator equation")
-
-# Momentum partials along e = e(L, G): de/dL = G^2/(e L^3), de/dG = -G/(e L^2).
-E_PARTIALS = {L: G**2 / (e * L**3), G: -G / (e * L**2), H: 0}
-
-
-def partial(expr, x):
-    return sp.diff(expr, x) + sp.diff(expr, e) * E_PARTIALS[x]
-
-
-def coefficient_function(name, table, scale):
-    """Source lines of name(e, L, G, H) -> flat list, per basis term: value,
-    3 first and 3 x 3 second momentum partials."""
-    exprs = []
-    for c in table.values():
-        first = [partial(c, x) for x in (L, G, H)]
-        second = [[partial(first[i], y) for y in (L, G, H)[i:]] for i in range(3)]
-        exprs += [c, *first, *(second[min(i, j)][abs(i - j)] for i in range(3) for j in range(3))]
-    subs, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("x"))
-    lines = [
-        "",
-        "",
-        f"def {name}(e, L, G, H):",
-        f'    """Per term of {name.upper()[:2]}_BASIS: the coefficient, its (L, G, H)',
-        "    partials and its 3 x 3 matrix of second partials (row by row), before",
-        f'    the {scale} factor; e = sqrt(1 - G^2/L^2)."""',
-    ]
-    lines += [f"    {sym} = {sp.pycode(sub)}" for sym, sub in subs]
-    lines.append("    return [")
-    lines += [f"        {sp.pycode(r)}," for r in reduced]
-    lines.append("    ]")
-    return lines
-
 
 print("emitting", OUT_PATH)
 keys = sorted(hbar_table)
@@ -403,14 +373,13 @@ lines.append("    }")
 lines += [
     "",
     "",
-    "def long_period_cos2(L, G, H):",
-    '    """Coefficient c2 of the l-averaged zero-mean remainder c2*cos(2g),',
-    '    before the mu^6 R^4 factor.  The cos(4g) harmonic cancels identically',
-    '    on eta = G/L; that is asserted during generation."""',
-    f"    return {sp.pycode(lp[2])}",
+    "# Rows (term, coefficient, a, b, c, d, f): per term, the sum of coefficient *",
+    "# e**a * L**b * G**c * H**d * u**f, u = 1/(L + G).  Scales: S1 mu^2 R^2, S2",
+    "# mu^4 R^4, k2 and the long-period c2 (of c2*cos(2g)) mu^6 R^4.",
 ]
-lines += coefficient_function("s1_coefficients", s1_table, "mu^2 R^2")
-lines += coefficient_function("s2_coefficients", s2_table, "mu^4 R^4")
+for name, table in (("S1", s1_table), ("S2", s2_table), ("K2", {0: k2_expr}), ("C2", {0: lp[2]})):
+    rows = [f"    ({j}, {c}, {', '.join(map(str, powers))})," for j, c, *powers in monomials(table)]
+    lines += [f"{name}_MONOMIALS = (", *rows, ")"]
 lines.append("")
 
 OUT_PATH.write_text("\n".join(lines))

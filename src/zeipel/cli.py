@@ -238,6 +238,8 @@ def _state_from_json(direction, doc):
     missing = [k for k in keys if k not in doc]
     if missing:
         raise UsageError(f"state for {direction} missing keys: {', '.join(missing)}")
+    if unknown := [k for k in doc if k not in keys]:
+        raise UsageError(f"state for {direction} has unknown keys: {', '.join(unknown)}")
     for k in keys:
         _require_type(k, doc[k], () if cls is CartesianState else 0.0)
     return cls(**{k: doc[k] for k in keys})

@@ -152,7 +152,7 @@ class CartesianState:
             raise DomainError("|r| must be positive")
 
 
-def kepler_solve(mean_anom, e, tol=1e-14, maxiter=50):
+def kepler_solve(mean_anom, e):
     """Solve E - e*sin(E) = M for the eccentric anomaly.
 
     Newton iteration seeded at M + e*sin(M), with a bisection fallback on
@@ -171,9 +171,9 @@ def kepler_solve(mean_anom, e, tol=1e-14, maxiter=50):
 
     E = Mr + e_arr * np.sin(Mr)
     converged = np.zeros(M.shape, dtype=bool)
-    for _ in range(maxiter):
+    for _ in range(50):
         f = E - e_arr * np.sin(E) - Mr
-        converged = np.abs(f) <= tol
+        converged = np.abs(f) <= 1e-14
         if converged.all():
             break
         step = f / (1.0 - e_arr * np.cos(E))

@@ -119,8 +119,9 @@ class Ephemeris:
     def momenta(self):
         return self.delaunay.rows[:, :3].copy()
 
-    def validate(self, model: PhysicalModel, tol=1e-9):
+    def validate(self, model: PhysicalModel):
         """Cross-representation consistency; raises on violation."""
+        tol = 1e-9
         ref = kep_to_cartesian_batch(self.kep.rows, model)
         for cols, what in ((slice(0, 3), "positions"), (slice(3, 6), "velocities")):
             want = ref[:, cols]

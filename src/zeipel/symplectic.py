@@ -63,10 +63,10 @@ def block_identities(M):
     }
 
 
-def symplectic_inverse(M, tol=1e-8):
+def symplectic_inverse(M):
     """Inverse via the block rearrangement (D^T, -B^T; -C^T, A^T),
-    equivalently -J M^T J.  Requires M symplectic within tol."""
-    ok, r = is_symplectic(M, tol)
+    equivalently -J M^T J.  Requires M symplectic (`is_symplectic`)."""
+    ok, r = is_symplectic(M)
     if not ok:
         raise DomainError(f"matrix is not symplectic, residual {r:.3e}")
     A, B, C, D = blocks(M)
@@ -87,13 +87,14 @@ def generating_jacobian(A, B, C):
     return np.vstack([top, bot])
 
 
-def random_symplectic(rng, n=3, eps=1e-2, harmonics=2):
+def random_symplectic(rng):
     """Exact symplectic Jacobian of a random near-identity generating map.
 
     The generator is S = P.q + eps * T(q) * Pi(P) with T a random
     trigonometric polynomial and Pi a random quadratic; its exact second
     derivatives go through `generating_jacobian`.
     """
+    n, eps, harmonics = 3, 1e-2, 2
     kvec = rng.integers(1, harmonics + 1, size=(3, n))
     amp = rng.normal(size=3)
     phase = rng.uniform(0, 2 * np.pi, size=3)

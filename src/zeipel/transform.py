@@ -68,13 +68,9 @@ class GeneratingSeries:
             raise DomainError("order must be 1 or 2")
 
     def at(self, P):
-        """J2*S1 (+ J2^2*S2) at momenta P: one 3-vector, or (3, N) columns.
-        A single column reaches the generator as Python floats, the fast
-        route through the generated coefficients."""
-        P = np.asarray(P, dtype=float)
-        L, G, H = P.reshape(3).tolist() if P.size == 3 else P
+        """J2*S1 (+ J2^2*S2) at momenta P: one 3-vector, or (3, N) columns."""
         j2 = self.model.j2
-        return vz.ClosedFormGenerator(L, G, H, self.model, (j2, j2 * j2 if self.order == 2 else 0.0))
+        return vz.ClosedFormGenerator(*np.asarray(P, dtype=float), self.model, (j2, j2 * j2 if self.order == 2 else 0.0))
 
     def grad_q(self, P, q):
         """(dS/dl, dS/dg) minus the P.q part; dS/dh vanishes."""

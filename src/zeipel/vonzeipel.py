@@ -5,8 +5,8 @@ Secular/periodic operators on the angle torus, the first-order solution
 and via the generic characteristic-line integral), and the second-order
 solution (k2 closed form and quadrature, s2 closed form, with spectral
 tables as its independent oracle).  `ClosedFormGenerator` evaluates s1 and
-s2 with their first and second derivatives from generated coefficient
-tables; the map uses it and nothing else.
+s2 with their first and second derivatives from generated monomial tables
+(`MonomialTable`); the map uses it and nothing else.
 
 Conventions.  The generating series is S = P.q + J2*S1 + J2^2*S2 in mixed
 variables (new momenta P, old angles q); the first-order PDE is
@@ -20,6 +20,7 @@ import functools
 import math
 
 import numpy as np
+from scipy import sparse
 
 from . import _secondorder
 from .elements import a_over_r, true_from_mean
@@ -140,12 +141,11 @@ def ds1_dg(L, G, H, l, g, model):
 
 
 def ds1_dP(L, G, H, l, g, model):
-    """(d s1/dL, d s1/dG, d s1/dH) at fixed (l, g), from the generated
-    coefficient tables."""
+    """(d s1/dL, d s1/dG, d s1/dH) at fixed (l, g), from the monomial tables."""
     return ClosedFormGenerator(L, G, H, model, (1.0, 0.0)).derivatives(l, g)[1][:3]
 
 
-def solve_homological(w, f_per, q, nodes=129):
+def solve_homological(w, f_per, q):
     """Generic solution of w . dS/dq = -f_per along the characteristic line.
 
     S(q) = -(1/|w|) * integral_0^{what.q} f_per(q - (what.q - t) what) dt,
@@ -161,7 +161,7 @@ def solve_homological(w, f_per, q, nodes=129):
     T = float(what @ q)
     if T == 0.0:
         return 0.0
-    t, wt = np.polynomial.legendre.leggauss(nodes)
+    t, wt = np.polynomial.legendre.leggauss(129)
     t = 0.5 * T * (t + 1.0)
     wt = wt * 0.5 * T
     pts = q[:, None] - (T - t)[None, :] * what[:, None]
@@ -212,20 +212,6 @@ def hbar_closed(L, G, H, l, g, model):
     return hbar_closed_true(L, G, H, nu, g, model)
 
 
-# k2 = mu^6 R^4 / 128 * sum c * G^(i-11) H^j L^(k-5) over the monomials below.
-_K2_MONOMIALS = (
-    (15.0, 6, 0, 0),
-    (12.0, 5, 0, 1),
-    (-54.0, 4, 2, 0),
-    (-15.0, 4, 0, 2),
-    (-72.0, 3, 2, 1),
-    (15.0, 2, 4, 0),
-    (30.0, 2, 2, 2),
-    (108.0, 1, 4, 1),
-    (105.0, 0, 4, 2),
-)
-
-
 def k2(L, G, H, model):
     """Second-order mean Hamiltonian term, closed form.
 
@@ -233,37 +219,27 @@ def k2(L, G, H, model):
     term (scripts/derive_second_order.py asserts the polynomial); verified
     against dnu-weighted quadrature in the tests.
     """
-    acc = 0.0
-    for c, ig, jh, kl in _K2_MONOMIALS:
-        acc += c * G ** (ig - 11) * H**jh * L ** (kl - 5)
-    return model.mu**6 * model.R**4 * acc / 128.0
+    return model.mu**6 * model.R**4 * _K2(L, G, H)[0][0]
 
 
 def dk2(L, G, H, model):
     """Gradient of k2 with respect to (L, G, H)."""
-    dL = dG = dH = 0.0
-    for c, ig, jh, kl in _K2_MONOMIALS:
-        dG += c * (ig - 11) * G ** (ig - 12) * H**jh * L ** (kl - 5)
-        dL += c * (kl - 5) * G ** (ig - 11) * H**jh * L ** (kl - 6)
-        if jh:
-            dH += c * jh * G ** (ig - 11) * H ** (jh - 1) * L ** (kl - 5)
-    f = model.mu**6 * model.R**4 / 128.0
-    return np.array([f * dL, f * dG, f * dH])
+    return model.mu**6 * model.R**4 * _K2(L, G, H)[1][0]
 
 
-def k2_quadrature(L, G, H, model, nodes_nu=128, nodes_g=64):
+def k2_quadrature(L, G, H, model):
     """(l, g) average of the compositional cross term, dnu-weighted."""
     e = eccentricity_from_momenta(L, G)
     _check_ecc(e)
     return torus_average_weighted(
-        lambda NU, GG: hbar_true(L, G, H, NU, GG, model), float(e), nodes_nu, nodes_g
+        lambda NU, GG: hbar_true(L, G, H, NU, GG, model), float(e), 128, 64
     )
 
 
 def long_period_coefficient(L, G, H, model):
     """Closed-form coefficient c2 of the long-period remainder c2*cos(2g),
     the l-average of the periodic part of the cross term."""
-    return model.mu**6 * model.R**4 * _secondorder.long_period_cos2(L, G, H)
+    return model.mu**6 * model.R**4 * _C2(L, G, H)[0][0]
 
 
 class SecondOrderTables:
@@ -386,24 +362,22 @@ class ClosedFormGenerator:
     basis of `_secondorder`, phi = (nu - l)^p sin(k nu + m g + p pi/2), where
     p = 1 only with k = 0; S2's k = 0 sine terms are the Hansen l-means that
     give it zero l-mean.  The coefficients and their first and second
-    momentum partials are computed once, here; `derivatives` chains them
-    with nu(l, e(L, G)).
+    momentum partials are computed once, here, from the monomial tables;
+    `derivatives` chains them with nu(l, e(L, G)).
 
     The momenta are floats or (N,) arrays, one momentum vector per column;
-    the coefficients then have shape (terms, 1) or (terms, N).  The
-    generated coefficient code is plain arithmetic, so it evaluates one
-    vector of Python floats about twenty times faster than (N,) arrays.
+    the coefficients have shape (terms, N), N = 1 for floats.
     """
 
     def __init__(self, L, G, H, model, weights):
-        e = eccentricity_from_momenta(L, G)
-        _check_ecc(e)
-        self.L, self.G, self.e = L, G, e if np.ndim(e) else float(e)
-        parts = [(weights[0] * model.mu**2 * model.R**2, _secondorder.s1_coefficients, _secondorder.S1_BASIS)]
+        L, G, H = (np.reshape(np.asarray(x, dtype=float), -1) for x in (L, G, H))
+        self.L, self.G, self.e = L, G, eccentricity_from_momenta(L, G)
+        _check_ecc(self.e)
+        parts = [(weights[0] * model.mu**2 * model.R**2, _S1, _secondorder.S1_BASIS)]
         if weights[1]:
-            parts.append((weights[1] * model.mu**4 * model.R**4, _secondorder.s2_coefficients, _secondorder.S2_BASIS))
-        coef = np.concatenate([w * _coefficient_rows(fn(self.e, L, G, H), np.shape(e)) for w, fn, _ in parts])
-        self.c, self.dc, self.d2c = coef[:, 0], coef[:, 1:4], coef[:, 4:].reshape(len(coef), 3, 3, -1)
+            parts.append((weights[1] * model.mu**4 * model.R**4, _S2, _secondorder.S2_BASIS))
+        coef = [[w * x for x in table(L, G, H)] for w, table, _ in parts]
+        self.c, self.dc, self.d2c = (np.concatenate(x) for x in zip(*coef))
         self.p, self.k, self.m = np.concatenate([basis for *_, basis in parts]).T[:, :, None]
 
     def derivatives(self, l, g):
@@ -415,7 +389,7 @@ class ClosedFormGenerator:
         shape = l.shape
         l, g = l.ravel(), g.ravel()
         # Momentum-only factors as (1,) or (N,) columns, broadcasting with the angles.
-        L, G, e = (np.reshape(x, -1) for x in (self.L, self.G, self.e))
+        L, G, e = self.L, self.G, self.e
         eta2 = 1.0 - e * e
         nu = true_from_mean(l, e)
         cn, sn = np.cos(nu), np.sin(nu)
@@ -463,16 +437,72 @@ class ClosedFormGenerator:
         return value.reshape(shape), grad.reshape((5,) + shape), hess.reshape((5, 5) + shape)
 
 
-def _coefficient_rows(values, shape):
-    """A generated coefficient list as (terms, 13, 1) rows for float
-    momenta, or (terms, 13, N) for (N,) momenta, where the list mixes
-    arrays with constant entries."""
-    if not shape:
-        return np.array(values).reshape(-1, 13, 1)
-    rows = np.empty((len(values),) + shape)
-    for j, v in enumerate(values):
-        rows[j] = v
-    return rows.reshape(-1, 13, *shape)
+# d/dx of e^a L^b G^c H^d u^f, x = L, G, H: (exponent that becomes a factor, sign,
+# exponent shift) per term, from e_L = G^2/(e L^3), e_G = -G/(e L^2), u_L = u_G = -u^2.
+_CHAIN = (
+    ((1, 1, (0, -1, 0, 0, 0)), (0, 1, (-2, -3, 2, 0, 0)), (4, -1, (0, 0, 0, 0, 1))),
+    ((2, 1, (0, 0, -1, 0, 0)), (0, -1, (-2, -2, 1, 0, 0)), (4, -1, (0, 0, 0, 0, 1))),
+    ((3, 1, (0, 0, 0, -1, 0)),),
+)
+_BLOCK = 64  # columns per evaluation: larger temporaries are mapped afresh per call
+
+
+def _partial(term, coef, powers, x):
+    """The monomial rows of d/dx, x = 0, 1, 2 for L, G, H; zero rows dropped."""
+    parts = [(term, sign * coef * powers[:, src], powers + shift) for src, sign, shift in _CHAIN[x]]
+    term, coef, powers = (np.concatenate(a) for a in zip(*parts))
+    return term[coef != 0], coef[coef != 0], powers[coef != 0]
+
+
+def _products(exponents):
+    """Distinct rows of `exponents` as per-variable power indices; each row's index."""
+    key = (exponents + 64) @ 128 ** np.arange(exponents.shape[1])  # exponents lie in [-64, 64)
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    return [np.unique(col, return_inverse=True) for col in exponents[first].T.astype(float)], index
+
+
+def _evaluate(x, products):
+    out = 1.0
+    for xv, (exponents, index) in zip(x, products):
+        out = out * (xv ** exponents[:, None])[index]
+    return out
+
+
+class MonomialTable:
+    """f_j = sum of c e^a L^b G^c H^d u^f over the rows (j, c, a, b, c, d, f) of a
+    generated table, u = 1/(L + G), and its exact (L, G, H) gradient and Hessian:
+    the 13 outputs of a term, differentiated here by exponent arithmetic.  A call
+    sums each output's monomials per (e, u) power over the distinct (L, G, H)
+    products, then weights the sums by the (e, u) powers: two sparse products."""
+
+    def __init__(self, rows):
+        rows = np.array(rows, dtype=float)
+        self.terms = int(rows[:, 0].max()) + 1
+        value = (rows[:, 0].astype(int), rows[:, 1], rows[:, 2:].astype(int))
+        first = [_partial(*value, x) for x in range(3)]
+        parts = [value, *first, *(_partial(*first[x], y) for x in range(3) for y in range(3))]
+        out, coef, powers = (np.concatenate(a) for a in zip(*((13 * t + k, c, p) for k, (t, c, p) in enumerate(parts))))
+        (self.eu, eu), (self.lgh, lgh) = _products(powers[:, [0, 4]]), _products(powers[:, 1:4])
+        n = eu.max() + 1
+        pairs, pair = np.unique(out * n + eu, return_inverse=True)
+        self.by_lgh = sparse.csr_array((coef, (pair, lgh)))
+        self.by_output = sparse.csr_array((np.ones(len(pairs)), (pairs // n, np.arange(len(pairs)))), (13 * self.terms, len(pairs)))
+        self.pair_eu = pairs % n
+
+    def __call__(self, L, G, H):
+        """(value, gradient, Hessian) of every term at momenta of one shape,
+        as (terms,) + shape, (terms, 3) + shape and (terms, 3, 3) + shape."""
+        L, G, H = (np.asarray(x, dtype=float) for x in (L, G, H))
+        cols = [[x.ravel()[k : k + _BLOCK] for x in (L, G, H)] for k in range(0, L.size, _BLOCK)]
+        out = np.concatenate([self._outputs(*c) for c in cols], axis=1).reshape((self.terms, 13) + L.shape)
+        return out[:, 0], out[:, 1:4], out[:, 4:].reshape((self.terms, 3, 3) + L.shape)
+
+    def _outputs(self, L, G, H):
+        weights = _evaluate((eccentricity_from_momenta(L, G), 1.0 / (L + G)), self.eu)[self.pair_eu]
+        return self.by_output @ ((self.by_lgh @ _evaluate((L, G, H), self.lgh)) * weights)
+
+
+_S1, _S2, _K2, _C2 = (MonomialTable(getattr(_secondorder, f"{n}_MONOMIALS")) for n in ("S1", "S2", "K2", "C2"))
 
 
 class MeanHamiltonian:

@@ -205,6 +205,10 @@ def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):
     state = '{"r": "abc", "v": [1, 2, 3]}'
     assert run(["elements", "--direction", "cartesian_to_kep", "--state", state]) == (2, "")
     assert "error: r must be a list of numbers" in capsys.readouterr().err
+    # a key the state does not have is refused, not dropped
+    state = '{"a": 7000.0, "e": 0.05, "i": 0.5, "raan": 0.3, "argp": 1.1, "mean_anom": 0.2, "M": 3.0}'
+    assert run(["elements", "--direction", "kep_to_delaunay", "--state", state]) == (2, "")
+    assert "error: state for kep_to_delaunay has unknown keys: M" in capsys.readouterr().err
 
 
 def test_print_config_dumps_sections():

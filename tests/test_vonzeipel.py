@@ -471,14 +471,19 @@ def test_closed_form_s2_matches_spectral_tables():
                 assert np.abs(closed - spectral).max() <= 1e-10 * np.abs(spectral).max()
 
 
-@pytest.mark.parametrize("e", [0.05, 0.2, 0.5, 0.7])
-def test_closed_form_partials_match_richardson(rng, e):
+@pytest.mark.parametrize(
+    "e, polar",
+    [pytest.param(e, polar, id=f"{e}-H=0" if polar else f"{e}") for polar in (False, True) for e in (0.01, 0.05, 0.2, 0.5, 0.7)],
+)
+def test_closed_form_partials_match_richardson(rng, e, polar):
     # S2's momentum partials against differences of its value, and the whole
     # Hessian of J2 S1 + J2^2 S2 in (L, G, H, l, g) against differences of
-    # its gradient.
+    # its gradient; also on an exactly polar orbit, H = 0.
     L = rng.uniform(0.8, 1.5)
     G = L * np.sqrt(1.0 - e * e)
     H = G * np.cos(rng.uniform(0.1, np.pi - 0.1))
+    if polar:
+        H = 0.0
     l, g = rng.uniform(0.0, TWO_PI, size=2)
     x0 = np.array([L, G, H, l, g])
     steps = np.array([1e-3 * (L - G), 1e-3 * (L - G), 1e-4 * G, 1e-4, 1e-4])
