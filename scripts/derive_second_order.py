@@ -8,15 +8,21 @@ rational-function coefficients in (e, eta, L, G, H), where eta^2 = 1 - e^2.
 Derived objects; the first three scale by mu^6 R^4:
   1. the full cosine table of the quadratic cross term
          hb = (3/2 L^4) (dS1/dl)^2 + dH1/dL * dS1/dl + dH1/dG * dS1/dg
-     as sum a[(k,m)] cos(k*nu + m*g),
+     as sum a[(k,m)] cos(k*nu + m*g), spot-checked against a direct float
+     evaluation and no longer emitted: the package evaluates the cross term
+     from its parts (zeipel.vonzeipel.hbar_true),
   2. the l-averaged long-period remainder m(g) = <hb>_l - <hb>_{l,g}
      = c2 cos(2g) + c4 cos(4g),
   3. the secular average <hb>_{l,g} = k2, asserted equal to a hand-written
      polynomial,
   4. the generators S1 and S2 (periodic, zero l-mean part) over a fixed angle
      basis, sin(k*nu + m*g) and cos(m*g)*(nu - l); S1 is asserted equal to
-     zeipel.vonzeipel.s1_true, S2 is spot-checked against its generator
-     equation.  These scale by mu^2 R^2 and mu^4 R^4.
+     its hand copy S1_HAND (the coefficients of zeipel.vonzeipel.s1_true),
+     S2 is spot-checked against its generator equation.  These scale by
+     mu^2 R^2 and mu^4 R^4.
+
+Emitted: the angle bases of S1 and S2 and the monomial tables of S1, S2, k2
+and c2.
 
 The l-average uses dl = (1/eta) (r/a)^2 dnu, i.e. <f>_l is the plain nu
 average of f * rho^-2 / eta, which is exact term by term because every
@@ -345,9 +351,6 @@ for ee, GG, HH, LL, nuv, gv in [(0.3, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.09), 0.7, 
 print("  S2 satisfies its generator equation")
 
 print("emitting", OUT_PATH)
-keys = sorted(hbar_table)
-subs_list, reduced = sp.cse([hbar_table[k] for k in keys], symbols=sp.numbered_symbols("x"))
-
 lines = [
     '"""Auto-generated by scripts/derive_second_order.py.  Do not edit."""',
     "",
@@ -358,19 +361,6 @@ lines = [
     "# and (1, 0, m) is cos(m*g) * (nu - l).",
     f"S1_BASIS = {tuple(s1_table)!r}",
     f"S2_BASIS = {tuple(s2_table)!r}",
-    "",
-    "",
-    "def hbar_cos_table(e, eta, L, G, H):",
-    '    """Coefficients a[(k, m)] of sum a*cos(k*nu + m*g) for the quadratic',
-    '    cross term of the second averaging step, before the mu^6 R^4 factor."""',
-]
-for sym, sub in subs_list:
-    lines.append(f"    {sym} = {sp.pycode(sub)}")
-lines.append("    return {")
-for key, expr in zip(keys, reduced):
-    lines.append(f"        {key}: {sp.pycode(expr)},")
-lines.append("    }")
-lines += [
     "",
     "",
     "# Rows (term, coefficient, a, b, c, d, f): per term, the sum of coefficient *",

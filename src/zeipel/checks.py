@@ -114,9 +114,15 @@ def k1_vs_quadrature(rng, model, n, e_range, i_range):
     return worst
 
 
+def _ds1_dl(L, G, H, l, g, model):
+    """dS1/dl from the monomial tables the map evaluates."""
+    return vz.ClosedFormGenerator(L, G, H, model, (1.0, 0.0)).derivatives(l, g)[1][3]
+
+
 def s1_residual(rng, model, n, grid, e_range, i_range):
-    """First-order generator equation w1 dS1/dl + per(h1) = 0 on a
-    grid x grid angle mesh, relative to max |per(h1)|."""
+    """First-order generator equation w1 dS1/dl + per(h1) = 0, dS1/dl from
+    the map's tables, on a grid x grid angle mesh, relative to
+    max |per(h1)|."""
     axis = TWO_PI * np.arange(grid) / grid
     ll, gg = np.meshgrid(axis, axis, indexing="ij")
     worst = 0.0
@@ -124,15 +130,16 @@ def s1_residual(rng, model, n, grid, e_range, i_range):
         L, G, H = momenta_draw(rng, model, e_range, i_range)
         nu = true_from_mean(ll, eccentricity_from_momenta(L, G))
         per = h1_periodic_true(L, G, H, nu, gg, model)
-        res = dh0_dL(L, model) * vz.ds1_dl(L, G, H, ll, gg, model) + per
+        res = dh0_dL(L, model) * _ds1_dl(L, G, H, ll, gg, model) + per
         worst = max(worst, float(np.abs(res).max() / np.abs(per).max()))
     return worst
 
 
 def s2_residual(rng, model, n, points, e_range, i_range):
     """Second-order generator equation w1 dS2/dl + cross term - k2 - c2 cos 2g
-    = 0, closed-form S2, at `points` random angle pairs, relative to
-    max(1, max |periodic source|)."""
+    = 0 at `points` random angle pairs, relative to max(1, max |periodic
+    source|): the hand-written cross term against k2 + c2 cos 2g - w1 dS2/dl
+    rebuilt from the tables the map evaluates."""
     worst = 0.0
     for _ in range(n):
         L, G, H = momenta_draw(rng, model, e_range, i_range)
@@ -152,20 +159,6 @@ def k2_two_routes(rng, model, n, e_range, i_range):
         L, G, H = momenta_draw(rng, model, e_range, i_range)
         quad = vz.k2_quadrature(L, G, H, model)
         worst = max(worst, abs(quad - vz.k2(L, G, H, model)) / abs(quad))
-    return worst
-
-
-def cross_term_two_routes(rng, model, n, points, e_range, i_range):
-    """Compositional cross term against its cosine-table form at `points`
-    random angle pairs per draw, relative to max(1, |compositional|)."""
-    worst = 0.0
-    for _ in range(n):
-        L, G, H = momenta_draw(rng, model, e_range, i_range)
-        for _ in range(points):
-            l, g = rng.uniform(0.0, TWO_PI, size=2)
-            a_val = vz.hbar(L, G, H, l, g, model)
-            b_val = vz.hbar_closed(L, G, H, l, g, model)
-            worst = max(worst, abs(a_val - b_val) / max(1.0, abs(a_val)))
     return worst
 
 
@@ -231,8 +224,8 @@ def identity_at_zero(rng, model, e_range, i_range):
 
 def homological_line_solver(rng, model, n, e_range, i_range):
     """Richardson d/dl of the characteristic-line solution of the first-order
-    equation against closed-form dS1/dl, relative, at one random point per
-    draw."""
+    equation against the map's tabled dS1/dl, relative, at one random point
+    per draw."""
     worst = 0.0
     for _ in range(n):
         L, G, H = momenta_draw(rng, model, e_range, i_range)
@@ -249,7 +242,7 @@ def homological_line_solver(rng, model, n, e_range, i_range):
             return vz.solve_homological(w, f_per, np.array([x, g0, h0]))
 
         fd = _richardson(sigma, l0, 1e-3)
-        ref = float(vz.ds1_dl(L, G, H, l0, g0, model))
+        ref = float(_ds1_dl(L, G, H, l0, g0, model))
         worst = max(worst, abs(fd - ref) / abs(ref))
     return worst
 

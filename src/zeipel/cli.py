@@ -200,8 +200,6 @@ def verify_checks(model: PhysicalModel, order):
         ("s1-pde-residual", checks.s1_residual, {"model": model, "n": 5, "grid": 16, **draw}, 1e-9),
         ("s2-pde-residual", checks.s2_residual, {"model": model, "n": 3, "points": 16, **draw}, 1e-7),
         ("k2-two-routes", checks.k2_two_routes, {"model": model, "n": 5, **draw}, 1e-8),
-        ("hbar-two-routes", checks.cross_term_two_routes,
-         {"model": model, "n": 5, "points": 4, **draw}, 1e-8),
         ("map-roundtrip", checks.map_roundtrip, {"model": model, "order": order, "n": 5, **draw}, 1e-9),
         ("map-jacobian-symplectic", checks.map_jacobian_symplecticity,
          {"model": model, "order": order, "n": 2, **draw}, 1e-6),

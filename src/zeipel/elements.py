@@ -238,20 +238,27 @@ def dnu_dl(nu, e):
     return np.sqrt(1.0 - e * e) * a_over_r(nu, e) ** 2
 
 
+def _momenta(a, e, i, model):
+    """(L, G, H) from a, e, i, floats or arrays: the one formula behind
+    `delaunay_momenta` and `kep_to_delaunay_batch`."""
+    L = np.sqrt(model.mu * a)
+    G = L * np.sqrt(1.0 - e * e)
+    return L, G, G * np.cos(i)
+
+
 def delaunay_momenta(a, e, i, model):
-    """Delaunay momenta (L, G, H) from a, e, i.  No angle guards."""
+    """Delaunay momenta (L, G, H) from a, e, i, as floats.  No angle guards."""
     if not a > 0 or not (0.0 <= e < 1.0):
         raise DomainError("need a > 0 and 0 <= e < 1")
-    L = math.sqrt(model.mu * a)
-    G = L * math.sqrt(1.0 - e * e)
-    H = G * math.cos(i)
-    return L, G, H
+    return tuple(float(x) for x in _momenta(a, e, i, model))
 
 
 def eccentricity_from_momenta(L, G):
-    """e = sqrt(1 - (G/L)^2), clipped against round-off."""
-    ratio = np.minimum(np.asarray(G, dtype=float) / L, 1.0)
-    return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+    """e = sqrt((L - G)(L + G))/L, clipped against round-off.  The factored
+    form keeps full relative precision near e = 0, where 1 - (G/L)^2
+    cancels."""
+    L = np.asarray(L, dtype=float)
+    return np.sqrt(np.maximum(0.0, (L - G) * (L + G))) / L
 
 
 def _angle_guards(e, sin_i):
@@ -268,9 +275,7 @@ def kep_to_delaunay_batch(kep, model: PhysicalModel):
     where g or h is undefined, naming the first such sample."""
     a, e, i, raan, argp, mean_anom = np.asarray(kep, dtype=float).T
     raise_first(*_angle_guards(e, np.sin(i)))
-    L = np.sqrt(model.mu * a)
-    G = L * np.sqrt(1.0 - e * e)
-    return np.column_stack((L, G, G * np.cos(i), mean_anom, argp, raan))
+    return np.column_stack((*_momenta(a, e, i, model), mean_anom, argp, raan))
 
 
 def kep_to_delaunay(el: KeplerianElements, model: PhysicalModel) -> DelaunayState:

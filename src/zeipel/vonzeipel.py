@@ -172,17 +172,13 @@ def solve_homological(w, f_per, q):
 # Second order.
 
 
-def hbar_parts(d2h0, s1l_val, s1g_val, h1L_val, h1G_val):
-    """Quadratic cross term from its ingredients."""
-    return 0.5 * d2h0 * s1l_val**2 + h1L_val * s1l_val + h1G_val * s1g_val
-
-
 def hbar_true(L, G, H, nu, g, model):
-    """Compositional second-order source term at true anomaly nu."""
+    """Quadratic cross term 1/2 d2h0 (dS1/dl)^2 + dh1/dL dS1/dl + dh1/dG dS1/dg
+    at true anomaly nu: the source of S2, k2 and c2."""
     s1l_val = ds1_dl_true(L, G, H, nu, g, model)
     s1g_val = ds1_dg_true(L, G, H, nu, g, model)
     h1L_val, h1G_val = dh1_true(L, G, H, nu, g, model)
-    return hbar_parts(d2h0_dL2(L, model), s1l_val, s1g_val, h1L_val, h1G_val)
+    return 0.5 * d2h0_dL2(L, model) * s1l_val**2 + h1L_val * s1l_val + h1G_val * s1g_val
 
 
 def hbar(L, G, H, l, g, model):
@@ -190,26 +186,6 @@ def hbar(L, G, H, l, g, model):
     _check_ecc(e)
     nu = true_from_mean(l, e)
     return hbar_true(L, G, H, nu, g, model)
-
-
-def hbar_closed_true(L, G, H, nu, g, model):
-    """Closed-form route: generated cosine table in (nu, g)."""
-    e = eccentricity_from_momenta(L, G)
-    _check_ecc(e)
-    eta = math.sqrt(1.0 - float(e) ** 2)
-    table = _secondorder.hbar_cos_table(float(e), eta, L, G, H)
-    nu = np.asarray(nu, dtype=float)
-    g = np.asarray(g, dtype=float)
-    out = np.zeros(np.broadcast(nu, g).shape)
-    for (k, m), a in table.items():
-        out = out + a * np.cos(k * nu + m * g)
-    return model.mu**6 * model.R**4 * out
-
-
-def hbar_closed(L, G, H, l, g, model):
-    e = eccentricity_from_momenta(L, G)
-    nu = true_from_mean(l, e)
-    return hbar_closed_true(L, G, H, nu, g, model)
 
 
 def k2(L, G, H, model):
@@ -493,7 +469,8 @@ class MonomialTable:
         """(value, gradient, Hessian) of every term at momenta of one shape,
         as (terms,) + shape, (terms, 3) + shape and (terms, 3, 3) + shape."""
         L, G, H = (np.asarray(x, dtype=float) for x in (L, G, H))
-        cols = [[x.ravel()[k : k + _BLOCK] for x in (L, G, H)] for k in range(0, L.size, _BLOCK)]
+        # max(size, 1): no momenta still make one (empty) block, so zero columns give zero columns.
+        cols = [[x.ravel()[k : k + _BLOCK] for x in (L, G, H)] for k in range(0, max(L.size, 1), _BLOCK)]
         out = np.concatenate([self._outputs(*c) for c in cols], axis=1).reshape((self.terms, 13) + L.shape)
         return out[:, 0], out[:, 1:4], out[:, 4:].reshape((self.terms, 3, 3) + L.shape)
 

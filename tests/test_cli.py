@@ -89,7 +89,7 @@ def test_verify_passes_by_default():
     lines = out.strip().splitlines()
     assert lines[-1] == "verification passed"
     checks = [ln for ln in lines[:-1]]
-    assert len(checks) == 11
+    assert len(checks) == 10
     assert all(ln.startswith("PASS ") for ln in checks)
 
 

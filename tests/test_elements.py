@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -18,6 +20,7 @@ from zeipel.elements import (
     delaunay_to_kep_batch,
     dnu_dl,
     eccentric_from_true,
+    eccentricity_from_momenta,
     kep_to_cartesian,
     kep_to_cartesian_batch,
     kep_to_delaunay,
@@ -160,6 +163,25 @@ def test_delaunay_momenta_degenerate_limits():
     assert G == L
     _, G, H = delaunay_momenta(7000.0, 0.2, 0.0, EARTH)
     assert H == G
+
+
+def test_delaunay_momenta_is_the_batch_formula(rng):
+    kep = np.column_stack((rng.uniform(6800.0, 9500.0, 20), rng.uniform(0.01, 0.5, 20),
+                           rng.uniform(0.1, 3.0, 20), np.zeros((20, 3))))
+    batch = kep_to_delaunay_batch(kep, EARTH)[:, :3]
+    assert np.array_equal(batch, [delaunay_momenta(a, e, i, EARTH) for a, e, i in kep[:, :3]])
+
+
+@pytest.mark.parametrize("e", [1e-4, 1e-3, 1e-2])
+def test_eccentricity_from_momenta_near_circular_precision(e):
+    # against sqrt(L^2 - G^2)/L in 40-digit decimal arithmetic at the same
+    # float momenta; sqrt(1 - (G/L)^2) is off by up to 6.6e-9 at e = 1e-4
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for a in np.linspace(6800.0, 9500.0, 28):
+            L, G, _ = delaunay_momenta(a, e, 0.5, EARTH)
+            ref = (decimal.Decimal(L) ** 2 - decimal.Decimal(G) ** 2).sqrt() / decimal.Decimal(L)
+            assert abs(float(eccentricity_from_momenta(L, G)) / float(ref) - 1.0) <= 1e-15
 
 
 def test_kep_delaunay_roundtrip(rng):

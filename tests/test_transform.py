@@ -55,6 +55,17 @@ def test_round_trips(rng):
         assert np.abs(wrap(fwd.angles - st.angles)).max() < 1e-9
 
 
+def test_zero_column_batches(rng):
+    # both directions map no columns to no columns
+    cm = CanonicalMap(EARTH)
+    empty = np.zeros((3, 0))
+    for out in (
+        cm.mean_to_osculating_batch(draw_states(rng, 1)[0].momenta, empty),
+        cm.osculating_to_mean_batch(empty, empty),
+    ):
+        assert [x.shape for x in out] == [(3, 0), (3, 0), (0,)]
+
+
 def test_offsets_scale_linearly(rng):
     # halving J2 halves the osc - mean offset to within 5%
     cm1 = CanonicalMap(EARTH)

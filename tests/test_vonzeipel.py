@@ -29,8 +29,6 @@ from zeipel.vonzeipel import (
     ds1_dl,
     ds2_dl,
     ds2_dl_solution,
-    hbar,
-    hbar_closed_true,
     hbar_true,
     k1,
     k2,
@@ -287,16 +285,6 @@ def test_homological_reproduces_satellite_generator(rng):
 
 
 # -- second order -------------------------------------------------------------
-
-
-def test_hbar_two_routes_agree(rng):
-    for _ in range(6):
-        L, G, H = random_momenta(rng, e_lo=0.05, e_hi=0.3)
-        nu = rng.uniform(0.0, TWO_PI, size=7)
-        g = rng.uniform(0.0, TWO_PI, size=7)
-        a = hbar_true(L, G, H, nu, g, UNIT)
-        b = hbar_closed_true(L, G, H, nu, g, UNIT)
-        assert_allclose(b, a, rtol=1e-8, atol=1e-8 * np.abs(a).max())
 
 
 def test_k2_unit_point():
