@@ -82,6 +82,8 @@ class RunConfig:
             raise UsageError("grid step must be positive")
         if self.step is None and self.count < 2:
             raise UsageError("grid count must be at least 2")
+        if self.step is not None and len(self.times) < 2:
+            raise UsageError("grid step must not exceed t1 - t0 (the grid needs at least 2 samples)")
         if self.order not in (1, 2):
             raise UsageError("order must be 1 or 2")
         return self

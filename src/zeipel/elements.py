@@ -233,11 +233,6 @@ def a_over_r(nu, e):
     return (1.0 + e * np.cos(nu)) / (1.0 - e * e)
 
 
-def dnu_dl(nu, e):
-    """d(nu)/d(l) = sqrt(1-e^2) * (a/r)^2 at fixed momenta."""
-    return np.sqrt(1.0 - e * e) * a_over_r(nu, e) ** 2
-
-
 def _momenta(a, e, i, model):
     """(L, G, H) from a, e, i, floats or arrays: the one formula behind
     `delaunay_momenta` and `kep_to_delaunay_batch`."""

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .elements import a_over_r, eccentricity_from_momenta, true_from_mean
+from .elements import a_over_r, eccentricity_from_momenta
 from .errors import DomainError, raise_first
 
 
@@ -42,13 +42,6 @@ def h1_true(L, G, H, nu, g, model):
     rho = a_over_r(nu, e)
     bracket = (3.0 * H * H - G * G) + 3.0 * (G * G - H * H) * np.cos(2.0 * g + 2.0 * nu)
     return model.mu**4 * model.R**2 / (4.0 * L**6 * G * G) * rho**3 * bracket
-
-
-def h1_mean(L, G, H, l, g, model):
-    """First-order term as a function of the mean anomaly l."""
-    e = eccentricity_from_momenta(L, G)
-    nu = true_from_mean(l, e)
-    return h1_true(L, G, H, nu, g, model)
 
 
 def h1_secular(L, G, H, model):

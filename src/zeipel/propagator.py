@@ -28,30 +28,36 @@ from .elements import (
     normalize_angle,
 )
 from .errors import DomainError, IntegrationError, UsageError, describe
-from .hamiltonian import polar_angular_momentum, specific_energy, zonal_accel
+from .hamiltonian import dh0_dL, polar_angular_momentum, specific_energy, zonal_accel
 from .transform import CanonicalMap
-from .vonzeipel import MeanHamiltonian
+from .vonzeipel import dk1, dk2
 
 
 def mean_rates(P, model: PhysicalModel, order=2):
     """Constant angle rates (dl, dg, dh) = -dK/dP of the mean flow [rad/s],
-    as a (3,) array; the momenta rates vanish.  The sign is anchored by the
-    Kepler limit: J2 = 0 gives dl/dt = mu^2/L^3 = n > 0."""
+    as a (3,) array, for the mean Hamiltonian K = h0 + J2 k1 (+ J2^2 k2),
+    J2 = model.j2, which depends on the momenta P alone; the momenta rates
+    vanish.  The sign is anchored by the Kepler limit: J2 = 0 gives
+    dl/dt = mu^2/L^3 = n > 0."""
+    if order not in (1, 2):
+        raise DomainError("order must be 1 or 2")
     L, G, H = float(P[0]), float(P[1]), float(P[2])
-    return -MeanHamiltonian(model, order).gradient(L, G, H)
+    j2 = model.j2
+    grad = np.array([dh0_dL(L, model), 0.0, 0.0]) + j2 * dk1(L, G, H, model)
+    if order == 2:
+        grad = grad + j2 * j2 * dk2(L, G, H, model)
+    return -grad
 
 
-def _mean_angles(mean0: DelaunayState, t, model, order):
-    """Mean (l, g, h) after elapsed times t, (3,) + shape(t): linear in t."""
-    rates = mean_rates(mean0.momenta, model, order)
-    t = np.asarray(t, dtype=float)
-    col = (slice(None),) + (None,) * t.ndim
-    return mean0.angles[col] + rates[col] * t
-
-
-def propagate_mean(mean0: DelaunayState, t, model: PhysicalModel, order=2) -> DelaunayState:
-    """Trivial flow of the mean Hamiltonian: fixed momenta, linear angles."""
-    return DelaunayState(mean0.L, mean0.G, mean0.H, *_mean_angles(mean0, t, model, order))
+def _grid(times):
+    """The sample times as a float array; refuses a grid that is empty, not
+    1-d or not strictly increasing.  `Ephemeris` and both routes apply it."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or len(t) == 0:
+        raise DomainError("time grid must be a nonempty 1-d array")
+    if not np.all(np.diff(t) > 0):
+        raise DomainError("time grid must be strictly increasing")
+    return t
 
 
 class States(Sequence):
@@ -93,11 +99,7 @@ class Ephemeris:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if t.ndim != 1 or len(t) == 0:
-            raise DomainError("time grid must be a nonempty 1-d array")
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise DomainError("time grid must be strictly increasing")
+        t = _grid(self.t)
         if not (len(self.kep) == len(self.cart) == len(self.delaunay) == len(t)):
             raise DomainError("sample lists must share the grid length")
         object.__setattr__(self, "t", t)
@@ -147,10 +149,11 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
     """Full analytic pipeline at the given theory order: one inverse map of
     the initial state, the mean flow over all times, and one forward map
     of every sample, whose shared mean momenta need one generator."""
-    times = np.asarray(times, dtype=float)
+    times = _grid(times)
     cmap = CanonicalMap(model, order=order)
     mean0 = cmap.osculating_to_mean(kep_to_delaunay(osc0, model))
-    angles = normalize_angle(_mean_angles(mean0, times - times[0], model, order))
+    rates = mean_rates(mean0.momenta, model, order)
+    angles = normalize_angle(mean0.angles[:, None] + rates[:, None] * (times - times[0]))
     p, q, _ = cmap.mean_to_osculating_batch(mean0.momenta, angles)
     kep = delaunay_to_kep_batch(np.vstack((p, q)).T, model)
     return _ephemeris(times, kep, kep_to_cartesian_batch(kep, model), model)
@@ -158,8 +161,9 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
 
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
     """Adaptive high-order integration in the zonal field of `model.zonal`.
-    The samples are converted as (N, 6) arrays: elements, energy and h_z."""
-    times = np.asarray(times, dtype=float)
+    The samples are converted as (N, 6) arrays: elements, energy and h_z.
+    A one-sample grid is the initial state itself."""
+    times = _grid(times)
     y0 = np.concatenate([cart0.r, cart0.v])
 
     def rhs(_, y):
@@ -167,22 +171,24 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephe
         ax, ay, az = zonal_accel((x, y_, z), model).tolist()
         return np.array((vx, vy, vz, ax, ay, az))
 
-    sol = solve_ivp(
-        rhs,
-        (times[0], times[-1]),
-        y0,
-        method="DOP853",
-        t_eval=times,
-        rtol=1e-12,
-        atol=1e-12,
-    )
-    if not sol.success:
-        state = describe(("x", "y", "z", "vx", "vy", "vz"), y0)
-        raise IntegrationError(
-            f"oracle integration failed: {sol.message}; initial state {state}; "
-            f"last time reached {float(sol.t[-1])!r}"
+    cart = y0[None, :]
+    if len(times) > 1:
+        sol = solve_ivp(
+            rhs,
+            (times[0], times[-1]),
+            y0,
+            method="DOP853",
+            t_eval=times,
+            rtol=1e-12,
+            atol=1e-12,
         )
-    cart = np.ascontiguousarray(sol.y.T)
+        if not sol.success:
+            state = describe(("x", "y", "z", "vx", "vy", "vz"), y0)
+            raise IntegrationError(
+                f"oracle integration failed: {sol.message}; initial state {state}; "
+                f"last time reached {float(sol.t[-1])!r}"
+            )
+        cart = np.ascontiguousarray(sol.y.T)
     r, v = cart[:, :3], cart[:, 3:]
     extras = {"energy": specific_energy(r, v, model), "hz": polar_angular_momentum(r, v)}
     return _ephemeris(times, cartesian_to_kep_batch(cart, model), cart, model, extras)
@@ -192,13 +198,10 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephe
 class CompareReport:
     """Pointwise differences between two ephemerides on one grid."""
 
-    t: np.ndarray
-    pos_err: np.ndarray
     max_pos_err: float
     rms_pos_err: float
     element_err: dict
     momenta_err: np.ndarray
-    momenta_ptp: np.ndarray
 
 
 def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
@@ -209,15 +212,11 @@ def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
     diff = eph_a.kep.rows - eph_b.kep.rows
     elem = dict(zip(("a", "e", "i"), diff[:, :3].T))
     elem.update(zip(("raan", "argp", "mean_anom"), ((diff[:, 3:] + np.pi) % (2.0 * np.pi) - np.pi).T))
-    dmom = eph_a.momenta() - eph_b.momenta()
     return CompareReport(
-        t=eph_a.t,
-        pos_err=pos_err,
         max_pos_err=float(pos_err.max()),
         rms_pos_err=float(np.sqrt(np.mean(pos_err**2))),
         element_err=elem,
-        momenta_err=dmom,
-        momenta_ptp=np.ptp(dmom, axis=0),
+        momenta_err=eph_a.momenta() - eph_b.momenta(),
     )
 
 

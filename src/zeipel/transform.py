@@ -51,6 +51,12 @@ def _per_column(fn, x, cols, why):
     return np.array(kept, dtype=int), tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
 
 
+def _map_error(why, state, step):
+    """MapError naming the reason, the input state (L, G, H, l, g, h) and the
+    last scaled Newton step (nan before the first)."""
+    return MapError(f"{why}; input {describe('LGHlgh', state)}; last scaled step {step:.3e}")
+
+
 def _eye(k):
     """(3, 3, k): one identity matrix per column."""
     return np.repeat(np.eye(3)[:, :, None], k, axis=2)
@@ -93,7 +99,6 @@ class CanonicalMap:
         if abs(model.j2) >= J2_GUARD:
             raise DomainError(f"|J2| = {abs(model.j2):.3e} exceeds the {J2_GUARD} guard")
         self.series = GeneratingSeries(model, order)
-        self.order = order
 
     # -- Newton driver --------------------------------------------------------
 
@@ -113,7 +118,7 @@ class CanonicalMap:
         n = x.shape[1]
         its = np.zeros(n, dtype=int)
         step = np.full(n, math.nan)
-        why = self._refusals(start)
+        why = [None] * n
         done = np.zeros(n, dtype=bool)
         for it in range(1, NEWTON_MAXITER + 1):
             cols = np.array([c for c in range(n) if not done[c] and why[c] is None], dtype=int)
@@ -139,21 +144,23 @@ class CanonicalMap:
         failed = [col for col, reason in enumerate(why) if reason is not None]
         if failed:
             col = failed[0]
-            raise MapError(f"{why[col]}; input {describe('LGHlgh', start[:, col])}; last scaled step {step[col]:.3e}")
+            raise _map_error(why[col], start[:, col], step[col])
         return out, its
 
-    def _refusals(self, start):
-        """Per column of `start`, the reason to refuse it, or None.  The
-        generator's momentum partials carry 1/e factors, so its J2 series in
-        Delaunay variables needs e above |J2| (R/a)^2, the size of the
-        eccentricity oscillation it describes."""
+    def _refuse(self, start):
+        """Raise MapError for the first column of `start` outside the map's
+        domain, before any generator is built.  The generator's momentum
+        partials carry 1/e factors, so its J2 series in Delaunay variables
+        needs e above |J2| (R/a)^2, the size of the eccentricity oscillation
+        it describes."""
         L, G = start[0], start[1]
         e = eccentricity_from_momenta(L, G)
         bound = abs(self.model.j2) * (self.model.R * self.model.mu / L**2) ** 2
-        return [
-            f"map left the admissible domain: e = {ek:.3e} is not above |J2| (R/a)^2 = {bk:.3e}" if ek <= bk else None
-            for ek, bk in zip(e, bound)
-        ]
+        bad = np.flatnonzero(e <= bound)
+        if bad.size:
+            col = bad[0]
+            why = f"map left the admissible domain: e = {e[col]:.3e} is not above |J2| (R/a)^2 = {bound[col]:.3e}"
+            raise _map_error(why, start[:, col], math.nan)
 
     # -- the map ------------------------------------------------------------
 
@@ -167,6 +174,8 @@ class CanonicalMap:
         Ps = np.repeat(P[:, None], Q.shape[1], axis=1)
         if self.model.j2 == 0.0:
             return Ps, Q.copy(), np.zeros(Q.shape[1], dtype=int)
+        start = np.vstack([Ps, Q])
+        self._refuse(start)
         generator = self.series.at(P)
 
         def system(q, cols):
@@ -180,7 +189,7 @@ class CanonicalMap:
             p[:2] += generator.derivatives(q[0], q[1])[1][3:]
             return p, q
 
-        (p, q), its = self._solve(system, Q, np.ones_like(Q), np.vstack([Ps, Q]), image)
+        (p, q), its = self._solve(system, Q, np.ones_like(Q), start, image)
         return p, q, its
 
     def osculating_to_mean_batch(self, p, q):
@@ -190,6 +199,8 @@ class CanonicalMap:
         q = np.asarray(q, dtype=float)
         if self.model.j2 == 0.0:
             return p.copy(), q.copy(), np.zeros(p.shape[1], dtype=int)
+        start = np.vstack([p, q])
+        self._refuse(start)
 
         def system(P, cols):
             qc = q[:, cols]
@@ -203,7 +214,7 @@ class CanonicalMap:
         def image(P, cols):
             return P, q[:, cols] + self.series.grad_P(P, q[:, cols])
 
-        (P, Q), its = self._solve(system, p, np.maximum(1.0, np.abs(p)), np.vstack([p, q]), image)
+        (P, Q), its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start, image)
         return P, Q, its
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):

@@ -481,26 +481,3 @@ class MonomialTable:
 
 _S1, _S2, _K2, _C2 = (MonomialTable(getattr(_secondorder, f"{n}_MONOMIALS")) for n in ("S1", "S2", "K2", "C2"))
 
-
-class MeanHamiltonian:
-    """K(P) = h0 + J2 k1 (+ J2^2 k2), J2 = model.j2, and its gradient."""
-
-    def __init__(self, model, order=2):
-        if order not in (1, 2):
-            raise DomainError("order must be 1 or 2")
-        self.model = model
-        self.order = order
-
-    def value(self, L, G, H):
-        mu, j2 = self.model.mu, self.model.j2
-        out = mu * mu / (2.0 * L * L) + j2 * k1(L, G, H, self.model)
-        if self.order == 2:
-            out += j2 * j2 * k2(L, G, H, self.model)
-        return out
-
-    def gradient(self, L, G, H):
-        j2 = self.model.j2
-        grad = np.array([dh0_dL(L, self.model), 0.0, 0.0]) + j2 * dk1(L, G, H, self.model)
-        if self.order == 2:
-            grad = grad + j2 * j2 * dk2(L, G, H, self.model)
-        return grad

@@ -158,6 +158,10 @@ def test_config_errors(tmp_path):
     assert run(["propagate", "--config", str(tmp_path / "missing.json")])[0] == 2
     cfg = write_config(tmp_path, {"grid": {"t0": 10.0, "t1": 5.0}}, "rev.json")
     assert run(["propagate", "--config", cfg])[0] == 2
+    # step > t1 - t0 leaves one sample: refused like count < 2, before any run
+    cfg = write_config(tmp_path, {"grid": {"t0": 0, "t1": 10, "step": 100}}, "step.json")
+    assert run(["propagate", "--oracle", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
+    assert not (tmp_path / "o").exists()
     cfg = write_config(tmp_path, {"grid": {"dt": 3.0}}, "key.json")
     assert run(["propagate", "--config", cfg])[0] == 2
     cfg = write_config(tmp_path, {"mystery": {}}, "sec.json")
@@ -229,8 +233,11 @@ def test_config_overrides_merge(tmp_path):
         RunConfig(step=-1.0).validate()
     with pytest.raises(UsageError):
         RunConfig(count=1).validate()
+    with pytest.raises(UsageError):
+        RunConfig(t0=0.0, t1=10.0, step=100.0).validate()
 
 
 def test_step_grid():
     cfg = RunConfig(t0=0.0, t1=10.0, step=2.5)
     assert np.allclose(cfg.times, [0.0, 2.5, 5.0, 7.5, 10.0])
+    assert RunConfig(t0=0.0, t1=10.0, step=10.0).validate().times.tolist() == [0.0, 10.0]

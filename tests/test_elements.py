@@ -18,7 +18,6 @@ from zeipel.elements import (
     delaunay_momenta,
     delaunay_to_kep,
     delaunay_to_kep_batch,
-    dnu_dl,
     eccentric_from_true,
     eccentricity_from_momenta,
     kep_to_cartesian,
@@ -133,15 +132,6 @@ def test_a_over_r_consistent_with_eccentric_radius():
     nu = true_from_eccentric(E, e)
     r_from_E = 1.0 - e * np.cos(E)
     assert_allclose(a_over_r(nu, e), 1.0 / r_from_E, rtol=1e-13)
-
-
-def test_dnu_dl_against_finite_difference():
-    e = 0.2
-    h = 1e-6
-    for l0 in (0.3, 1.7, 4.1):
-        nu0 = true_from_mean(l0, e)
-        fd = (true_from_mean(l0 + h, e) - true_from_mean(l0 - h, e)) / (2 * h)
-        assert dnu_dl(nu0, e) == pytest.approx(fd, rel=1e-8)
 
 
 def test_normalize_angle():

@@ -11,7 +11,6 @@ from zeipel.hamiltonian import (
     dh1_true,
     eccentricity_from_momenta,
     h0,
-    h1_mean,
     h1_periodic_true,
     h1_secular,
     h1_true,
@@ -23,6 +22,13 @@ from zeipel.hamiltonian import (
 )
 
 UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
+
+
+def h1_mean(L, G, H, l, g, model):
+    """First-order term as a function of the mean anomaly l."""
+    e = eccentricity_from_momenta(L, G)
+    nu = true_from_mean(l, e)
+    return h1_true(L, G, H, nu, g, model)
 
 
 def zonal_grad(r_vec, model):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import draw_states
+from conftest import UNIT
 from zeipel.elements import (
     EARTH,
     DelaunayState,
@@ -20,7 +20,7 @@ from zeipel.elements import (
     normalize_angle,
 )
 from zeipel import elements, propagator
-from zeipel.hamiltonian import polar_angular_momentum, specific_energy
+from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy
 from zeipel.transform import CanonicalMap
 from zeipel.errors import DomainError, IntegrationError, UsageError
 from zeipel.propagator import (
@@ -29,10 +29,9 @@ from zeipel.propagator import (
     mean_history,
     mean_rates,
     propagate_analytic,
-    propagate_mean,
     propagate_oracle,
 )
-from zeipel.vonzeipel import MeanHamiltonian
+from zeipel.vonzeipel import k1, k2
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,46 +79,39 @@ def test_rates_node_drift_antisymmetric_in_inclination():
         assert r_pro[1] == pytest.approx(r_ret[1], rel=1e-12)
 
 
-def test_rates_match_gradient_finite_difference():
-    L, G, H = delaunay_momenta(7000.0, 0.08, 0.9, EARTH)
-    K = MeanHamiltonian(EARTH, order=2)
-    r = mean_rates((L, G, H), EARTH)
+def richardson(fun, x, h):
+    d1 = (fun(x + h) - fun(x - h)) / (2 * h)
+    d2 = (fun(x + h / 2) - fun(x - h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
 
-    def richardson(fun, x, h):
-        d1 = (fun(x + h) - fun(x - h)) / (2 * h)
-        d2 = (fun(x + h / 2) - fun(x - h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
 
+EARTH_P = delaunay_momenta(7000.0, 0.08, 0.9, EARTH)
+
+
+@pytest.mark.parametrize(
+    "model, P, h",
+    [
+        pytest.param(UNIT, (1.2, 1.0, 0.4), (1e-5,) * 3, id="UNIT"),
+        pytest.param(EARTH, EARTH_P, tuple(1e-3 * abs(x) for x in EARTH_P), id="EARTH"),
+    ],
+)
+def test_rates_match_gradient_finite_difference(model, P, h):
+    # the rates are -dK/dP of K = h0 + J2 k1 + J2^2 k2
+    j2 = model.j2
+
+    def K(L, G, H):
+        return h0(L, model) + j2 * k1(L, G, H, model) + j2 * j2 * k2(L, G, H, model)
+
+    L, G, H = P
+    r = mean_rates(P, model)
     fd = -np.array(
         [
-            richardson(lambda x: K.value(x, G, H), L, 1e-3 * L),
-            richardson(lambda x: K.value(L, x, H), G, 1e-3 * G),
-            richardson(lambda x: K.value(L, G, x), H, 1e-3 * abs(H)),
+            richardson(lambda x: K(x, G, H), L, h[0]),
+            richardson(lambda x: K(L, x, H), G, h[1]),
+            richardson(lambda x: K(L, G, x), H, h[2]),
         ]
     )
     assert_allclose(r, fd, rtol=0, atol=1e-9 * np.abs(r).max())
-
-
-def test_propagate_mean_identity_and_additivity(rng):
-    st = draw_states(rng, 1)[0]
-    same = propagate_mean(st, 0.0, EARTH)
-    assert same.momenta.tolist() == st.momenta.tolist()
-    assert same.angles.tolist() == st.angles.tolist()
-
-    t1, t2 = 830.0, 2741.0
-    one = propagate_mean(st, t1 + t2, EARTH)
-    two = propagate_mean(propagate_mean(st, t1, EARTH), t2, EARTH)
-    assert one.momenta.tolist() == two.momenta.tolist()
-    assert np.abs(wrap(one.angles - two.angles)).max() < 1e-12
-
-
-def test_propagate_mean_period_return(rng):
-    st = draw_states(rng, 1)[0]
-    n = EARTH.mu**2 / st.L**3
-    T = TWO_PI / n
-    out = propagate_mean(st, T, EARTH.with_j2(0.0))
-    assert abs(wrap(out.l - st.l)) < 1e-12
-    assert out.g == st.g and out.h == st.h
 
 
 def test_analytic_zero_j2_matches_kepler():
@@ -306,7 +298,8 @@ def test_batched_map_matches_per_sample_calls(order):
         times = np.linspace(0.0, 3.0 * kepler_period(a, EARTH), 49)
         cm = CanonicalMap(EARTH, order=order)
         mean0 = cm.osculating_to_mean(kep_to_delaunay(el0, EARTH))
-        means = [propagate_mean(mean0, t, EARTH, order) for t in times]
+        rates = mean_rates(mean0.momenta, EARTH, order)
+        means = [DelaunayState(*mean0.momenta, *(mean0.angles + rates * t)) for t in times]
 
         eph = propagate_analytic(el0, times, EARTH, order)
         lone = [cm.mean_to_osculating(m, return_info=True) for m in means]
@@ -346,6 +339,35 @@ def test_compare_rejects_grid_mismatch():
     b = propagate_analytic(el0, np.linspace(0.0, 110.0, 5), EARTH)
     with pytest.raises(UsageError):
         compare(a, b)
+
+
+def test_one_sample_grid_is_the_initial_state_in_both_routes():
+    el0 = KeplerianElements(a=7000.0, e=0.02, i=0.7, raan=0.2, argp=0.9, mean_anom=0.4)
+    cs0 = kep_to_cartesian(el0, EARTH)
+    times = np.array([250.0])
+    oracle = propagate_oracle(cs0, times, EARTH)
+    analytic = propagate_analytic(el0, times, EARTH)
+    for eph in (oracle, analytic):
+        assert len(eph) == 1 and eph.t.tolist() == [250.0]
+        eph.validate(EARTH)
+    assert oracle.positions()[0].tolist() == cs0.r.tolist()
+    assert oracle.velocities()[0].tolist() == cs0.v.tolist()
+    # the analytic sample is the map's round trip of the initial state
+    assert compare(analytic, oracle).max_pos_err < 1e-6
+
+
+@pytest.mark.parametrize(
+    "times",
+    [np.array([]), np.zeros((2, 2)), np.array([0.0, 10.0, 10.0]), np.array([0.0, 10.0, 5.0])],
+    ids=["empty", "2-d", "repeated", "decreasing"],
+)
+def test_both_routes_refuse_a_bad_grid_at_entry(times):
+    el0 = KeplerianElements(a=7000.0, e=0.02, i=0.7, raan=0.2, argp=0.9, mean_anom=0.4)
+    cs0 = kep_to_cartesian(el0, EARTH)
+    with pytest.raises(DomainError, match="time grid"):
+        propagate_analytic(el0, times, EARTH)
+    with pytest.raises(DomainError, match="time grid"):
+        propagate_oracle(cs0, times, EARTH)
 
 
 def test_ephemeris_grid_validation():

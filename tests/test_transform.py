@@ -211,6 +211,10 @@ def test_near_circular_exit_is_map_error():
     e = 1e-7
     G = L * np.sqrt(1.0 - e * e)
     st = DelaunayState(L, G, G * np.cos(0.5), 0.3, 1.1, 2.0)
+    # below the generator's own e bound: refused before a generator is built
+    e = 1e-11
+    G = L * np.sqrt(1.0 - e * e)
+    tiny = DelaunayState(L, G, G * np.cos(0.5), 0.3, 1.1, 2.0)
     # e = 1e-3 is above the refusal bound, but the inverse Newton iterate
     # walks to e = 0 from this state
     walks = kep_to_delaunay(KeplerianElements(7000.0, 1e-3, 0.5, 0.3, 0.26, 0.1), EARTH)
@@ -225,6 +229,9 @@ def test_near_circular_exit_is_map_error():
     for bad, call in (
         (st, cm.osculating_to_mean),
         (st, cm.mean_to_osculating),
+        (tiny, cm.osculating_to_mean),
+        (tiny, cm.mean_to_osculating),
+        (tiny, batch),
         (st, batch),
         (walks, batch),
     ):

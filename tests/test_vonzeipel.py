@@ -17,10 +17,10 @@ from zeipel.hamiltonian import (
     h1_secular,
     h1_true,
 )
+from zeipel.propagator import mean_rates
 from zeipel.vonzeipel import (
     AveragingOperator,
     ClosedFormGenerator,
-    MeanHamiltonian,
     SecondOrderTables,
     dk1,
     dk2,
@@ -412,30 +412,13 @@ def test_tables_reject_degenerate_frequency():
 
 
 def test_mean_hamiltonian_orders():
-    with pytest.raises(DomainError):
-        MeanHamiltonian(UNIT, order=3)
-    K1 = MeanHamiltonian(UNIT, order=1)
-    K2m = MeanHamiltonian(UNIT, order=2)
+    # K = h0 + J2 k1 (+ J2^2 k2): order 3 is refused, and order 2 adds
+    # -J2^2 dk2 to the rates -dK/dP, up to the rounding of the rates
     L, G, H, j2 = 1.2, 1.0, 0.4, UNIT.j2
-    kepler = MeanHamiltonian(UNIT.with_j2(0.0), order=1)
-    assert kepler.value(L, G, H) == pytest.approx(UNIT.mu**2 / (2 * L * L), rel=1e-15)
-    assert K2m.value(L, G, H) - K1.value(L, G, H) == pytest.approx(
-        j2 * j2 * k2(L, G, H, UNIT), rel=1e-12
-    )
-
-
-def test_mean_hamiltonian_gradient_matches_finite_difference():
-    K = MeanHamiltonian(UNIT, order=2)
-    L, G, H = 1.2, 1.0, 0.4
-    grad = K.gradient(L, G, H)
-    fd = np.array(
-        [
-            richardson(lambda x: K.value(x, G, H), L, 1e-5),
-            richardson(lambda x: K.value(L, x, H), G, 1e-5),
-            richardson(lambda x: K.value(L, G, x), H, 1e-5),
-        ]
-    )
-    assert_allclose(grad, fd, rtol=0, atol=1e-9 * np.abs(grad).max())
+    with pytest.raises(DomainError):
+        mean_rates((L, G, H), UNIT, order=3)
+    r1, r2 = (mean_rates((L, G, H), UNIT, order=n) for n in (1, 2))
+    assert_allclose(r2 - r1, -j2 * j2 * dk2(L, G, H, UNIT), rtol=0, atol=np.finfo(float).eps * np.abs(r2).max())
 
 
 # -- closed-form generator ------------------------------------------------------
