@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
+from .domain import ORDERS
 from .elements import (
     CartesianState,
     DelaunayState,
@@ -84,8 +85,8 @@ class RunConfig:
             raise UsageError("grid count must be at least 2")
         if self.step is not None and len(self.times) < 2:
             raise UsageError("grid step must not exceed t1 - t0 (the grid needs at least 2 samples)")
-        if self.order not in (1, 2):
-            raise UsageError("order must be 1 or 2")
+        if self.order not in ORDERS:
+            raise UsageError(f"order must be one of {ORDERS}")
         return self
 
     @property
@@ -274,7 +275,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="zeipel", description=__doc__)
     p.add_argument("command", choices=["propagate", "compare", "verify", "elements"])
     p.add_argument("--config", help="JSON config path; defaults apply when omitted")
-    p.add_argument("--order", type=int, choices=[1, 2], help="theory order override")
+    p.add_argument("--order", type=int, choices=ORDERS, help="theory order override")
     p.add_argument("--oracle", action="store_true", help="also run the numerical oracle")
     p.add_argument("--out", help="output directory override")
     p.add_argument("--seed", type=int, help="random seed override")

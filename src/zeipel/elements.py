@@ -16,14 +16,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .domain import ANGLE_FLOOR
 from .errors import DomainError, SolverError, raise_first
 
 TWO_PI = 2.0 * math.pi
-
-# Delaunay angle conversions reject near-circular / near-equatorial states
-# where the pericenter or node angle is numerically undefined.
-ECC_MIN = 1e-8
-SIN_INC_MIN = 1e-8
 
 
 def normalize_angle(x):
@@ -259,8 +255,8 @@ def eccentricity_from_momenta(L, G):
 def _angle_guards(e, sin_i):
     """`raise_first` guards of the Delaunay angles g and h."""
     return (
-        (e < ECC_MIN, lambda k: f"e = {e[k]:.3e} below {ECC_MIN}, pericenter angle undefined"),
-        (sin_i < SIN_INC_MIN, lambda k: f"sin(i) = {sin_i[k]:.3e} below {SIN_INC_MIN}, node undefined"),
+        (e < ANGLE_FLOOR, lambda k: f"e = {e[k]:.3e} below {ANGLE_FLOOR}, pericenter angle undefined"),
+        (sin_i < ANGLE_FLOOR, lambda k: f"sin(i) = {sin_i[k]:.3e} below {ANGLE_FLOOR}, node undefined"),
     )
 
 

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .domain import GUARD_RADIUS, check_chart, inside_guard
 from .elements import a_over_r, eccentricity_from_momenta
 from .errors import DomainError, raise_first
 
@@ -63,8 +64,7 @@ def dh1_true(L, G, H, nu, g, model):
     """
     mu, R = model.mu, model.R
     e = eccentricity_from_momenta(L, G)
-    if np.any(e < 1e-12):
-        raise DomainError("dh1 momentum partials need e > 0 (chain rule has 1/e factors)")
+    check_chart(e)
     c = np.cos(nu)
     s = np.sin(nu)
     one = 1.0 - e * e
@@ -118,7 +118,7 @@ def zonal_potential(r_vec, model):
     `model.zonal`, at a position (3,) or at each row of an (N, 3) array."""
     r_vec = np.asarray(r_vec, dtype=float)
     r = np.linalg.norm(r_vec, axis=-1)
-    raise_first((np.atleast_1d(r <= model.R / 2.0), "position inside the central-body guard radius"))
+    raise_first((np.atleast_1d(r <= GUARD_RADIUS * model.R), lambda k: inside_guard("|r|", np.ravel(r)[k], model.R)))
     P, _ = legendre_upward(len(model.zonal) + 1, r_vec[..., 2] / r)
     U = 0.0 * r
     for n, Jn in enumerate(model.zonal, start=2):
@@ -137,8 +137,8 @@ def zonal_accel(r_vec, model):
     x, y, z = map(float, r_vec)
     mu, R, zonal = model.mu, model.R, model.zonal
     r = math.sqrt(x * x + y * y + z * z)
-    if r <= R / 2.0:
-        raise DomainError("position inside the central-body guard radius")
+    if r <= GUARD_RADIUS * R:
+        raise DomainError(inside_guard("|r|", r, R))
     s = z / r
     q = R / r
     scale = mu / (r * r) * q  # mu R^n / r^(n+2) at n = 1

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .domain import GUARD_RADIUS, ORDERS, inside_guard
 from .elements import (
     CartesianState,
     DelaunayState,
@@ -39,8 +40,8 @@ def mean_rates(P, model: PhysicalModel, order=2):
     J2 = model.j2, which depends on the momenta P alone; the momenta rates
     vanish.  The sign is anchored by the Kepler limit: J2 = 0 gives
     dl/dt = mu^2/L^3 = n > 0."""
-    if order not in (1, 2):
-        raise DomainError("order must be 1 or 2")
+    if order not in ORDERS:
+        raise DomainError(f"order must be one of {ORDERS}")
     L, G, H = float(P[0]), float(P[1]), float(P[2])
     j2 = model.j2
     grad = np.array([dh0_dL(L, model), 0.0, 0.0]) + j2 * dk1(L, G, H, model)
@@ -148,8 +149,12 @@ def _ephemeris(t, kep, cart, model, extras=None):
 def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2) -> Ephemeris:
     """Full analytic pipeline at the given theory order: one inverse map of
     the initial state, the mean flow over all times, and one forward map
-    of every sample, whose shared mean momenta need one generator."""
+    of every sample, whose shared mean momenta need one generator.  A
+    perigee at or inside the guard radius is refused at entry."""
     times = _grid(times)
+    perigee = osc0.a * (1.0 - osc0.e)
+    if perigee <= GUARD_RADIUS * model.R:
+        raise DomainError(inside_guard("perigee a(1 - e)", perigee, model.R))
     cmap = CanonicalMap(model, order=order)
     mean0 = cmap.osculating_to_mean(kep_to_delaunay(osc0, model))
     rates = mean_rates(mean0.momenta, model, order)

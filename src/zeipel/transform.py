@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vonzeipel as vz
+from .domain import CHAIN_FLOOR, ORDERS, check_j2, near_circular_bound
 from .elements import DelaunayState, PhysicalModel, eccentricity_from_momenta
 from .errors import DomainError, MapError, describe
 from .symplectic import generating_jacobian, symplectic_inverse
 
-J2_GUARD = 0.01
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 25
 
@@ -30,25 +30,6 @@ NEWTON_MAXITER = 25
 def momentum_scale(model: PhysicalModel) -> float:
     """sqrt(mu R): Delaunay momenta in these units are O(1) for low orbits."""
     return math.sqrt(model.mu * model.R)
-
-
-def _per_column(fn, x, cols, why):
-    """(cols, fn(x[:, cols], cols)), where fn returns arrays whose last axis
-    runs over the columns.  If fn raises DomainError, each column is tried
-    alone: those that raise get their reason in `why` and are dropped."""
-    try:
-        return cols, fn(x[:, cols], cols)
-    except DomainError:
-        pass
-    kept, parts = [], []
-    for col in cols:
-        one = np.array([col])
-        try:
-            parts.append(fn(x[:, one], one))
-            kept.append(col)
-        except DomainError as exc:
-            why[col] = f"map left the admissible domain: {exc}"
-    return np.array(kept, dtype=int), tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
 
 
 def _map_error(why, state, step):
@@ -70,8 +51,8 @@ class GeneratingSeries:
     order: int = 2
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise DomainError("order must be 1 or 2")
+        if self.order not in ORDERS:
+            raise DomainError(f"order must be one of {ORDERS}")
 
     def at(self, P):
         """J2*S1 (+ J2^2*S2) at momenta P: one 3-vector, or (3, N) columns."""
@@ -96,23 +77,23 @@ class CanonicalMap:
 
     def __init__(self, model: PhysicalModel, order=2):
         self.model = model
-        if abs(model.j2) >= J2_GUARD:
-            raise DomainError(f"|J2| = {abs(model.j2):.3e} exceeds the {J2_GUARD} guard")
+        check_j2(model.j2)
         self.series = GeneratingSeries(model, order)
 
     # -- Newton driver --------------------------------------------------------
 
-    def _solve(self, system, x0, scale, start, image):
+    def _solve(self, system, x0, scale, start):
         """Newton iteration for F(x) = 0 on the columns of x0, (3, N).
 
-        system(x, cols) returns F, (3, k), and dF/dx, (3, 3, k), at the
-        columns `cols` of the iterate; one batched solve takes every step.
-        A column stops at the step where its own scaled step first falls to
-        NEWTON_TOL, as a lone solve would, so its iterate and count do not
-        depend on the batch.  Returns (image(x, all columns), iterations per
-        column).  Any failure raises MapError naming the first failing
-        column's input state (its column of `start`) and its last scaled
-        step (nan before its first step).
+        system(x, cols) returns F, (3, k), dF/dx, (3, 3, k), and the momenta's
+        e, (k,), at the columns `cols` of the iterate; F is nan where e is
+        below CHAIN_FLOOR, the iterate having left the Delaunay chart.  One
+        batched solve takes every step.  A column stops at the step where its
+        own scaled step first falls to NEWTON_TOL, as a lone solve would, so
+        its iterate and count do not depend on the batch.  Returns x and the
+        iterations per column.  Any failure raises MapError naming the first
+        failing column's input state (its column of `start`) and its last
+        scaled step (nan before its first step).
         """
         x = x0.copy()
         n = x.shape[1]
@@ -124,13 +105,11 @@ class CanonicalMap:
             cols = np.array([c for c in range(n) if not done[c] and why[c] is None], dtype=int)
             if not cols.size:
                 break
-            cols, out = _per_column(system, x, cols, why)
-            if not cols.size:
-                continue
-            F, jac = out
+            F, jac, e = system(x[:, cols], cols)
             finite = np.isfinite(F).all(axis=0)
-            for col in cols[~finite]:
-                why[col] = "residual became non-finite"
+            for col, e_col in zip(cols[~finite], e[~finite]):
+                chart = f"iterate left the Delaunay chart: e = {e_col:.3e} below the chain-rule floor {CHAIN_FLOOR}"
+                why[col] = chart if e_col < CHAIN_FLOOR else "residual became non-finite"
             cols, F, jac = cols[finite], F[:, finite], jac[..., finite]
             x[:, cols] += np.linalg.solve(jac.transpose(2, 0, 1), -F.T[..., None])[..., 0].T
             step[cols] = np.abs(F / scale[:, cols]).max(axis=0)
@@ -139,23 +118,15 @@ class CanonicalMap:
         for col in range(n):
             if not done[col] and why[col] is None:
                 why[col] = f"no convergence in {NEWTON_MAXITER} iterations"
-        if all(reason is None for reason in why):
-            _, out = _per_column(image, x, np.arange(n), why)
-        failed = [col for col, reason in enumerate(why) if reason is not None]
-        if failed:
-            col = failed[0]
-            raise _map_error(why[col], start[:, col], step[col])
-        return out, its
+            if why[col] is not None:
+                raise _map_error(why[col], start[:, col], step[col])
+        return x, its
 
     def _refuse(self, start):
-        """Raise MapError for the first column of `start` outside the map's
-        domain, before any generator is built.  The generator's momentum
-        partials carry 1/e factors, so its J2 series in Delaunay variables
-        needs e above |J2| (R/a)^2, the size of the eccentricity oscillation
-        it describes."""
-        L, G = start[0], start[1]
-        e = eccentricity_from_momenta(L, G)
-        bound = abs(self.model.j2) * (self.model.R * self.model.mu / L**2) ** 2
+        """Raise MapError for the first column of `start` with e at or below
+        the near-circular bound, before any generator is built."""
+        e = eccentricity_from_momenta(start[0], start[1])
+        bound = near_circular_bound(start[0], self.model)
         bad = np.flatnonzero(e <= bound)
         if bad.size:
             col = bad[0]
@@ -171,10 +142,10 @@ class CanonicalMap:
         one generator serve every column and every step."""
         P = np.asarray(P, dtype=float)
         Q = np.asarray(Q, dtype=float)
-        Ps = np.repeat(P[:, None], Q.shape[1], axis=1)
+        p = np.repeat(P[:, None], Q.shape[1], axis=1)
         if self.model.j2 == 0.0:
-            return Ps, Q.copy(), np.zeros(Q.shape[1], dtype=int)
-        start = np.vstack([Ps, Q])
+            return p, Q.copy(), np.zeros(Q.shape[1], dtype=int)
+        start = np.vstack([p, Q])
         self._refuse(start)
         generator = self.series.at(P)
 
@@ -182,14 +153,10 @@ class CanonicalMap:
             _, grad, hess = generator.derivatives(q[0], q[1])
             jac = _eye(len(cols))
             jac[:, :2] += hess[:3, 3:]
-            return q + grad[:3] - Q[:, cols], jac
+            return q + grad[:3] - Q[:, cols], jac, generator.e.repeat(len(cols))
 
-        def image(q, cols):
-            p = Ps[:, cols]
-            p[:2] += generator.derivatives(q[0], q[1])[1][3:]
-            return p, q
-
-        (p, q), its = self._solve(system, Q, np.ones_like(Q), start, image)
+        q, its = self._solve(system, Q, np.ones_like(Q), start)
+        p[:2] += generator.derivatives(q[0], q[1])[1][3:]
         return p, q, its
 
     def osculating_to_mean_batch(self, p, q):
@@ -203,19 +170,19 @@ class CanonicalMap:
         self._refuse(start)
 
         def system(P, cols):
-            qc = q[:, cols]
-            _, grad, hess = self.series.at(P).derivatives(qc[0], qc[1])
-            F = P - p[:, cols]
-            F[:2] += grad[3:]
+            e = eccentricity_from_momenta(P[0], P[1])
+            inside = e >= CHAIN_FLOOR  # the generator is built on these columns only
+            qc = q[:, cols[inside]]
+            _, grad, hess = self.series.at(P[:, inside]).derivatives(qc[0], qc[1])
+            F = np.full_like(P, math.nan)
+            F[:, inside] = P[:, inside] - p[:, cols[inside]]
+            F[:2, inside] += grad[3:]
             jac = _eye(len(cols))
-            jac[:2] += hess[3:, :3]
-            return F, jac
+            jac[:2, :, inside] += hess[3:, :3]
+            return F, jac, e
 
-        def image(P, cols):
-            return P, q[:, cols] + self.series.grad_P(P, q[:, cols])
-
-        (P, Q), its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start, image)
-        return P, Q, its
+        P, its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start)
+        return P, q + self.series.grad_P(P, q), its
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from . import _secondorder
+from .domain import check_chart
 from .elements import a_over_r, true_from_mean
 from .errors import DegenerateFrequencyError, DomainError
 from .hamiltonian import (
@@ -89,11 +90,6 @@ def dk1(L, G, H, model):
     dG = f * (3.0 * G * G - 15.0 * H * H) / (L**3 * G**6)
     dH = 6.0 * f * H / (L**3 * G**5)
     return np.array([dL, dG, dH])
-
-
-def _check_ecc(e):
-    if np.any(np.asarray(e) < 1e-10):
-        raise DomainError("momentum partials need e > 0 (Delaunay chart degenerates)")
 
 
 def s1_true(L, G, H, nu, l, g, model):
@@ -183,7 +179,6 @@ def hbar_true(L, G, H, nu, g, model):
 
 def hbar(L, G, H, l, g, model):
     e = eccentricity_from_momenta(L, G)
-    _check_ecc(e)
     nu = true_from_mean(l, e)
     return hbar_true(L, G, H, nu, g, model)
 
@@ -206,7 +201,6 @@ def dk2(L, G, H, model):
 def k2_quadrature(L, G, H, model):
     """(l, g) average of the compositional cross term, dnu-weighted."""
     e = eccentricity_from_momenta(L, G)
-    _check_ecc(e)
     return torus_average_weighted(
         lambda NU, GG: hbar_true(L, G, H, NU, GG, model), float(e), 128, 64
     )
@@ -305,7 +299,6 @@ def second_order_tables(L, G, H, model):
     """Cached satellite-problem tables: source field is the compositional
     cross term, frequency is dh0/dL."""
     e = eccentricity_from_momenta(L, G)
-    _check_ecc(e)
 
     def field(LL, GGm):
         nu = true_from_mean(LL, float(e))
@@ -348,7 +341,7 @@ class ClosedFormGenerator:
     def __init__(self, L, G, H, model, weights):
         L, G, H = (np.reshape(np.asarray(x, dtype=float), -1) for x in (L, G, H))
         self.L, self.G, self.e = L, G, eccentricity_from_momenta(L, G)
-        _check_ecc(self.e)
+        check_chart(self.e)
         parts = [(weights[0] * model.mu**2 * model.R**2, _S1, _secondorder.S1_BASIS)]
         if weights[1]:
             parts.append((weights[1] * model.mu**4 * model.R**4, _S2, _secondorder.S2_BASIS))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zeipel.elements import EARTH, DelaunayState, PhysicalModel, delaunay_momenta
+
+# Every @given test draws the same examples on every run (derandomize implies
+# no example database), with hypothesis' default example counts.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
 

@@ -185,6 +185,15 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_perigee_inside_guard_radius_exits_with_usage_code(tmp_path, capsys):
+    # a = 3000 km, e = 0.01: propagate refuses it in the analytic route and
+    # compare --oracle in the oracle, each naming the guard radius
+    cfg = write_config(tmp_path, {"elements": {"a": 3000.0, "e": 0.01}, **SMALL_GRID})
+    for argv in (["propagate"], ["compare", "--oracle"]):
+        assert run([*argv, "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
+        assert "inside the guard radius R/2 = 3189.1 km" in capsys.readouterr().err
+
+
 def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):
     # JSON accepts NaN and Infinity: each is refused by its field name
     # before it reaches a solver or the output.

@@ -150,7 +150,7 @@ def test_dh1_against_finite_differences():
 
 
 def test_dh1_rejects_circular():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"e = 0\.000e\+00 below the chain-rule floor 1e-10$"):
         dh1_true(1.0, 1.0, 0.5, 0.3, 0.1, UNIT)
 
 
@@ -251,9 +251,12 @@ def test_higher_zonal_terms_enter():
 
 
 def test_guard_radius():
-    with pytest.raises(DomainError):
+    # each refusal gives |r| and the guard radius
+    with pytest.raises(DomainError, match=r"^sample 1: \|r\| = 2126\.0 km inside the guard radius R/2 = 3189\.1 km$"):
+        zonal_potential(np.array([[EARTH.R, 0.0, 0.0], [EARTH.R / 3.0, 0.0, 0.0]]), EARTH)
+    with pytest.raises(DomainError, match=r"^\|r\| = 2126\.0 km inside the guard radius R/2 = 3189\.1 km$"):
         zonal_potential(np.array([EARTH.R / 3.0, 0.0, 0.0]), EARTH)
-    with pytest.raises(DomainError, match="guard radius"):
+    with pytest.raises(DomainError, match=r"^\|r\| = 3189\.1 km inside the guard radius R/2 = 3189\.1 km$"):
         zonal_accel(np.array([0.0, EARTH.R / 2.0, 0.0]), EARTH)
 
 

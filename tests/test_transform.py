@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import draw_states
+from zeipel.domain import CHAIN_FLOOR
 from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
 from zeipel.errors import DomainError, MapError
 from zeipel.symplectic import block_identities, symplectic_residual
@@ -243,6 +246,12 @@ def test_near_circular_exit_is_map_error():
         for name in "LGH":
             assert f"{name}={float(getattr(good, name))!r}" not in str(failure.value)
         assert "last scaled step" in str(failure.value)
+        if bad is walks:
+            # the reason gives the iterate's e and the chain-rule floor
+            assert re.search(
+                rf"iterate left the Delaunay chart: e = \d\.\d{{3}}e[+-]\d+ below the chain-rule floor {CHAIN_FLOOR};",
+                str(failure.value),
+            )
 
 
 def test_displacement_prediction_matches_map(rng):

@@ -241,7 +241,7 @@ def test_ds1_dP_matches_finite_difference():
 
 
 def test_ds1_dP_rejects_circular():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"e = 0\.000e\+00 below the chain-rule floor 1e-10$"):
         ds1_dP(1.0, 1.0, 0.3, 0.5, 0.5, UNIT)
 
 
