@@ -149,26 +149,30 @@ def write_ephemeris_csv(path, eph):
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_propagate(cfg: RunConfig, oracle: bool, stdout):
+def _output_dir(cfg: RunConfig):
+    """The output directory, created once every result is in hand, so that
+    a refused or failed run leaves no directory and no partial output."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_propagate(cfg: RunConfig, oracle: bool, stdout):
     model = cfg.model
-    eph_a = propagate_analytic(cfg.elements, cfg.times, model, order=cfg.order)
-    write_ephemeris_csv(out / "analytic.csv", eph_a)
-    stdout.write(f"analytic ephemeris: {out / 'analytic.csv'} ({len(eph_a)} rows)\n")
+    ephs = {"analytic": propagate_analytic(cfg.elements, cfg.times, model, order=cfg.order)}
     if oracle:
-        cart0 = kep_to_cartesian(cfg.elements, model)
-        eph_o = propagate_oracle(cart0, cfg.times, model)
-        write_ephemeris_csv(out / "oracle.csv", eph_o)
-        stdout.write(f"oracle ephemeris: {out / 'oracle.csv'} ({len(eph_o)} rows)\n")
+        ephs["oracle"] = propagate_oracle(kep_to_cartesian(cfg.elements, model), cfg.times, model)
+    out = _output_dir(cfg)
+    for name, eph in ephs.items():
+        path = out / f"{name}.csv"
+        write_ephemeris_csv(path, eph)
+        stdout.write(f"{name} ephemeris: {path} ({len(eph)} rows)\n")
     return 0
 
 
 def cmd_compare(cfg: RunConfig, oracle: bool, stdout):
     if not oracle:
         raise UsageError("compare requires --oracle (nothing to compare against)")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     levels = checks.halving_study(cfg.elements, cfg.times, cfg.model, cfg.order)
     full = levels[0].report
     lines = [
@@ -186,7 +190,7 @@ def cmd_compare(cfg: RunConfig, oracle: bool, stdout):
         lines.append(" ".join(_fmt(x) for x in (ratio_pos, *(ptps[k] / ptps[k + 1]))))
 
     text = "\n".join(lines) + "\n"
-    (out / "compare.txt").write_text(text)
+    (_output_dir(cfg) / "compare.txt").write_text(text)
     stdout.write(text)
     return 0
 

@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .domain import GUARD_RADIUS, ORDERS, inside_guard
 from .elements import (
@@ -164,6 +163,13 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
     return _ephemeris(times, kep, kep_to_cartesian_batch(kep, model), model)
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy's `solve_ivp`, imported on call: only the oracle loads `scipy.integrate`."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
     """Adaptive high-order integration in the zonal field of `model.zonal`.
     The samples are converted as (N, 6) arrays: elements, energy and h_z.
@@ -210,7 +216,7 @@ class CompareReport:
 
 
 def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
-    if len(eph_a.t) != len(eph_b.t) or not np.allclose(eph_a.t, eph_b.t, rtol=0, atol=0):
+    if not np.array_equal(eph_a.t, eph_b.t):
         raise UsageError("ephemerides must share the time grid exactly")
     dr = eph_a.positions() - eph_b.positions()
     pos_err = np.linalg.norm(dr, axis=1)

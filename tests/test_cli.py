@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from zeipel import cli
+from zeipel import cli, propagator
 from zeipel.cli import CSV_HEADER, RunConfig, load_config, main
 from zeipel.errors import UsageError
 
@@ -187,11 +192,46 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
 
 def test_perigee_inside_guard_radius_exits_with_usage_code(tmp_path, capsys):
     # a = 3000 km, e = 0.01: propagate refuses it in the analytic route and
-    # compare --oracle in the oracle, each naming the guard radius
+    # compare --oracle in the oracle, each naming the guard radius and
+    # leaving no output directory behind
     cfg = write_config(tmp_path, {"elements": {"a": 3000.0, "e": 0.01}, **SMALL_GRID})
     for argv in (["propagate"], ["compare", "--oracle"]):
         assert run([*argv, "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
         assert "inside the guard radius R/2 = 3189.1 km" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_failed_oracle_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
+    # the analytic ephemeris is in hand when the oracle fails; it is not written
+    def failing_solve_ivp(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(success=False, message="step size became too small",
+                               t=np.array([t_span[0]]))
+
+    monkeypatch.setattr(propagator, "solve_ivp", failing_solve_ivp)
+    cfg = write_config(tmp_path, SMALL_GRID)
+    assert run(["propagate", "--oracle", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 3
+    assert "oracle integration failed" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "analytic.csv").exists()
+
+
+def test_only_the_oracle_loads_scipy_integrate(tmp_path):
+    # In a fresh interpreter: importing the CLI and an analytic propagate
+    # leave scipy.integrate unloaded; propagate --oracle loads it.
+    cfg = write_config(tmp_path, SMALL_GRID)
+    script = f"""
+import io, json, sys
+import zeipel.cli as cli
+loaded = ["scipy.integrate" in sys.modules]
+for extra in ([], ["--oracle"]):
+    argv = ["propagate", *extra, "--config", {cfg!r}, "--out", {str(tmp_path / "o")!r}]
+    assert cli.main(argv, stdout=io.StringIO()) == 0
+    loaded.append("scipy.integrate" in sys.modules)
+print(json.dumps(loaded))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [False, False, True]
 
 
 def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):
