@@ -127,7 +127,8 @@ def zonal_potential(r_vec, model):
 
 
 def zonal_accel(r_vec, model):
-    """Total acceleration at one position: Kepler term plus zonal perturbation.
+    """Total acceleration at one position, as a tuple of three floats: Kepler
+    term plus zonal perturbation.
 
     The oracle's right-hand side, so it runs on Python floats: the Legendre
     recurrence P_n, P_n' in s = z/r and the sum of
@@ -154,7 +155,7 @@ def zonal_accel(r_vec, model):
             radial -= Jn * scale * (s * dp + (n + 1) * p)
             polar += Jn * scale * dp
     c = -(mu / (r * r) + radial) / r
-    return np.array((c * x, c * y, c * z - polar))
+    return c * x, c * y, c * z - polar
 
 
 def specific_energy(r, v, model):

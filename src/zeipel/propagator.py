@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import GUARD_RADIUS, ORDERS, inside_guard
+from .dop853 import solve_ivp
 from .elements import (
     CartesianState,
     DelaunayState,
@@ -163,36 +164,22 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
     return _ephemeris(times, kep, kep_to_cartesian_batch(kep, model), model)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy's `solve_ivp`, imported on call: only the oracle loads `scipy.integrate`."""
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
-
-
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
-    """Adaptive high-order integration in the zonal field of `model.zonal`.
-    The samples are converted as (N, 6) arrays: elements, energy and h_z.
-    A one-sample grid is the initial state itself."""
+    """Adaptive high-order integration in the zonal field of `model.zonal`,
+    by `dop853.solve_ivp` on the six floats of the state.  The samples
+    are converted as (N, 6) arrays: elements, energy and h_z.  A
+    one-sample grid is the initial state itself."""
     times = _grid(times)
     y0 = np.concatenate([cart0.r, cart0.v])
 
     def rhs(_, y):
-        x, y_, z, vx, vy, vz = y.tolist()
-        ax, ay, az = zonal_accel((x, y_, z), model).tolist()
-        return np.array((vx, vy, vz, ax, ay, az))
+        x, y_, z, vx, vy, vz = y
+        ax, ay, az = zonal_accel((x, y_, z), model)
+        return vx, vy, vz, ax, ay, az
 
     cart = y0[None, :]
     if len(times) > 1:
-        sol = solve_ivp(
-            rhs,
-            (times[0], times[-1]),
-            y0,
-            method="DOP853",
-            t_eval=times,
-            rtol=1e-12,
-            atol=1e-12,
-        )
+        sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times, rtol=1e-12, atol=1e-12)
         if not sol.success:
             state = describe(("x", "y", "z", "vx", "vy", "vz"), y0)
             raise IntegrationError(

@@ -214,24 +214,24 @@ def test_failed_oracle_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o" / "analytic.csv").exists()
 
 
-def test_only_the_oracle_loads_scipy_integrate(tmp_path):
-    # In a fresh interpreter: importing the CLI and an analytic propagate
-    # leave scipy.integrate unloaded; propagate --oracle loads it.
+def test_no_command_loads_scipy_integrate(tmp_path):
+    # In a fresh interpreter: no command loads scipy.integrate, the oracle's
+    # included, while the same probe sees scipy.sparse, which the map loads.
     cfg = write_config(tmp_path, SMALL_GRID)
+    out = tmp_path / "o"
     script = f"""
 import io, json, sys
 import zeipel.cli as cli
-loaded = ["scipy.integrate" in sys.modules]
-for extra in ([], ["--oracle"]):
-    argv = ["propagate", *extra, "--config", {cfg!r}, "--out", {str(tmp_path / "o")!r}]
-    assert cli.main(argv, stdout=io.StringIO()) == 0
-    loaded.append("scipy.integrate" in sys.modules)
-print(json.dumps(loaded))
+for argv in (["propagate"], ["propagate", "--oracle"], ["compare", "--oracle"], ["verify"],
+             ["elements", "--direction", "kep_to_cartesian"]):
+    assert cli.main([*argv, "--config", {cfg!r}, "--out", {str(out)!r}], stdout=io.StringIO()) == 0
+print(json.dumps([name in sys.modules for name in ("scipy.integrate", "scipy.sparse")]))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == [False, False, True]
+    assert json.loads(done.stdout) == [False, True]
+    assert (out / "oracle.csv").is_file()
 
 
 def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from zeipel.elements import (
     normalize_angle,
 )
 from zeipel import elements, propagator
-from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy
+from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy, zonal_accel
 from zeipel.transform import CanonicalMap
 from zeipel.errors import DomainError, IntegrationError, UsageError
 from zeipel.propagator import (
@@ -231,6 +232,27 @@ def test_oracle_failure_names_state_and_last_time(monkeypatch):
     for name, x in zip(("x", "y", "z", "vx", "vy", "vz"), np.concatenate([cs0.r, cs0.v])):
         assert f"{name}={float(x)!r}" in message
     assert "last time reached 1234.5" in message
+
+
+def test_oracle_field_gone_nan_fails_fast_through_the_integrator(monkeypatch):
+    # The field turns NaN after 500 evaluations: every later step is
+    # rejected until it falls below the minimum step, and the failure names
+    # the last time the integrator reached.
+    el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
+    calls = []
+
+    def field(r_vec, model):
+        calls.append(None)
+        return (np.nan,) * 3 if len(calls) > 500 else zonal_accel(r_vec, model)
+
+    monkeypatch.setattr(propagator, "zonal_accel", field)
+    t1 = 2.0 * kepler_period(el0.a, EARTH)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="Required step size is less than spacing") as failure:
+        propagate_oracle(kep_to_cartesian(el0, EARTH), np.linspace(0.0, t1, 41), EARTH)
+    assert time.perf_counter() - start < 1.0
+    last = float(str(failure.value).rsplit("last time reached ", 1)[1])
+    assert 0.0 < last < t1
 
 
 def test_oracle_zero_zonal_terms_change_nothing():
