@@ -87,6 +87,8 @@ class RunConfig:
             raise UsageError("grid step must not exceed t1 - t0 (the grid needs at least 2 samples)")
         if self.order not in ORDERS:
             raise UsageError(f"order must be one of {ORDERS}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
         return self
 
     @property
@@ -153,7 +155,10 @@ def _output_dir(cfg: RunConfig):
     """The output directory, created once every result is in hand, so that
     a refused or failed run leaves no directory and no partial output."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {cfg.out_dir}: {exc.strerror}") from exc
     return out
 
 

@@ -198,8 +198,6 @@ class CompareReport:
 
     max_pos_err: float
     rms_pos_err: float
-    element_err: dict
-    momenta_err: np.ndarray
 
 
 def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
@@ -207,15 +205,7 @@ def compare(eph_a: Ephemeris, eph_b: Ephemeris) -> CompareReport:
         raise UsageError("ephemerides must share the time grid exactly")
     dr = eph_a.positions() - eph_b.positions()
     pos_err = np.linalg.norm(dr, axis=1)
-    diff = eph_a.kep.rows - eph_b.kep.rows
-    elem = dict(zip(("a", "e", "i"), diff[:, :3].T))
-    elem.update(zip(("raan", "argp", "mean_anom"), ((diff[:, 3:] + np.pi) % (2.0 * np.pi) - np.pi).T))
-    return CompareReport(
-        max_pos_err=float(pos_err.max()),
-        rms_pos_err=float(np.sqrt(np.mean(pos_err**2))),
-        element_err=elem,
-        momenta_err=eph_a.momenta() - eph_b.momenta(),
-    )
+    return CompareReport(max_pos_err=float(pos_err.max()), rms_pos_err=float(np.sqrt(np.mean(pos_err**2))))
 
 
 def mean_history(eph: Ephemeris, model: PhysicalModel, order=2):

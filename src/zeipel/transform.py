@@ -85,12 +85,13 @@ class CanonicalMap:
     def _solve(self, system, x0, scale, start):
         """Newton iteration for F(x) = 0 on the columns of x0, (3, N).
 
-        system(x, cols) returns F, (3, k), dF/dx, (3, 3, k), and the momenta's
-        e, (k,), at the columns `cols` of the iterate; F is nan where e is
-        below CHAIN_FLOOR, the iterate having left the Delaunay chart.  One
-        batched solve takes every step.  A column stops at the step where its
-        own scaled step first falls to NEWTON_TOL, as a lone solve would, so
-        its iterate and count do not depend on the batch.  Returns x and the
+        system(x, run) gets the whole iterate and the (N,) mask of running
+        columns, and returns F, (3, N), dF/dx, (3, 3, N), and the momenta's
+        e, broadcasting to (N,), valid on the `run` columns; F is nan where e
+        is below CHAIN_FLOOR, the iterate having left the Delaunay chart.  One
+        batched solve steps the running columns; a column stops when its own
+        scaled step first falls to NEWTON_TOL, as a lone solve would, so its
+        iterate and count do not depend on the batch.  Returns x and the
         iterations per column.  Any failure raises MapError naming the first
         failing column's input state (its column of `start`) and its last
         scaled step (nan before its first step).
@@ -98,28 +99,27 @@ class CanonicalMap:
         x = x0.copy()
         n = x.shape[1]
         its = np.zeros(n, dtype=int)
-        step = np.full(n, math.nan)
-        why = [None] * n
-        done = np.zeros(n, dtype=bool)
+        step, e_broke = np.full((2, n), math.nan)
+        run, broke = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)  # broke: F non-finite
         for it in range(1, NEWTON_MAXITER + 1):
-            cols = np.array([c for c in range(n) if not done[c] and why[c] is None], dtype=int)
-            if not cols.size:
+            if not run.any():
                 break
-            F, jac, e = system(x[:, cols], cols)
-            finite = np.isfinite(F).all(axis=0)
-            for col, e_col in zip(cols[~finite], e[~finite]):
-                chart = f"iterate left the Delaunay chart: e = {e_col:.3e} below the chain-rule floor {CHAIN_FLOOR}"
-                why[col] = chart if e_col < CHAIN_FLOOR else "residual became non-finite"
-            cols, F, jac = cols[finite], F[:, finite], jac[..., finite]
-            x[:, cols] += np.linalg.solve(jac.transpose(2, 0, 1), -F.T[..., None])[..., 0].T
-            step[cols] = np.abs(F / scale[:, cols]).max(axis=0)
-            its[cols] = it
-            done[cols] = step[cols] <= NEWTON_TOL
-        for col in range(n):
-            if not done[col] and why[col] is None:
-                why[col] = f"no convergence in {NEWTON_MAXITER} iterations"
-            if why[col] is not None:
-                raise _map_error(why[col], start[:, col], step[col])
+            F, jac, e = system(x, run)
+            bad = run & ~np.isfinite(F).all(axis=0)
+            broke |= bad
+            e_broke[bad] = np.broadcast_to(e, n)[bad]
+            run &= ~bad
+            x[:, run] += np.linalg.solve(jac[..., run].transpose(2, 0, 1), -F[:, run].T[..., None])[..., 0].T
+            step[run] = np.abs(F[:, run] / scale[:, run]).max(axis=0)
+            its[run] = it
+            run &= step > NEWTON_TOL
+        for col in np.flatnonzero(broke | run)[:1]:
+            why = f"no convergence in {NEWTON_MAXITER} iterations"
+            if e_broke[col] < CHAIN_FLOOR:
+                why = f"iterate left the Delaunay chart: e = {e_broke[col]:.3e} below the chain-rule floor {CHAIN_FLOOR}"
+            elif broke[col]:
+                why = "residual became non-finite"
+            raise _map_error(why, start[:, col], step[col])
         return x, its
 
     def _refuse(self, start):
@@ -137,23 +137,23 @@ class CanonicalMap:
 
     def mean_to_osculating_batch(self, P, Q):
         """Osculating momenta and angles, both (3, N), and the Newton
-        iterations of each column, for mean momenta P, one 3-vector shared
-        by every column, and mean angles Q, (3, N).  The shared momenta let
-        one generator serve every column and every step."""
-        P = np.asarray(P, dtype=float)
+        iterations of each column, for mean momenta P and mean angles Q,
+        (3, N).  P is (3, N), one column per sample, or one 3-vector shared
+        by every column; either way one generator serves every step."""
+        P = np.asarray(P, dtype=float).reshape(3, -1)
         Q = np.asarray(Q, dtype=float)
-        p = np.repeat(P[:, None], Q.shape[1], axis=1)
+        p = np.broadcast_to(P, Q.shape).copy()
         if self.model.j2 == 0.0:
             return p, Q.copy(), np.zeros(Q.shape[1], dtype=int)
         start = np.vstack([p, Q])
         self._refuse(start)
         generator = self.series.at(P)
 
-        def system(q, cols):
+        def system(q, run):
             _, grad, hess = generator.derivatives(q[0], q[1])
-            jac = _eye(len(cols))
+            jac = _eye(q.shape[1])
             jac[:, :2] += hess[:3, 3:]
-            return q + grad[:3] - Q[:, cols], jac, generator.e.repeat(len(cols))
+            return q + grad[:3] - Q, jac, generator.e
 
         q, its = self._solve(system, Q, np.ones_like(Q), start)
         p[:2] += generator.derivatives(q[0], q[1])[1][3:]
@@ -169,16 +169,15 @@ class CanonicalMap:
         start = np.vstack([p, q])
         self._refuse(start)
 
-        def system(P, cols):
+        def system(P, run):
             e = eccentricity_from_momenta(P[0], P[1])
-            inside = e >= CHAIN_FLOOR  # the generator is built on these columns only
-            qc = q[:, cols[inside]]
-            _, grad, hess = self.series.at(P[:, inside]).derivatives(qc[0], qc[1])
+            live = run & (e >= CHAIN_FLOOR)  # the generator is built on these columns only
+            _, grad, hess = self.series.at(P[:, live]).derivatives(q[0, live], q[1, live])
             F = np.full_like(P, math.nan)
-            F[:, inside] = P[:, inside] - p[:, cols[inside]]
-            F[:2, inside] += grad[3:]
-            jac = _eye(len(cols))
-            jac[:2, :, inside] += hess[3:, :3]
+            F[:, live] = P[:, live] - p[:, live]
+            F[:2, live] += grad[3:]
+            jac = _eye(P.shape[1])
+            jac[:2, :, live] += hess[3:, :3]
             return F, jac, e
 
         P, its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start)

@@ -156,7 +156,7 @@ def test_elements_unknown_direction():
     assert rc == 2  # needs --state
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert run(["propagate", "--config", str(bad)])[0] == 2
@@ -174,6 +174,11 @@ def test_config_errors(tmp_path):
     # the oracle sums the model's zonal degrees; there is no degree key
     cfg = write_config(tmp_path, {"run": {"oracle_nmax": 3}}, "nmax.json")
     assert run(["propagate", "--config", cfg])[0] == 2
+    # a negative seed is refused by name, from the command line or a config
+    cfg = write_config(tmp_path, {"run": {"seed": -1}}, "seed.json")
+    for argv in (["verify", "--seed", "-1"], ["verify", "--config", cfg]):
+        assert run(argv)[0] == 2
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_with_usage_code(capsys):
@@ -199,6 +204,20 @@ def test_perigee_inside_guard_radius_exits_with_usage_code(tmp_path, capsys):
         assert run([*argv, "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
         assert "inside the guard radius R/2 = 3189.1 km" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file_exits_with_usage_code(tmp_path, capsys):
+    # --out naming an existing file, or a path under one, is refused by name
+    # once the results are in hand; the file is left as it was
+    cfg = write_config(tmp_path, SMALL_GRID)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    for argv in (["propagate"], ["compare", "--oracle"]):
+        for out in (blocker, blocker / "sub"):
+            assert run([*argv, "--config", cfg, "--out", str(out)])[0] == 2
+            assert f"error: cannot create output directory {out}: " in capsys.readouterr().err
+    assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "cfg.json"]
 
 
 def test_failed_oracle_leaves_no_partial_output(tmp_path, monkeypatch, capsys):

@@ -58,12 +58,26 @@ def test_round_trips(rng):
         assert np.abs(wrap(fwd.angles - st.angles)).max() < 1e-9
 
 
+def test_forward_batch_takes_one_momentum_column_per_state(rng):
+    # states drawn across the domain, mapped forward as one batch: each
+    # column is its lone call's result, with the lone call's iteration count
+    cm = CanonicalMap(EARTH)
+    states = draw_states(rng, 20)
+    cols = np.array([(*s.momenta, *s.angles) for s in states]).T
+    p, q, its = cm.mean_to_osculating_batch(cols[:3], cols[3:])
+    lone = [cm.mean_to_osculating(s, return_info=True) for s in states]
+    assert_allclose(p.T, [o.momenta for o, _ in lone], rtol=1e-12, atol=0)
+    assert np.abs(wrap(q.T - [o.angles for o, _ in lone])).max() <= 1e-12
+    assert its.tolist() == [info["iterations"] for _, info in lone]
+
+
 def test_zero_column_batches(rng):
     # both directions map no columns to no columns
     cm = CanonicalMap(EARTH)
     empty = np.zeros((3, 0))
     for out in (
         cm.mean_to_osculating_batch(draw_states(rng, 1)[0].momenta, empty),
+        cm.mean_to_osculating_batch(empty, empty),
         cm.osculating_to_mean_batch(empty, empty),
     ):
         assert [x.shape for x in out] == [(3, 0), (3, 0), (0,)]
@@ -224,10 +238,14 @@ def test_near_circular_exit_is_map_error():
     good = kep_to_delaunay(KeplerianElements(7200.0, 0.05, 0.6, 0.3, 1.1, 2.0), EARTH)
     cm = CanonicalMap(EARTH)
 
-    def batch(bad):
+    def batch(bad, solve=cm.osculating_to_mean_batch):
         # a three-column batch whose middle column alone fails
         cols = np.array([(*s.momenta, *s.angles) for s in (good, bad, good)]).T
-        return cm.osculating_to_mean_batch(cols[:3], cols[3:])
+        return solve(cols[:3], cols[3:])
+
+    def forward(bad):
+        # the same batch mapped forward, one momentum column per state
+        return batch(bad, cm.mean_to_osculating_batch)
 
     for bad, call in (
         (st, cm.osculating_to_mean),
@@ -237,6 +255,8 @@ def test_near_circular_exit_is_map_error():
         (tiny, batch),
         (st, batch),
         (walks, batch),
+        (tiny, forward),
+        (st, forward),
     ):
         with pytest.raises(MapError) as failure:
             call(bad)
