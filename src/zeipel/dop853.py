@@ -4,8 +4,10 @@ The oracle's integrator: the method of scipy's `solve_ivp(method="DOP853")`
 (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.5 and §II.10), with its
 tableau, initial step, error norm, step-size rule and 7th-order dense
 output, but with the stage sums written out over the six components of
-the state instead of numpy work on 6-element arrays at each stage.  scipy's
-`solve_ivp` stays the test reference.  Integration runs forward only.
+the state instead of numpy work on 6-element arrays at each stage: the
+sums of a step and of its dense output are emitted from the tableau as
+Python source at import.  scipy's `solve_ivp` stays the test reference.
+Integration runs forward only.
 """
 
 from __future__ import annotations
@@ -240,25 +242,58 @@ class Solution:
     message: str
 
 
-def _dot(K, row):
-    """sum_j a_j K[j] over the (j, a_j) of `row`, one sum per component."""
-    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    for j, a in row:
-        k0, k1, k2, k3, k4, k5 = K[j]
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-        s3 += a * k3
-        s4 += a * k4
-        s5 += a * k5
-    return s0, s1, s2, s3, s4, s5
+# The stage sums, written out once at import from the tableau above: each
+# sum_j a_j K[j] over the (j, a_j) of a row becomes one expression per
+# component, its terms added left to right in column order, as a loop over
+# the row adds them, and K[j][c] is the local `kj_c`.  A loop that starts
+# from 0.0 differs only in the sign of a sum whose terms are all zero, which
+# changes no sample and no step when the initial state holds no -0.0.
 
 
-def _advance(y, K, row, h):
-    """y + h sum_j a_j K[j]: the state at which a stage is evaluated."""
-    s0, s1, s2, s3, s4, s5 = _dot(K, row)
-    y0, y1, y2, y3, y4, y5 = y
-    return y0 + s0 * h, y1 + s1 * h, y2 + s2 * h, y3 + s3 * h, y4 + s4 * h, y5 + s5 * h
+def _sum(row, c):
+    return " + ".join(f"{a!r} * k{j}_{c}" for j, a in row)
+
+
+def _state(row):
+    """y + (sum_j a_j K[j]) h: the state at which a stage is evaluated."""
+    return "(" + "".join(f"y{c} + ({_sum(row, c)}) * h, " for c in range(6)) + ")"
+
+
+def _sums(rows, scale=""):
+    """One tuple of the six component sums per row, each times `scale`."""
+    return "".join("(" + "".join(f"{scale}({_sum(row, c)}), " for c in range(6)) + "), " for row in rows)
+
+
+def _unpack(j):
+    return f"    {', '.join(f'k{j}_{c}' for c in range(6))} = k{j}\n"
+
+
+def _stages(stages):
+    """Evaluate each stage s at t + C[s] h and unpack it."""
+    return "".join(f"    k{s} = fun(t + {C[s]!r} * h, {_state(A[s])})\n" + _unpack(s) for s in stages)
+
+
+_K = ", ".join(f"k{j}" for j in range(N_STAGES + 1))
+_SOURCE = (
+    # (y_new, K, E3 sums, E5 sums) of one step of size h from (t, y), with
+    # K[0] = f(t, y) and K[12] = f(t + h, y_new)
+    "def _step(fun, t, h, y, k0):\n"
+    "    y0, y1, y2, y3, y4, y5 = y\n"
+    + _unpack(0)
+    + _stages(range(1, N_STAGES))
+    + f"    y_new = {_state(B)}\n"
+    f"    k{N_STAGES} = fun(t + h, y_new)\n"
+    f"    return y_new, ({_K}), {_sums((E3, E5))}\n"
+    # h sum_j d_j K[j] for each dense-output row of D, after the three
+    # stages that extend the K of a step from (t, y) to the 16 that D spans
+    "def _dense_rows(fun, t, h, y, K):\n"
+    "    y0, y1, y2, y3, y4, y5 = y\n"
+    f"    {_K} = K\n"
+    + "".join(_unpack(j) for j in range(N_STAGES + 1))
+    + _stages(range(N_STAGES + 1, len(C)))
+    + f"    return ({_sums(D, 'h * ')})\n"
+)
+exec(compile(_SOURCE, "<dop853 stage sums>", "exec"))
 
 
 def _rms(v):
@@ -284,16 +319,15 @@ def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
 
 def _dense(fun, t, h, y_old, y, f_old, f, K):
     """Coefficients F0..F6 of the 7th-order interpolant on the step from
-    (t, y_old) to (t + h, y), after three more stages appended to K."""
-    for s in range(N_STAGES + 1, len(C)):
-        K.append(fun(t + C[s] * h, _advance(y_old, K, A[s], h)))
+    (t, y_old) to (t + h, y), whose stages are K; three more stages are
+    evaluated for the rows F3..F6."""
     dy = tuple(b - a for a, b in zip(y_old, y))
     F = [
         dy,
         tuple(h * g - d for g, d in zip(f_old, dy)),
         tuple(2 * d - h * (g + g_old) for d, g, g_old in zip(dy, f, f_old)),
     ]
-    F += [tuple(h * s for s in _dot(K, row)) for row in D]
+    F += _dense_rows(fun, t, h, y_old, K)
     return F
 
 
@@ -333,15 +367,11 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
                 return Solution(np.array(ts), np.array(ys).T, nfev, False, TOO_SMALL_STEP)
             t_new = min(t + size, t1)
             size = h = t_new - t
-            K = [f]
-            for s in range(1, N_STAGES):
-                K.append(fun(t + C[s] * h, _advance(y, K, A[s], h)))
-            y_new = _advance(y, K, B, h)
-            f_new = fun(t + h, y_new)
-            K.append(f_new)
+            y_new, K, e3, e5 = _step(fun, t, h, y, f)
+            f_new = K[N_STAGES]
             nfev += N_STAGES
             n3 = n5 = 0.0
-            for a, b, w3, w5 in zip(y, y_new, _dot(K, E3), _dot(K, E5)):
+            for a, b, w3, w5 in zip(y, y_new, e3, e5):
                 scale = atol + max(abs(a), abs(b)) * rtol
                 w3 /= scale
                 w5 /= scale

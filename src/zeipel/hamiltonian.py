@@ -5,8 +5,8 @@ functions here evaluate the series coefficients, so the small parameter J2 is
 NOT included in h1 or its derivatives.  The zonal field at the bottom does
 include the physical Jn, one per degree of `model.zonal`; a shorter `zonal`
 truncates it.  It feeds the independent Cartesian oracle and shares no code
-with the series evaluators: the acceleration, the oracle's right-hand side, is
-a kernel on Python floats with its own Legendre recurrence, and the potential,
+with the series evaluators: the oracle's right-hand side `zonal_rhs` is a
+kernel on Python floats with its own Legendre recurrence, and the potential,
 energy and h_z take one state or N as arrays.
 """
 
@@ -126,36 +126,53 @@ def zonal_potential(r_vec, model):
     return U
 
 
-def zonal_accel(r_vec, model):
-    """Total acceleration at one position, as a tuple of three floats: Kepler
-    term plus zonal perturbation.
+def zonal_rhs(model):
+    """The oracle's right-hand side rhs(t, state) -> (v, a) of the zonal
+    field of `model`, on six Python floats (x, y, z, vx, vy, vz); the model
+    is bound once, not looked up per call.
 
-    The oracle's right-hand side, so it runs on Python floats: the Legendre
-    recurrence P_n, P_n' in s = z/r and the sum of
+    The acceleration is the Kepler term plus the zonal perturbation: the
+    Legendre recurrence P_n, P_n' in s = z/r and the sum of
     grad U_n = mu Jn R^n / r^(n+2) * (P_n' (z_hat - s r_hat) - (n+1) P_n r_hat)
     collapse into one coefficient of r_vec and one of z_hat.
     """
+    mu, R = float(model.mu), float(model.R)
+    guard = GUARD_RADIUS * R
+    # (n, Jn) with the recurrence's small integers as floats, which they
+    # equal exactly
+    degrees = tuple((float(n), float(2 * n - 1), float(n - 1), float(n + 1), Jn)
+                    for n, Jn in enumerate(model.zonal, start=2))
+
+    def rhs(_, state):
+        x, y, z, vx, vy, vz = state
+        r = math.sqrt(x * x + y * y + z * z)
+        if r <= guard:
+            raise DomainError(inside_guard("|r|", r, R))
+        s = z / r
+        q = R / r
+        scale = mu / (r * r) * q  # mu R^n / r^(n+2) at n = 1
+        p_prev, p = 1.0, s  # P_{n-2}, P_{n-1}
+        dp_prev, dp = 0.0, 1.0
+        radial = 0.0  # sum of Jn scale_n (-s P_n' - (n+1) P_n), coefficient of r_hat
+        polar = 0.0  # sum of Jn scale_n P_n', coefficient of z_hat
+        for n, odd, n_1, n1, Jn in degrees:  # n, 2n - 1, n - 1, n + 1, Jn
+            p_prev, p = p, (odd * s * p - n_1 * p_prev) / n
+            dp_prev, dp = dp, dp_prev + odd * p_prev
+            scale *= q
+            if Jn != 0.0:
+                radial -= Jn * scale * (s * dp + n1 * p)
+                polar += Jn * scale * dp
+        c = -(mu / (r * r) + radial) / r
+        return vx, vy, vz, c * x, c * y, c * z - polar
+
+    return rhs
+
+
+def zonal_accel(r_vec, model):
+    """Total acceleration at one position, as a tuple of three floats:
+    the acceleration part of `zonal_rhs(model)`."""
     x, y, z = map(float, r_vec)
-    mu, R, zonal = model.mu, model.R, model.zonal
-    r = math.sqrt(x * x + y * y + z * z)
-    if r <= GUARD_RADIUS * R:
-        raise DomainError(inside_guard("|r|", r, R))
-    s = z / r
-    q = R / r
-    scale = mu / (r * r) * q  # mu R^n / r^(n+2) at n = 1
-    p_prev, p = 1.0, s  # P_{n-2}, P_{n-1}
-    dp_prev, dp = 0.0, 1.0
-    radial = 0.0  # sum of Jn scale_n (-s P_n' - (n+1) P_n), coefficient of r_hat
-    polar = 0.0  # sum of Jn scale_n P_n', coefficient of z_hat
-    for n, Jn in enumerate(zonal, start=2):
-        p_prev, p = p, ((2 * n - 1) * s * p - (n - 1) * p_prev) / n
-        dp_prev, dp = dp, dp_prev + (2 * n - 1) * p_prev
-        scale *= q
-        if Jn != 0.0:
-            radial -= Jn * scale * (s * dp + (n + 1) * p)
-            polar += Jn * scale * dp
-    c = -(mu / (r * r) + radial) / r
-    return c * x, c * y, c * z - polar
+    return zonal_rhs(model)(0.0, (x, y, z, 0.0, 0.0, 0.0))[3:]
 
 
 def specific_energy(r, v, model):

@@ -29,7 +29,7 @@ from .elements import (
     normalize_angle,
 )
 from .errors import DomainError, IntegrationError, UsageError, describe
-from .hamiltonian import dh0_dL, polar_angular_momentum, specific_energy, zonal_accel
+from .hamiltonian import dh0_dL, polar_angular_momentum, specific_energy, zonal_rhs
 from .transform import CanonicalMap
 from .vonzeipel import dk1, dk2
 
@@ -171,15 +171,9 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephe
     one-sample grid is the initial state itself."""
     times = _grid(times)
     y0 = np.concatenate([cart0.r, cart0.v])
-
-    def rhs(_, y):
-        x, y_, z, vx, vy, vz = y
-        ax, ay, az = zonal_accel((x, y_, z), model)
-        return vx, vy, vz, ax, ay, az
-
     cart = y0[None, :]
     if len(times) > 1:
-        sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times, rtol=1e-12, atol=1e-12)
+        sol = solve_ivp(zonal_rhs(model), (times[0], times[-1]), y0, t_eval=times, rtol=1e-12, atol=1e-12)
         if not sol.success:
             state = describe(("x", "y", "z", "vx", "vy", "vz"), y0)
             raise IntegrationError(

@@ -70,6 +70,21 @@ def test_reruns_are_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def test_csv_rows_read_as_per_value_format(tmp_path):
+    # The writer formats a row with one "%.17g" template; its text must be
+    # what `_fmt` writes value by value, at signed zero, the smallest
+    # subnormal and large magnitudes too.
+    rows = np.random.default_rng(3).normal(size=(4, 19)) * 10.0 ** np.arange(-9, 10)
+    rows[0, :6] = (-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300)
+    rows[1, 7:10] = (-0.0, 5e-324, 1e300)
+    eph = SimpleNamespace(t=rows[:, 0], **{name: SimpleNamespace(rows=rows[:, cols]) for name, cols in
+                                           (("kep", slice(1, 7)), ("cart", slice(7, 13)), ("delaunay", slice(13, 19)))})
+    cli.write_ephemeris_csv(tmp_path / "e.csv", eph)
+    want = [CSV_HEADER] + [",".join(cli._fmt(x) for x in row) for row in rows]
+    assert (tmp_path / "e.csv").read_text() == "\n".join(want) + "\n"
+    assert want[1].startswith("-0,0,4.9406564584124654e-324,-4.9406564584124654e-324,1.0000000000000001e+300,")
+
+
 def test_compare_requires_oracle(tmp_path):
     cfg = write_config(tmp_path, SMALL_GRID)
     rc, _ = run(["compare", "--config", cfg, "--out", str(tmp_path / "o")])

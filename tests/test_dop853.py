@@ -1,4 +1,6 @@
-"""The oracle's DOP853 held to scipy's, which serves here as reference only."""
+"""The oracle's DOP853 held to scipy's, which serves here as reference only,
+and its emitted stage sums held bit for bit to the loop they were written
+out from."""
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
 from zeipel import dop853
 from zeipel.elements import EARTH, KeplerianElements, kep_to_cartesian
-from zeipel.hamiltonian import zonal_accel
+from zeipel.hamiltonian import zonal_rhs
 
 
 def dense(rows, shape):
@@ -29,10 +31,16 @@ def test_tableau_is_scipys_entry_by_entry():
     assert np.array_equal(dense(dop853.D, scipy_tableau.D.shape), scipy_tableau.D)
 
 
-def rhs(_, y):
-    x, y_, z, vx, vy, vz = y
-    ax, ay, az = zonal_accel((x, y_, z), EARTH)
-    return vx, vy, vz, ax, ay, az
+rhs = zonal_rhs(EARTH)
+
+
+def initial_state(a, e, inc, mean_anom=0.2):
+    cs = kep_to_cartesian(KeplerianElements(a=a, e=e, i=inc, raan=0.3, argp=1.1, mean_anom=mean_anom), EARTH)
+    return np.concatenate([cs.r, cs.v])
+
+
+def period(a):
+    return 2.0 * np.pi * np.sqrt(a**3 / EARTH.mu)
 
 
 @pytest.mark.parametrize(
@@ -43,9 +51,8 @@ def test_steps_and_samples_match_scipy(a, e, inc, periods):
     # stage sums, so nfev agrees to 1% and positions to 1e-7 km, about the
     # size of scipy's own change when y0 moves by one ulp, and far below
     # either integrator's global error at rtol = atol = 1e-12.
-    cs = kep_to_cartesian(KeplerianElements(a=a, e=e, i=inc, raan=0.3, argp=1.1, mean_anom=0.2), EARTH)
-    y0 = np.concatenate([cs.r, cs.v])
-    times = np.linspace(0.0, periods * 2.0 * np.pi * np.sqrt(a**3 / EARTH.mu), 20 * periods + 1)
+    y0 = initial_state(a, e, inc)
+    times = np.linspace(0.0, periods * period(a), 20 * periods + 1)
     ours = dop853.solve_ivp(rhs, (times[0], times[-1]), y0, times, rtol=1e-12, atol=1e-12)
     ref = scipy_solve_ivp(lambda t, y: np.array(rhs(t, y)), (times[0], times[-1]), y0,
                           method="DOP853", t_eval=times, rtol=1e-12, atol=1e-12)
@@ -54,3 +61,73 @@ def test_steps_and_samples_match_scipy(a, e, inc, periods):
     assert np.array_equal(ours.y[:, 0], y0)
     assert abs(ours.nfev - ref.nfev) <= 0.01 * ref.nfev, (ours.nfev, ref.nfev)
     assert np.linalg.norm(ours.y[:3] - ref.y[:3], axis=0).max() <= 1e-7
+
+
+# The stage sums as loops over the tableau rows: the reference the emitted
+# `_step` and `_dense_rows` are held to, term for term.
+
+
+def loop_sum(K, row):
+    """sum_j a_j K[j] over the (j, a_j) of `row`, one sum per component."""
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for j, a in row:
+        k0, k1, k2, k3, k4, k5 = K[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+        s4 += a * k4
+        s5 += a * k5
+    return s0, s1, s2, s3, s4, s5
+
+
+def loop_advance(y, K, row, h):
+    """y + h sum_j a_j K[j]."""
+    return tuple(yc + sc * h for yc, sc in zip(y, loop_sum(K, row)))
+
+
+def loop_step(fun, t, h, y, f):
+    K = [f]
+    for s in range(1, dop853.N_STAGES):
+        K.append(fun(t + dop853.C[s] * h, loop_advance(y, K, dop853.A[s], h)))
+    y_new = loop_advance(y, K, dop853.B, h)
+    K.append(fun(t + h, y_new))
+    return y_new, tuple(K), loop_sum(K, dop853.E3), loop_sum(K, dop853.E5)
+
+
+def loop_dense_rows(fun, t, h, y, K):
+    K = list(K)
+    for s in range(dop853.N_STAGES + 1, len(dop853.C)):
+        K.append(fun(t + dop853.C[s] * h, loop_advance(y, K, dop853.A[s], h)))
+    return tuple(tuple(h * s for s in loop_sum(K, row)) for row in dop853.D)
+
+
+def bits(x):
+    """Nested tuples of floats as hex strings, so -0.0 and 0.0 differ."""
+    return [bits(v) for v in x] if isinstance(x, (tuple, list)) else float(x).hex()
+
+
+@pytest.mark.parametrize("a, e, inc, mean_anom", [(7000.0, 0.01, 0.5, 0.2), (12000.0, 0.3, 1.0, 3.0),
+                                                  (24000.0, 0.7, 1.0, 0.05)])
+def test_emitted_step_and_dense_rows_are_the_loops_bit_for_bit(a, e, inc, mean_anom):
+    y = tuple(initial_state(a, e, inc, mean_anom).tolist())
+    f = rhs(0.0, y)
+    for h in (1e-3 * period(a), 0.05 * period(a)):
+        step = dop853._step(rhs, 10.0, h, y, f)
+        assert bits(step) == bits(loop_step(rhs, 10.0, h, y, f))
+        K = step[1]
+        assert bits(dop853._dense_rows(rhs, 10.0, h, y, K)) == bits(loop_dense_rows(rhs, 10.0, h, y, K))
+
+
+def test_arc_samples_and_nfev_are_the_loops_bit_for_bit(monkeypatch):
+    # e = 0.3 over 10 periods, sampled 20 times a period: the same steps,
+    # right-hand side count and samples as the loop form.
+    y0 = initial_state(12000.0, 0.3, 1.0)
+    times = np.linspace(0.0, 10 * period(12000.0), 201)
+    emitted = dop853.solve_ivp(rhs, (times[0], times[-1]), y0, times, rtol=1e-12, atol=1e-12)
+    monkeypatch.setattr(dop853, "_step", loop_step)
+    monkeypatch.setattr(dop853, "_dense_rows", loop_dense_rows)
+    loops = dop853.solve_ivp(rhs, (times[0], times[-1]), y0, times, rtol=1e-12, atol=1e-12)
+    assert emitted.success and loops.success
+    assert emitted.nfev == loops.nfev
+    assert emitted.y.tobytes() == loops.y.tobytes()

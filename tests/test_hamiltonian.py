@@ -19,6 +19,7 @@ from zeipel.hamiltonian import (
     specific_energy,
     zonal_accel,
     zonal_potential,
+    zonal_rhs,
 )
 
 UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
@@ -258,6 +259,18 @@ def test_guard_radius():
         zonal_potential(np.array([EARTH.R / 3.0, 0.0, 0.0]), EARTH)
     with pytest.raises(DomainError, match=r"^\|r\| = 3189\.1 km inside the guard radius R/2 = 3189\.1 km$"):
         zonal_accel(np.array([0.0, EARTH.R / 2.0, 0.0]), EARTH)
+    with pytest.raises(DomainError, match=r"^\|r\| = 3189\.1 km inside the guard radius R/2 = 3189\.1 km$"):
+        zonal_rhs(EARTH)(0.0, (0.0, EARTH.R / 2.0, 0.0, 1.0, 2.0, 3.0))
+
+
+def test_zonal_rhs_is_velocity_then_acceleration():
+    # The oracle's right-hand side: the velocity, then the acceleration
+    # that `zonal_accel` returns (held to the array gradient above).
+    state = (4000.0, -2000.0, 6000.0, 1.5, -6.0, 2.5)
+    out = zonal_rhs(KERNEL_MODELS[1])(123.0, state)
+    assert type(out) is tuple
+    assert out[:3] == state[3:]
+    assert out[3:] == zonal_accel(np.array(state[:3]), KERNEL_MODELS[1])
 
 
 def test_conserved_quantities_at_a_state():

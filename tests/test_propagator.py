@@ -21,7 +21,7 @@ from zeipel.elements import (
     normalize_angle,
 )
 from zeipel import elements, propagator
-from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy, zonal_accel
+from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy
 from zeipel.transform import CanonicalMap
 from zeipel.errors import DomainError, IntegrationError, UsageError
 from zeipel.propagator import (
@@ -240,12 +240,18 @@ def test_oracle_field_gone_nan_fails_fast_through_the_integrator(monkeypatch):
     # the last time the integrator reached.
     el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
     calls = []
+    zonal_rhs = propagator.zonal_rhs
 
-    def field(r_vec, model):
-        calls.append(None)
-        return (np.nan,) * 3 if len(calls) > 500 else zonal_accel(r_vec, model)
+    def field(model):
+        rhs = zonal_rhs(model)
 
-    monkeypatch.setattr(propagator, "zonal_accel", field)
+        def nan_after_500(t, state):
+            calls.append(None)
+            return (*state[3:], np.nan, np.nan, np.nan) if len(calls) > 500 else rhs(t, state)
+
+        return nan_after_500
+
+    monkeypatch.setattr(propagator, "zonal_rhs", field)
     t1 = 2.0 * kepler_period(el0.a, EARTH)
     start = time.perf_counter()
     with pytest.raises(IntegrationError, match="Required step size is less than spacing") as failure:
