@@ -266,7 +266,8 @@ def cmd_elements(cfg: RunConfig, direction, state_json, stdout):
         "cartesian_to_kep": cartesian_to_kep,
     }
     if direction not in conv:
-        raise UsageError(f"unknown direction {direction!r}")
+        given = "" if direction is None else f", not {direction!r}"
+        raise UsageError(f"elements needs --direction, one of {', '.join(conv)}{given}")
     if state_json is not None:
         try:
             doc = json.loads(state_json)

@@ -7,15 +7,21 @@ output, but with the stage sums written out over the six components of
 the state instead of numpy work on 6-element arrays at each stage: the
 sums of a step and of its dense output are emitted from the tableau as
 Python source at import.  scipy's `solve_ivp` stays the test reference.
-Integration runs forward only.
+
+`solve_ivp(fun, y0, t_eval)` takes the sample grid and nothing else: it
+integrates forward from t_eval[0] to t_eval[-1] at the one relative and
+absolute tolerance `TOL`, its first sample is `y0` itself, and a step
+that falls below the spacing of floats raises `IntegrationError` there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import IntegrationError, describe
 
 # The tableau of scipy/integrate/_ivp/dop853_coefficients.py.  Each row of
 # A, D, E3 and E5 holds its nonzero entries as (column, value) pairs.
@@ -220,26 +226,20 @@ D = (
     ),
 )
 
+TOL = 1e-12  # relative and absolute tolerance of every integration
 # scipy's step-size rule
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-REACHED_END = "The solver successfully reached the end of the integration interval."
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Samples `y` (6, N) at times `t`, the right-hand side count `nfev`,
-    and on failure `success=False`, a message, and `t`, `y` that end at
-    the last time reached."""
+class Solution(NamedTuple):
+    """The samples as (N, 6) rows, one per time of the grid, and the
+    right-hand side count `nfev`."""
 
-    t: np.ndarray
-    y: np.ndarray
+    rows: np.ndarray
     nfev: int
-    success: bool
-    message: str
 
 
 # The stage sums, written out once at import from the tableau above: each
@@ -300,10 +300,10 @@ def _rms(v):
     return math.sqrt(sum(x * x for x in v) / len(v))
 
 
-def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
+def _initial_step(fun, t0, y0, f0, interval):
     """scipy's `select_initial_step` (Hairer et al. §II.4) for the order-7
     error estimate: one right-hand side evaluation."""
-    scale = [atol + abs(x) * rtol for x in y0]
+    scale = [TOL + abs(x) * TOL for x in y0]
     d0 = _rms([x / s for x, s in zip(y0, scale)])
     d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -342,29 +342,34 @@ def _interpolate(F, y_old, x):
     return out
 
 
-def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
-    """Integrate y' = fun(t, y) for a state of six floats from t_span[0] to
-    t_span[1] > t_span[0], sampling at `t_eval` (increasing, inside
-    t_span).  `fun` takes and returns tuples of six floats.  Steps as
-    scipy's DOP853: 2 evaluations to start, 12 a step tried, and 3 more
-    for the dense output of a step that holds samples."""
-    t, t1 = float(t_span[0]), float(t_span[1])
+def solve_ivp(fun, y0, t_eval):
+    """Integrate y' = fun(t, y) for a state of six floats from t_eval[0] to
+    t_eval[-1], sampling at every time of `t_eval` (strictly increasing);
+    the first sample is `y0`.  `fun` takes and returns tuples of six
+    floats.  Steps as scipy's DOP853: 2 evaluations to start, 12 a step
+    tried, and 3 more for the dense output of a step that holds samples
+    after t_eval[0]; a one-sample grid evaluates nothing.  A step size
+    below 10 ulp of t (a NaN one too) raises `IntegrationError` naming the
+    initial state and the time reached."""
     t_eval = [float(s) for s in t_eval]
     y = tuple(float(x) for x in y0)
+    ys = [y]
+    t, t1 = t_eval[0], t_eval[-1]
+    if t == t1:
+        return Solution(np.array(ys), 0)
     f = fun(t, y)
-    size = _initial_step(fun, t, y, f, t1 - t, rtol, atol)
+    size = _initial_step(fun, t, y, f, t1 - t)
     nfev = 2
-    ts, ys = [], []
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         size = max(size, min_step)
         rejected = False
         while True:
             if not size >= min_step:  # a NaN size fails here too
-                if not ts or ts[-1] < t:
-                    ts.append(t)
-                    ys.append(y)
-                return Solution(np.array(ts), np.array(ys).T, nfev, False, TOO_SMALL_STEP)
+                raise IntegrationError(
+                    "oracle integration failed: Required step size is less than spacing between numbers.; "
+                    f"initial state {describe(('x', 'y', 'z', 'vx', 'vy', 'vz'), y0)}; last time reached {t!r}"
+                )
             t_new = min(t + size, t1)
             size = h = t_new - t
             y_new, K, e3, e5 = _step(fun, t, h, y, f)
@@ -372,7 +377,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
             nfev += N_STAGES
             n3 = n5 = 0.0
             for a, b, w3, w5 in zip(y, y_new, e3, e5):
-                scale = atol + max(abs(a), abs(b)) * rtol
+                scale = TOL + max(abs(a), abs(b)) * TOL
                 w3 /= scale
                 w5 /= scale
                 n3 += w3 * w3
@@ -384,12 +389,12 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
                 break
             size *= max(MIN_FACTOR, SAFETY * error**ERROR_EXPONENT)
             rejected = True
-        n = len(ts)
-        while len(ts) < len(t_eval) and t_eval[len(ts)] <= t_new:
-            ts.append(t_eval[len(ts)])
-        if len(ts) > n:
+        n = k = len(ys)
+        while k < len(t_eval) and t_eval[k] <= t_new:
+            k += 1
+        if k > n:
             F = _dense(fun, t, h, y, y_new, f, f_new, K)
             nfev += len(C) - N_STAGES - 1
-            ys += [_interpolate(F, y, (s - t) / h) for s in ts[n:]]
+            ys += [_interpolate(F, y, (s - t) / h) for s in t_eval[n:k]]
         t, y, f = t_new, y_new, f_new
-    return Solution(np.array(ts), np.array(ys).T, nfev, True, REACHED_END)
+    return Solution(np.array(ys), nfev)

@@ -149,52 +149,36 @@ class CartesianState:
 
 
 def kepler_solve(mean_anom, e):
-    """Solve E - e*sin(E) = M for the eccentric anomaly.
+    """Solve E - e*sin(E) = M for the eccentric anomaly; M and e broadcast
+    together.
 
-    Newton iteration seeded at M + e*sin(M), with a bisection fallback on
-    the bracket [Mr - e, Mr + e] for any element that fails to converge.
-    The result stays on the same 2*pi branch as the input.
+    Newton iteration seeded at M + e*sin(M), each step clamped to [-1, 1]
+    and converged elements frozen.  The result stays on the same 2*pi
+    branch as the input; a non-finite M or e gives NaN.
     """
     if np.any(np.asarray(e) < 0) or np.any(np.asarray(e) >= 1):
         raise DomainError("eccentricity must lie in [0, 1)")
-    M = np.asarray(mean_anom, dtype=float)
-    scalar = M.ndim == 0
-    M = np.atleast_1d(M)
-    e_arr = np.broadcast_to(np.asarray(e, dtype=float), M.shape)
+    M, e_arr = np.broadcast_arrays(np.asarray(mean_anom, dtype=float), np.asarray(e, dtype=float))
+    finite = np.isfinite(M) & np.isfinite(e_arr)
+    M = np.where(finite, M, 0.0)
+    e_arr = np.where(finite, e_arr, 0.0)
 
     branch = TWO_PI * np.round(M / TWO_PI)
     Mr = M - branch
 
     E = Mr + e_arr * np.sin(Mr)
-    converged = np.zeros(M.shape, dtype=bool)
     for _ in range(50):
         f = E - e_arr * np.sin(E) - Mr
         converged = np.abs(f) <= 1e-14
         if converged.all():
             break
-        step = f / (1.0 - e_arr * np.cos(E))
-        # Clamp runaway Newton steps; bisection cleans up any stragglers.
-        step = np.clip(step, -1.0, 1.0)
+        step = np.clip(f / (1.0 - e_arr * np.cos(E)), -1.0, 1.0)
         E = np.where(converged, E, E - step)
+    else:
+        raise SolverError(f"Kepler solver did not converge in 50 Newton steps, worst residual {np.abs(f).max():.3e}")
 
-    if not converged.all():
-        bad = ~converged
-        lo = Mr[bad] - e_arr[bad]
-        hi = Mr[bad] + e_arr[bad]
-        Eb = 0.5 * (lo + hi)
-        for _ in range(200):
-            fb = Eb - e_arr[bad] * np.sin(Eb) - Mr[bad]
-            take_lo = fb > 0
-            hi = np.where(take_lo, Eb, hi)
-            lo = np.where(take_lo, lo, Eb)
-            Eb = 0.5 * (lo + hi)
-        E[bad] = Eb
-        resid = np.abs(E - e_arr * np.sin(E) - Mr)
-        if resid.max() > 1e-13:
-            raise SolverError(f"Kepler solver stalled, worst residual {resid.max():.3e}")
-
-    E = E + branch
-    return float(E[0]) if scalar else E.reshape(np.shape(mean_anom))
+    E = np.where(finite, E + branch, np.nan)
+    return float(E) if E.ndim == 0 else E
 
 
 def true_from_eccentric(E, e):

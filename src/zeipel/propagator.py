@@ -28,7 +28,7 @@ from .elements import (
     kep_to_delaunay_batch,
     normalize_angle,
 )
-from .errors import DomainError, IntegrationError, UsageError, describe
+from .errors import DomainError, UsageError
 from .hamiltonian import dh0_dL, polar_angular_momentum, specific_energy, zonal_rhs
 from .transform import CanonicalMap
 from .vonzeipel import dk1, dk2
@@ -166,21 +166,11 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
 
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
     """Adaptive high-order integration in the zonal field of `model.zonal`,
-    by `dop853.solve_ivp` on the six floats of the state.  The samples
-    are converted as (N, 6) arrays: elements, energy and h_z.  A
-    one-sample grid is the initial state itself."""
+    by `dop853.solve_ivp` on the six floats of the state; its first sample
+    is the initial state.  The samples are converted as (N, 6) arrays:
+    elements, energy and h_z."""
     times = _grid(times)
-    y0 = np.concatenate([cart0.r, cart0.v])
-    cart = y0[None, :]
-    if len(times) > 1:
-        sol = solve_ivp(zonal_rhs(model), (times[0], times[-1]), y0, t_eval=times, rtol=1e-12, atol=1e-12)
-        if not sol.success:
-            state = describe(("x", "y", "z", "vx", "vy", "vz"), y0)
-            raise IntegrationError(
-                f"oracle integration failed: {sol.message}; initial state {state}; "
-                f"last time reached {float(sol.t[-1])!r}"
-            )
-        cart = np.ascontiguousarray(sol.y.T)
+    cart = solve_ivp(zonal_rhs(model), np.concatenate([cart0.r, cart0.v]), times).rows
     r, v = cart[:, :3], cart[:, 3:]
     extras = {"energy": specific_energy(r, v, model), "hz": polar_angular_momentum(r, v)}
     return _ephemeris(times, cartesian_to_kep_batch(cart, model), cart, model, extras)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from zeipel import propagator
 from zeipel.elements import EARTH, DelaunayState, PhysicalModel, delaunay_momenta
 
 # Every @given test draws the same examples on every run (derandomize implies
@@ -38,3 +39,26 @@ def unit_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)
+
+
+@pytest.fixture
+def nan_field(monkeypatch):
+    """`nan_field(after)` makes the oracle's field return NaN accelerations
+    from its (after + 1)-th evaluation on, a real integrator failure."""
+
+    def install(after):
+        calls = []
+        zonal_rhs = propagator.zonal_rhs
+
+        def field(model):
+            rhs = zonal_rhs(model)
+
+            def nan_late(t, state):
+                calls.append(None)
+                return (*state[3:], np.nan, np.nan, np.nan) if len(calls) > after else rhs(t, state)
+
+            return nan_late
+
+        monkeypatch.setattr(propagator, "zonal_rhs", field)
+
+    return install

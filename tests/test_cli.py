@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zeipel import cli, propagator
+from zeipel import cli
 from zeipel.cli import CSV_HEADER, RunConfig, load_config, main
 from zeipel.errors import UsageError
 
@@ -171,6 +171,14 @@ def test_elements_unknown_direction():
     assert rc == 2  # needs --state
 
 
+def test_elements_direction_error_names_the_option_and_the_directions(capsys):
+    directions = "kep_to_delaunay, delaunay_to_kep, kep_to_cartesian, cartesian_to_kep"
+    assert run(["elements"])[0] == 2
+    assert capsys.readouterr().err == f"error: elements needs --direction, one of {directions}\n"
+    assert run(["elements", "--direction", "kep_to_nowhere"])[0] == 2
+    assert capsys.readouterr().err == f"error: elements needs --direction, one of {directions}, not 'kep_to_nowhere'\n"
+
+
 def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -235,13 +243,9 @@ def test_out_naming_a_file_exits_with_usage_code(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "cfg.json"]
 
 
-def test_failed_oracle_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
+def test_failed_oracle_leaves_no_partial_output(tmp_path, nan_field, capsys):
     # the analytic ephemeris is in hand when the oracle fails; it is not written
-    def failing_solve_ivp(fun, t_span, y0, **kwargs):
-        return SimpleNamespace(success=False, message="step size became too small",
-                               t=np.array([t_span[0]]))
-
-    monkeypatch.setattr(propagator, "solve_ivp", failing_solve_ivp)
+    nan_field(100)
     cfg = write_config(tmp_path, SMALL_GRID)
     assert run(["propagate", "--oracle", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 3
     assert "oracle integration failed" in capsys.readouterr().err

@@ -53,14 +53,14 @@ def test_steps_and_samples_match_scipy(a, e, inc, periods):
     # either integrator's global error at rtol = atol = 1e-12.
     y0 = initial_state(a, e, inc)
     times = np.linspace(0.0, periods * period(a), 20 * periods + 1)
-    ours = dop853.solve_ivp(rhs, (times[0], times[-1]), y0, times, rtol=1e-12, atol=1e-12)
+    ours = dop853.solve_ivp(rhs, y0, times)
     ref = scipy_solve_ivp(lambda t, y: np.array(rhs(t, y)), (times[0], times[-1]), y0,
-                          method="DOP853", t_eval=times, rtol=1e-12, atol=1e-12)
-    assert ours.success and ref.success
-    assert np.array_equal(ours.t, times)
-    assert np.array_equal(ours.y[:, 0], y0)
+                          method="DOP853", t_eval=times, rtol=dop853.TOL, atol=dop853.TOL)
+    assert ref.success
+    assert ours.rows.shape == (len(times), 6)
+    assert np.array_equal(ours.rows[0], y0)
     assert abs(ours.nfev - ref.nfev) <= 0.01 * ref.nfev, (ours.nfev, ref.nfev)
-    assert np.linalg.norm(ours.y[:3] - ref.y[:3], axis=0).max() <= 1e-7
+    assert np.linalg.norm(ours.rows[:, :3] - ref.y[:3].T, axis=1).max() <= 1e-7
 
 
 # The stage sums as loops over the tableau rows: the reference the emitted
@@ -124,10 +124,34 @@ def test_arc_samples_and_nfev_are_the_loops_bit_for_bit(monkeypatch):
     # right-hand side count and samples as the loop form.
     y0 = initial_state(12000.0, 0.3, 1.0)
     times = np.linspace(0.0, 10 * period(12000.0), 201)
-    emitted = dop853.solve_ivp(rhs, (times[0], times[-1]), y0, times, rtol=1e-12, atol=1e-12)
+    emitted = dop853.solve_ivp(rhs, y0, times)
     monkeypatch.setattr(dop853, "_step", loop_step)
     monkeypatch.setattr(dop853, "_dense_rows", loop_dense_rows)
-    loops = dop853.solve_ivp(rhs, (times[0], times[-1]), y0, times, rtol=1e-12, atol=1e-12)
-    assert emitted.success and loops.success
+    loops = dop853.solve_ivp(rhs, y0, times)
     assert emitted.nfev == loops.nfev
-    assert emitted.y.tobytes() == loops.y.tobytes()
+    assert emitted.rows.tobytes() == loops.rows.tobytes()
+
+
+def test_nfev_is_the_right_hand_sides_own_count(monkeypatch):
+    # An e = 0.7 arc through two perigees, whose steps are rejected there,
+    # sampled 20 times a period: the reported nfev is the number of calls
+    # the right-hand side saw.  A one-sample grid calls it not at all.
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    starts = []
+    step = dop853._step
+    monkeypatch.setattr(dop853, "_step", lambda fun, t, *a: starts.append(t) or step(fun, t, *a))
+    y0 = initial_state(24000.0, 0.7, 1.0)
+    times = np.linspace(0.0, 2 * period(24000.0), 41)
+    out = dop853.solve_ivp(counted, y0, times)
+    rejected = sum(a == b for a, b in zip(starts, starts[1:]))
+    assert rejected > 0 and len(out.rows) == len(times)
+    assert out.nfev == len(calls)
+    calls.clear()
+    single = dop853.solve_ivp(counted, y0, times[:1])
+    assert single.nfev == 0 and not calls
+    assert np.array_equal(single.rows, y0[None, :])

@@ -77,6 +77,23 @@ def test_kepler_vectorized_matches_scalar():
         assert Ek == pytest.approx(kepler_solve(float(Mk), e), abs=1e-14)
 
 
+def test_kepler_scalar_mean_anomaly_broadcasts_over_eccentricities():
+    e = np.array([0.0, 0.1, 0.2, 0.9])
+    E = kepler_solve(0.5, e)
+    assert E.shape == (4,)
+    assert [float(x) for x in E] == [kepler_solve(0.5, float(ek)) for ek in e]
+    assert kepler_solve(np.array([[0.5], [2.0]]), e).shape == (2, 4)
+
+
+def test_kepler_non_finite_input_gives_nan_next_to_finite_ones():
+    M = np.array([1.0, np.nan, np.inf, -np.inf, -3.0])
+    E = kepler_solve(M, 0.3)
+    assert np.isnan(E[1:4]).all()
+    assert E[0] == kepler_solve(1.0, 0.3) and E[4] == kepler_solve(-3.0, 0.3)
+    assert np.isnan(kepler_solve(np.nan, 0.3))
+    assert np.isnan(kepler_solve(1.0, np.array([0.3, np.nan]))[1])
+
+
 # Keplerian draw bounds (a, e, i, raan, argp, M) of the Cartesian tests.
 KEP_LO = (6800.0, 1e-3, 0.05, 0.0, 0.0, 0.0)
 KEP_HI = (9000.0, 0.75, np.pi - 0.05, TWO_PI, TWO_PI, TWO_PI)
