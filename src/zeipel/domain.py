@@ -22,7 +22,7 @@ def check_j2(j2):
 
 def check_chart(e):
     """Refuse any eccentricity below CHAIN_FLOOR, naming the smallest."""
-    if np.any(np.asarray(e) < CHAIN_FLOOR):
+    if (np.asarray(e) < CHAIN_FLOOR).any():
         raise DomainError(f"momentum partials have 1/e factors: e = {np.nanmin(e):.3e} below the chain-rule floor {CHAIN_FLOOR}")
 
 

@@ -5,13 +5,15 @@ The oracle's integrator: the method of scipy's `solve_ivp(method="DOP853")`
 tableau, initial step, error norm, step-size rule and 7th-order dense
 output, but with the stage sums written out over the six components of
 the state instead of numpy work on 6-element arrays at each stage: the
-sums of a step and of its dense output are emitted from the tableau as
-Python source at import.  scipy's `solve_ivp` stays the test reference.
+sums of a step, its error norm and the sums of its dense output are
+emitted from the tableau as Python source at import.  scipy's `solve_ivp`
+stays the test reference.
 
 `solve_ivp(fun, y0, t_eval)` takes the sample grid and nothing else: it
 integrates forward from t_eval[0] to t_eval[-1] at the one relative and
 absolute tolerance `TOL`, its first sample is `y0` itself, and a step
-that falls below the spacing of floats raises `IntegrationError` there.
+that falls below the spacing of floats, or whose size or error norm is
+NaN, raises `IntegrationError` there.
 """
 
 from __future__ import annotations
@@ -247,7 +249,9 @@ class Solution(NamedTuple):
 # component, its terms added left to right in column order, as a loop over
 # the row adds them, and K[j][c] is the local `kj_c`.  A loop that starts
 # from 0.0 differs only in the sign of a sum whose terms are all zero, which
-# changes no sample and no step when the initial state holds no -0.0.
+# changes no sample and no step when the initial state holds no -0.0.  The
+# step's error norm is written out the same way: its sums of squares add
+# the components in order, as a loop from 0.0 does (a square is never -0.0).
 
 
 def _sum(row, c):
@@ -259,9 +263,9 @@ def _state(row):
     return "(" + "".join(f"y{c} + ({_sum(row, c)}) * h, " for c in range(6)) + ")"
 
 
-def _sums(rows, scale=""):
-    """One tuple of the six component sums per row, each times `scale`."""
-    return "".join("(" + "".join(f"{scale}({_sum(row, c)}), " for c in range(6)) + "), " for row in rows)
+def _sums(rows):
+    """One tuple of the six component sums per row, each times h."""
+    return "".join("(" + "".join(f"h * ({_sum(row, c)}), " for c in range(6)) + "), " for row in rows)
 
 
 def _unpack(j):
@@ -273,9 +277,23 @@ def _stages(stages):
     return "".join(f"    k{s} = fun(t + {C[s]!r} * h, {_state(A[s])})\n" + _unpack(s) for s in stages)
 
 
+def _error_norm():
+    """scipy's error norm of the step from y to y_new: each component of the
+    E3 and E5 sums over its scale, their sums of squares n3 and n5, and the
+    norm `error` from them."""
+    lines = f"    {', '.join(f'z{c}' for c in range(6))} = y_new\n"
+    for c in range(6):
+        lines += (f"    s = TOL + max(abs(y{c}), abs(z{c})) * TOL\n"
+                  f"    w3_{c} = ({_sum(E3, c)}) / s\n"
+                  f"    w5_{c} = ({_sum(E5, c)}) / s\n")
+    for n in (3, 5):
+        lines += f"    n{n} = {' + '.join(f'w{n}_{c} * w{n}_{c}' for c in range(6))}\n"
+    return lines + "    error = 0.0 if n5 == 0 and n3 == 0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 6)\n"
+
+
 _K = ", ".join(f"k{j}" for j in range(N_STAGES + 1))
 _SOURCE = (
-    # (y_new, K, E3 sums, E5 sums) of one step of size h from (t, y), with
+    # (y_new, K, error norm) of one step of size h from (t, y), with
     # K[0] = f(t, y) and K[12] = f(t + h, y_new)
     "def _step(fun, t, h, y, k0):\n"
     "    y0, y1, y2, y3, y4, y5 = y\n"
@@ -283,7 +301,8 @@ _SOURCE = (
     + _stages(range(1, N_STAGES))
     + f"    y_new = {_state(B)}\n"
     f"    k{N_STAGES} = fun(t + h, y_new)\n"
-    f"    return y_new, ({_K}), {_sums((E3, E5))}\n"
+    + _error_norm()
+    + f"    return y_new, ({_K}), error\n"
     # h sum_j d_j K[j] for each dense-output row of D, after the three
     # stages that extend the K of a step from (t, y) to the 16 that D spans
     "def _dense_rows(fun, t, h, y, K):\n"
@@ -291,7 +310,7 @@ _SOURCE = (
     f"    {_K} = K\n"
     + "".join(_unpack(j) for j in range(N_STAGES + 1))
     + _stages(range(N_STAGES + 1, len(C)))
-    + f"    return ({_sums(D, 'h * ')})\n"
+    + f"    return ({_sums(D)})\n"
 )
 exec(compile(_SOURCE, "<dop853 stage sums>", "exec"))
 
@@ -342,6 +361,19 @@ def _interpolate(F, y_old, x):
     return out
 
 
+TOO_SMALL = "Required step size is less than spacing between numbers."  # scipy's reason
+NON_FINITE = "the state or right-hand side became non-finite"
+
+
+def _failure(why, y0, t):
+    """IntegrationError naming the reason, the initial state and the last
+    time reached."""
+    return IntegrationError(
+        f"oracle integration failed: {why}; initial state {describe(('x', 'y', 'z', 'vx', 'vy', 'vz'), y0)}; "
+        f"last time reached {t!r}"
+    )
+
+
 def solve_ivp(fun, y0, t_eval):
     """Integrate y' = fun(t, y) for a state of six floats from t_eval[0] to
     t_eval[-1], sampling at every time of `t_eval` (strictly increasing);
@@ -349,8 +381,9 @@ def solve_ivp(fun, y0, t_eval):
     floats.  Steps as scipy's DOP853: 2 evaluations to start, 12 a step
     tried, and 3 more for the dense output of a step that holds samples
     after t_eval[0]; a one-sample grid evaluates nothing.  A step size
-    below 10 ulp of t (a NaN one too) raises `IntegrationError` naming the
-    initial state and the time reached."""
+    below 10 ulp of t raises `IntegrationError` naming the initial state and
+    the time reached; so does a NaN step size or error norm, saying that the
+    state or right-hand side became non-finite."""
     t_eval = [float(s) for s in t_eval]
     y = tuple(float(x) for x in y0)
     ys = [y]
@@ -365,28 +398,19 @@ def solve_ivp(fun, y0, t_eval):
         size = max(size, min_step)
         rejected = False
         while True:
-            if not size >= min_step:  # a NaN size fails here too
-                raise IntegrationError(
-                    "oracle integration failed: Required step size is less than spacing between numbers.; "
-                    f"initial state {describe(('x', 'y', 'z', 'vx', 'vy', 'vz'), y0)}; last time reached {t!r}"
-                )
+            if not size >= min_step:
+                raise _failure(NON_FINITE if size != size else TOO_SMALL, y0, t)
             t_new = min(t + size, t1)
             size = h = t_new - t
-            y_new, K, e3, e5 = _step(fun, t, h, y, f)
+            y_new, K, error = _step(fun, t, h, y, f)
             f_new = K[N_STAGES]
             nfev += N_STAGES
-            n3 = n5 = 0.0
-            for a, b, w3, w5 in zip(y, y_new, e3, e5):
-                scale = TOL + max(abs(a), abs(b)) * TOL
-                w3 /= scale
-                w5 /= scale
-                n3 += w3 * w3
-                n5 += w5 * w5
-            error = 0.0 if n5 == 0 and n3 == 0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * len(y))
             if error < 1:
                 factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error**ERROR_EXPONENT)
                 size *= min(1.0, factor) if rejected else factor
                 break
+            if error != error:
+                raise _failure(NON_FINITE, y0, t)
             size *= max(MIN_FACTOR, SAFETY * error**ERROR_EXPONENT)
             rejected = True
         n = k = len(ys)

@@ -156,12 +156,16 @@ def kepler_solve(mean_anom, e):
     and converged elements frozen.  The result stays on the same 2*pi
     branch as the input; a non-finite M or e gives NaN.
     """
-    if np.any(np.asarray(e) < 0) or np.any(np.asarray(e) >= 1):
+    M, e_arr = np.asarray(mean_anom, dtype=float), np.asarray(e, dtype=float)
+    if (e_arr < 0).any() or (e_arr >= 1).any():
         raise DomainError("eccentricity must lie in [0, 1)")
-    M, e_arr = np.broadcast_arrays(np.asarray(mean_anom, dtype=float), np.asarray(e, dtype=float))
+    if M.shape != e_arr.shape:
+        M, e_arr = np.broadcast_arrays(M, e_arr)
     finite = np.isfinite(M) & np.isfinite(e_arr)
-    M = np.where(finite, M, 0.0)
-    e_arr = np.where(finite, e_arr, 0.0)
+    all_finite = finite.all()
+    if not all_finite:
+        M = np.where(finite, M, 0.0)
+        e_arr = np.where(finite, e_arr, 0.0)
 
     branch = TWO_PI * np.round(M / TWO_PI)
     Mr = M - branch
@@ -172,12 +176,12 @@ def kepler_solve(mean_anom, e):
         converged = np.abs(f) <= 1e-14
         if converged.all():
             break
-        step = np.clip(f / (1.0 - e_arr * np.cos(E)), -1.0, 1.0)
+        step = np.minimum(np.maximum(f / (1.0 - e_arr * np.cos(E)), -1.0), 1.0)
         E = np.where(converged, E, E - step)
     else:
         raise SolverError(f"Kepler solver did not converge in 50 Newton steps, worst residual {np.abs(f).max():.3e}")
 
-    E = np.where(finite, E + branch, np.nan)
+    E = E + branch if all_finite else np.where(finite, E + branch, np.nan)
     return float(E) if E.ndim == 0 else E
 
 

@@ -6,8 +6,11 @@ direction solves for the osculating angles q given (P, Q); the inverse
 solves for the mean momenta P given (p, q).  Both are Newton iterations on
 the exact S_qP block of the closed-form generator, run over (3, N) arrays
 of states with one batched linear solve per step; a single state is the
-N = 1 case.  The map's own Jacobian is assembled from the second
-derivatives of S at the solved (P, q) pair.
+N = 1 case.  The other half of each output (p = P + S_q forward, Q = q +
+S_P inverse) comes from each column's last Newton evaluation plus one
+Hessian step (S_qq or S_PP) over the Newton step taken after it, so no
+evaluation is made at the solution.  The map's own Jacobian is assembled
+from the second derivatives of S at the solved (P, q) pair.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class GeneratingSeries:
 
     def grad_P(self, P, q):
         """(dS/dL, dS/dG, dS/dH) minus the P.q part, at one state or at
-        (3, N) columns of momenta and angles."""
+        (3, N) columns of momenta and angles.  Not used by the map, which
+        takes S_P from its Newton evaluations; kept for the tests and the
+        benchmark's tracer."""
         return self.at(P).derivatives(q[0], q[1])[1][:3]
 
 
@@ -86,12 +91,16 @@ class CanonicalMap:
         """Newton iteration for F(x) = 0 on the columns of x0, (3, N).
 
         system(x, run) gets the whole iterate and the (N,) mask of running
-        columns, and returns F, (3, N), dF/dx, (3, 3, N), and the momenta's
-        e, broadcasting to (N,), valid on the `run` columns; F is nan where e
-        is below CHAIN_FLOOR, the iterate having left the Delaunay chart.  One
-        batched solve steps the running columns; a column stops when its own
-        scaled step first falls to NEWTON_TOL, as a lone solve would, so its
-        iterate and count do not depend on the batch.  Returns x and the
+        columns, and returns F, (3, N), dF/dx, (3, 3, N), the momenta's e,
+        broadcasting to (N,), and the generator gradient y, (3, N), that the
+        map adds to its fixed half, with dy/dx, (3, 3, N), all valid on the
+        `run` columns; F is nan where e is below CHAIN_FLOOR, the iterate
+        having left the Delaunay chart.  One batched solve steps the running
+        columns; a column stops when its own scaled step first falls to
+        NEWTON_TOL, as a lone solve would, so its iterate and count do not
+        depend on the batch.  A column's y is that of its last evaluation
+        plus dy/dx times the step taken after it, good to O(step^2), so
+        nothing is evaluated at the solution.  Returns x, y and the
         iterations per column.  Any failure raises MapError naming the first
         failing column's input state (its column of `start`) and its last
         scaled step (nan before its first step).
@@ -101,18 +110,25 @@ class CanonicalMap:
         its = np.zeros(n, dtype=int)
         step, e_broke = np.full((2, n), math.nan)
         run, broke = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)  # broke: F non-finite
+        y = np.zeros_like(x)
         for it in range(1, NEWTON_MAXITER + 1):
             if not run.any():
                 break
-            F, jac, e = system(x, run)
+            F, jac, e, y_it, dy_it = system(x, run)
             bad = run & ~np.isfinite(F).all(axis=0)
-            broke |= bad
-            e_broke[bad] = np.broadcast_to(e, n)[bad]
-            run &= ~bad
-            x[:, run] += np.linalg.solve(jac[..., run].transpose(2, 0, 1), -F[:, run].T[..., None])[..., 0].T
+            if bad.any():
+                broke |= bad
+                e_broke[bad] = np.broadcast_to(e, n)[bad]
+                run &= ~bad
+            x_run = x[:, run]
+            x[:, run] = x_run + np.linalg.solve(jac[..., run].transpose(2, 0, 1), -F[:, run].T[..., None])[..., 0].T
             step[run] = np.abs(F[:, run] / scale[:, run]).max(axis=0)
             its[run] = it
-            run &= step > NEWTON_TOL
+            done = run & (step <= NEWTON_TOL)  # this evaluation was the column's last
+            # The step as taken in floats, so that y is the evaluation at the returned x to O(step^2).
+            dx = x[:, done] - x_run[:, done[run]]
+            y[:, done] = y_it[:, done] + np.einsum("ijn,jn->in", dy_it[..., done], dx)
+            run &= ~done
         for col in np.flatnonzero(broke | run)[:1]:
             why = f"no convergence in {NEWTON_MAXITER} iterations"
             if e_broke[col] < CHAIN_FLOOR:
@@ -120,7 +136,7 @@ class CanonicalMap:
             elif broke[col]:
                 why = "residual became non-finite"
             raise _map_error(why, start[:, col], step[col])
-        return x, its
+        return x, y, its
 
     def _refuse(self, start):
         """Raise MapError for the first column of `start` with e at or below
@@ -153,10 +169,14 @@ class CanonicalMap:
             _, grad, hess = generator.derivatives(q[0], q[1])
             jac = _eye(q.shape[1])
             jac[:, :2] += hess[:3, 3:]
-            return q + grad[:3] - Q, jac, generator.e
+            s_q = np.zeros_like(q)  # (S_l, S_g, 0): p = P + s_q
+            s_q[:2] = grad[3:]
+            s_qq = np.zeros_like(jac)
+            s_qq[:2, :2] = hess[3:, 3:]
+            return q + grad[:3] - Q, jac, generator.e, s_q, s_qq
 
-        q, its = self._solve(system, Q, np.ones_like(Q), start)
-        p[:2] += generator.derivatives(q[0], q[1])[1][3:]
+        q, s_q, its = self._solve(system, Q, np.ones_like(Q), start)
+        p[:2] += s_q[:2]
         return p, q, its
 
     def osculating_to_mean_batch(self, p, q):
@@ -178,10 +198,14 @@ class CanonicalMap:
             F[:2, live] += grad[3:]
             jac = _eye(P.shape[1])
             jac[:2, :, live] += hess[3:, :3]
-            return F, jac, e
+            s_P = np.zeros_like(P)  # Q = q + s_P
+            s_P[:, live] = grad[:3]
+            s_PP = np.zeros_like(jac)
+            s_PP[..., live] = hess[:3, :3]
+            return F, jac, e, s_P, s_PP
 
-        P, its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start)
-        return P, q + self.series.grad_P(P, q), its
+        P, s_P, its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start)
+        return P, q + s_P, its
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""

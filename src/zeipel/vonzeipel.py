@@ -339,22 +339,24 @@ class ClosedFormGenerator:
     """
 
     def __init__(self, L, G, H, model, weights):
-        L, G, H = (np.reshape(np.asarray(x, dtype=float), -1) for x in (L, G, H))
+        L, G, H = (np.asarray(x, dtype=float).reshape(-1) for x in (L, G, H))
         self.L, self.G, self.e = L, G, eccentricity_from_momenta(L, G)
         check_chart(self.e)
-        parts = [(weights[0] * model.mu**2 * model.R**2, _S1, _secondorder.S1_BASIS)]
+        parts = [(weights[0] * model.mu**2 * model.R**2, _S1)]
         if weights[1]:
-            parts.append((weights[1] * model.mu**4 * model.R**4, _S2, _secondorder.S2_BASIS))
-        coef = [[w * x for x in table(L, G, H)] for w, table, _ in parts]
+            parts.append((weights[1] * model.mu**4 * model.R**4, _S2))
+        coef = [[w * x for x in table(L, G, H)] for w, table in parts]
         self.c, self.dc, self.d2c = (np.concatenate(x) for x in zip(*coef))
-        self.p, self.k, self.m = np.concatenate([basis for *_, basis in parts]).T[:, :, None]
+        self.p, self.k, self.m, self.phase, self.linear = _BASES[len(parts) - 1]
 
     def derivatives(self, l, g):
         """(value, gradient, Hessian) in (L, G, H, l, g) at mean anomaly l and
         argument of pericenter g, from one Kepler solve.  l and g broadcast
         (to the momenta's (N,) shape, if they are arrays); the angle shape
         trails: (5,) + shape and (5, 5) + shape."""
-        l, g = np.broadcast_arrays(np.asarray(l, dtype=float), np.asarray(g, dtype=float))
+        l, g = np.asarray(l, dtype=float), np.asarray(g, dtype=float)
+        if l.shape != g.shape:
+            l, g = np.broadcast_arrays(l, g)
         shape = l.shape
         l, g = l.ravel(), g.ravel()
         # Momentum-only factors as (1,) or (N,) columns, broadcasting with the angles.
@@ -373,12 +375,9 @@ class ClosedFormGenerator:
         e_P = np.array([e_L, e_G])
         e_PP2 = e_P[:, None] * e_P[None, :]
         e_PP = np.array([[-3.0 * e_L / L, 2.0 * e_L / G], [2.0 * e_L / G, e_G / G]]) - e_PP2 / e
-        zero, unit = np.zeros_like(nu), np.ones_like(nu)
-        Y = np.array([  # d(nu, l, g)/d(L, G, H, l, g)
-            [e_L * nu_e, e_G * nu_e, zero, nu_l, zero],
-            [zero, zero, zero, unit, zero],
-            [zero, zero, zero, zero, unit],
-        ])
+        Y = np.zeros((3, 5, len(nu)))  # d(nu, l, g)/d(L, G, H, l, g)
+        Y[0, 0], Y[0, 1], Y[0, 3] = e_L * nu_e, e_G * nu_e, nu_l
+        Y[1, 3] = Y[2, 4] = 1.0
         nu_xx = np.zeros((5, 5, len(nu)))
         nu_xx[:2, :2] = e_PP * nu_e + e_PP2 * nu_ee
         nu_xx[:2, 3] = nu_xx[3, :2] = e_P * nu_le
@@ -386,9 +385,9 @@ class ClosedFormGenerator:
 
         # Basis values and their (nu, l, g) derivatives, one row per term.
         p, k, m = self.p, self.k, self.m
-        theta = k * nu + m * g + 0.5 * np.pi * p
+        theta = k * nu + m * g + self.phase
         S, C = np.sin(theta), np.cos(theta)
-        U = np.where(p == 1, nu - l, 1.0)
+        U = np.where(self.linear, nu - l, 1.0)
         phi = U * S
         d_phi = np.array([p * S + k * U * C, -p * S, m * U * C])
         h_ng, h_lg, z = p * m * C - k * m * U * S, -p * m * C, np.zeros_like(phi)
@@ -474,3 +473,13 @@ class MonomialTable:
 
 _S1, _S2, _K2, _C2 = (MonomialTable(getattr(_secondorder, f"{n}_MONOMIALS")) for n in ("S1", "S2", "K2", "C2"))
 
+
+def _basis(terms):
+    """p, k and m of the angle basis as (terms, 1) columns, the phase
+    p pi/2 and the mask p == 1 of the terms linear in nu - l."""
+    p, k, m = np.array(terms).T[:, :, None]
+    return p, k, m, 0.5 * np.pi * p, p == 1
+
+
+# S1's terms at order 1, then S2's at order 2
+_BASES = (_basis(_secondorder.S1_BASIS), _basis(_secondorder.S1_BASIS + _secondorder.S2_BASIS))

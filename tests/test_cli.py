@@ -248,7 +248,7 @@ def test_failed_oracle_leaves_no_partial_output(tmp_path, nan_field, capsys):
     nan_field(100)
     cfg = write_config(tmp_path, SMALL_GRID)
     assert run(["propagate", "--oracle", "--config", cfg, "--out", str(tmp_path / "o")])[0] == 3
-    assert "oracle integration failed" in capsys.readouterr().err
+    assert "oracle integration failed: the state or right-hand side became non-finite" in capsys.readouterr().err
     assert not (tmp_path / "o" / "analytic.csv").exists()
 
 

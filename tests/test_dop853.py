@@ -2,6 +2,8 @@
 and its emitted stage sums held bit for bit to the loop they were written
 out from."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
@@ -9,6 +11,7 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
 from zeipel import dop853
 from zeipel.elements import EARTH, KeplerianElements, kep_to_cartesian
+from zeipel.errors import IntegrationError
 from zeipel.hamiltonian import zonal_rhs
 
 
@@ -63,8 +66,9 @@ def test_steps_and_samples_match_scipy(a, e, inc, periods):
     assert np.linalg.norm(ours.rows[:, :3] - ref.y[:3].T, axis=1).max() <= 1e-7
 
 
-# The stage sums as loops over the tableau rows: the reference the emitted
-# `_step` and `_dense_rows` are held to, term for term.
+# The stage sums and the error norm as loops over the tableau rows and the
+# components: the reference the emitted `_step` and `_dense_rows` are held
+# to, term for term.
 
 
 def loop_sum(K, row):
@@ -86,13 +90,25 @@ def loop_advance(y, K, row, h):
     return tuple(yc + sc * h for yc, sc in zip(y, loop_sum(K, row)))
 
 
+def loop_error(h, y, y_new, e3, e5):
+    """scipy's error norm of a step, from the E3 and E5 sums."""
+    n3 = n5 = 0.0
+    for a, b, w3, w5 in zip(y, y_new, e3, e5):
+        scale = dop853.TOL + max(abs(a), abs(b)) * dop853.TOL
+        w3 /= scale
+        w5 /= scale
+        n3 += w3 * w3
+        n5 += w5 * w5
+    return 0.0 if n5 == 0 and n3 == 0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * len(y))
+
+
 def loop_step(fun, t, h, y, f):
     K = [f]
     for s in range(1, dop853.N_STAGES):
         K.append(fun(t + dop853.C[s] * h, loop_advance(y, K, dop853.A[s], h)))
     y_new = loop_advance(y, K, dop853.B, h)
     K.append(fun(t + h, y_new))
-    return y_new, tuple(K), loop_sum(K, dop853.E3), loop_sum(K, dop853.E5)
+    return y_new, tuple(K), loop_error(h, y, y_new, loop_sum(K, dop853.E3), loop_sum(K, dop853.E5))
 
 
 def loop_dense_rows(fun, t, h, y, K):
@@ -155,3 +171,14 @@ def test_nfev_is_the_right_hand_sides_own_count(monkeypatch):
     single = dop853.solve_ivp(counted, y0, times[:1])
     assert single.nfev == 0 and not calls
     assert np.array_equal(single.rows, y0[None, :])
+
+
+def test_a_finite_blow_up_fails_on_the_step_size():
+    # y' = y^2 from y = 1 blows up at t = 1 with every value finite: the
+    # steps shrink below 10 ulp of t, and the failure gives scipy's reason,
+    # not a non-finite one.
+    with pytest.raises(IntegrationError) as failure:
+        dop853.solve_ivp(lambda t, y: (y[0] * y[0], 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0, 0, 0, 0, 0), [0.0, 2.0])
+    message = str(failure.value)
+    assert message.startswith(f"oracle integration failed: {dop853.TOO_SMALL}; initial state x=1.0, y=0.0")
+    assert 0.99 < float(message.rsplit("last time reached ", 1)[1]) < 1.01

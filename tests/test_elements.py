@@ -94,6 +94,19 @@ def test_kepler_non_finite_input_gives_nan_next_to_finite_ones():
     assert np.isnan(kepler_solve(1.0, np.array([0.3, np.nan]))[1])
 
 
+def test_kepler_finite_entries_do_not_depend_on_non_finite_ones_in_the_batch():
+    # An all-finite batch skips the non-finite masking; the same entries
+    # with NaN and inf mixed into M or e come out bit for bit the same.
+    M, e = np.meshgrid(np.linspace(-20.0, 20.0, 201), np.linspace(0.0, 0.99, 12))
+    clean = kepler_solve(M, e)
+    rng = np.random.default_rng(7)
+    holes = rng.random(M.shape) < 0.1
+    for args in ((np.where(holes, np.nan, M), e), (np.where(holes, -np.inf, M), e), (M, np.where(holes, np.nan, e))):
+        mixed = kepler_solve(*args)
+        assert np.isnan(mixed[holes]).all()
+        assert mixed[~holes].tobytes() == clean[~holes].tobytes()
+
+
 # Keplerian draw bounds (a, e, i, raan, argp, M) of the Cartesian tests.
 KEP_LO = (6800.0, 1e-3, 0.05, 0.0, 0.0, 0.0)
 KEP_HI = (9000.0, 0.75, np.pi - 0.05, TWO_PI, TWO_PI, TWO_PI)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import draw_states
+from zeipel import vonzeipel as vz
 from zeipel.domain import CHAIN_FLOOR
 from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
 from zeipel.errors import DomainError, MapError
@@ -81,6 +82,69 @@ def test_zero_column_batches(rng):
         cm.osculating_to_mean_batch(empty, empty),
     ):
         assert [x.shape for x in out] == [(3, 0), (3, 0), (0,)]
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of generator builds and `derivatives` calls, by name."""
+    counts = {"builds": 0, "derivatives": 0}
+    init, derivatives = vz.ClosedFormGenerator.__init__, vz.ClosedFormGenerator.derivatives
+
+    def counted_init(self, *args):
+        counts["builds"] += 1
+        init(self, *args)
+
+    def counted_derivatives(self, *args):
+        counts["derivatives"] += 1
+        return derivatives(self, *args)
+
+    monkeypatch.setattr(vz.ClosedFormGenerator, "__init__", counted_init)
+    monkeypatch.setattr(vz.ClosedFormGenerator, "derivatives", counted_derivatives)
+    return counts
+
+
+def test_map_makes_one_evaluation_per_newton_iteration(rng, evaluations):
+    # The outputs come from Newton's last evaluation: forward, one build in
+    # all and one derivatives call per iteration; inverse, one build and one
+    # derivatives call per iteration.  No columns evaluate nothing beyond the
+    # forward build, and J2 = 0 evaluates nothing.
+    cm = CanonicalMap(EARTH)
+    cols = np.array([(*s.momenta, *s.angles) for s in draw_states(rng, 12)]).T
+    its = cm.mean_to_osculating_batch(cols[:3], cols[3:])[2]
+    assert evaluations == {"builds": 1, "derivatives": its.max()}
+    evaluations.update(builds=0, derivatives=0)
+    its = cm.osculating_to_mean_batch(cols[:3], cols[3:])[2]
+    assert evaluations == {"builds": its.max(), "derivatives": its.max()}
+    evaluations.update(builds=0, derivatives=0)
+    cm.mean_to_osculating_batch(np.zeros((3, 0)), np.zeros((3, 0)))
+    cm.osculating_to_mean_batch(np.zeros((3, 0)), np.zeros((3, 0)))
+    assert evaluations == {"builds": 1, "derivatives": 0}
+    evaluations.update(builds=0, derivatives=0)
+    free = CanonicalMap(EARTH.with_j2(0.0))
+    for direction in (free.mean_to_osculating_batch, free.osculating_to_mean_batch):
+        p, q, its = direction(cols[:3], cols[3:])
+        assert np.array_equal(p, cols[:3]) and np.array_equal(q, cols[3:]) and not its.any()
+    assert evaluations == {"builds": 0, "derivatives": 0}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_outputs_match_a_fresh_evaluation_at_the_solution(rng, order):
+    # Newton's last evaluation plus one Hessian step gives p = P + S_q and
+    # Q = q + S_P at the solved pair, as an evaluation there would, on a
+    # batch whose columns stop after different iteration counts.
+    cm = CanonicalMap(EARTH, order)
+    states = draw_states(rng, 60, a_hi=20000.0, e_hi=0.5)
+    cols = np.array([(*s.momenta, *s.angles) for s in states]).T
+    P, Q = cols[:3], cols[3:]
+    p, q, its = cm.mean_to_osculating_batch(P, Q)
+    assert len(set(its)) > 1
+    fresh = P.copy()
+    fresh[:2] += cm.series.grad_q(P, q)
+    assert (np.abs(p - fresh) <= 1e-15 * np.abs(fresh)).all()
+    P, Q, its = cm.osculating_to_mean_batch(cols[:3], cols[3:])
+    assert len(set(its)) > 1
+    fresh = cols[3:] + cm.series.grad_P(P, cols[3:])
+    assert (np.abs(Q - fresh) <= 1e-14 * np.abs(fresh)).all()
 
 
 def test_offsets_scale_linearly(rng):
