@@ -116,7 +116,7 @@ def k1_vs_quadrature(rng, model, n, e_range, i_range):
 
 def _ds1_dl(L, G, H, l, g, model):
     """dS1/dl from the monomial tables the map evaluates."""
-    return vz.ClosedFormGenerator(L, G, H, model, (1.0, 0.0)).derivatives(l, g)[1][3]
+    return vz.ClosedFormGenerator(L, G, H, model, (1.0,)).derivatives(l, g)[1][3]
 
 
 def s1_residual(rng, model, n, grid, e_range, i_range):
@@ -145,8 +145,7 @@ def s2_residual(rng, model, n, points, e_range, i_range):
         L, G, H = momenta_draw(rng, model, e_range, i_range)
         pts_l = rng.uniform(0.0, TWO_PI, size=points)
         pts_g = rng.uniform(0.0, TWO_PI, size=points)
-        field = np.array([vz.hbar(L, G, H, l, g, model) for l, g in zip(pts_l, pts_g)])
-        per = field - vz.k2(L, G, H, model)
+        per = vz.hbar(L, G, H, pts_l, pts_g, model) - vz.k2(L, G, H, model)
         res = dh0_dL(L, model) * vz.ds2_dl_solution(L, G, H, pts_l, pts_g, model) + per
         worst = max(worst, float(np.abs(res).max()) / max(1.0, float(np.abs(per).max())))
     return worst

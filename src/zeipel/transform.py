@@ -60,7 +60,7 @@ class GeneratingSeries:
     def at(self, P):
         """J2*S1 (+ J2^2*S2) at momenta P: one 3-vector, or (3, N) columns."""
         j2 = self.model.j2
-        return vz.ClosedFormGenerator(*np.asarray(P, dtype=float), self.model, (j2, j2 * j2 if self.order == 2 else 0.0))
+        return vz.ClosedFormGenerator(*np.asarray(P, dtype=float), self.model, (j2, j2 * j2)[: self.order])
 
     def grad_q(self, P, q):
         """(dS/dl, dS/dg) minus the P.q part; dS/dh vanishes."""

@@ -4,9 +4,10 @@ Secular/periodic operators on the angle torus, the first-order solution
 (new Hamiltonian term k1, generator s1 and its partials, both closed-form
 and via the generic characteristic-line integral), and the second-order
 solution (k2 closed form and quadrature, s2 closed form, with spectral
-tables as its independent oracle).  `ClosedFormGenerator` evaluates s1 and
-s2 with their first and second derivatives from generated monomial tables
-(`MonomialTable`); the map uses it and nothing else.
+tables as its independent oracle).  `ClosedFormGenerator` evaluates s1 (and
+s2, the order being its weights' count) with their first and second
+derivatives from one monomial table (`MonomialTable`) per order; the map uses
+it and nothing else.  One more table holds k2 and c2.
 
 Conventions.  The generating series is S = P.q + J2*S1 + J2^2*S2 in mixed
 variables (new momenta P, old angles q); the first-order PDE is
@@ -138,7 +139,7 @@ def ds1_dg(L, G, H, l, g, model):
 
 def ds1_dP(L, G, H, l, g, model):
     """(d s1/dL, d s1/dG, d s1/dH) at fixed (l, g), from the monomial tables."""
-    return ClosedFormGenerator(L, G, H, model, (1.0, 0.0)).derivatives(l, g)[1][:3]
+    return ClosedFormGenerator(L, G, H, model, (1.0,)).derivatives(l, g)[1][:3]
 
 
 def solve_homological(w, f_per, q):
@@ -190,12 +191,12 @@ def k2(L, G, H, model):
     term (scripts/derive_second_order.py asserts the polynomial); verified
     against dnu-weighted quadrature in the tests.
     """
-    return model.mu**6 * model.R**4 * _K2(L, G, H)[0][0]
+    return model.mu**6 * model.R**4 * _MEAN(L, G, H)[0][0]
 
 
 def dk2(L, G, H, model):
     """Gradient of k2 with respect to (L, G, H)."""
-    return model.mu**6 * model.R**4 * _K2(L, G, H)[1][0]
+    return model.mu**6 * model.R**4 * _MEAN(L, G, H)[1][0]
 
 
 def k2_quadrature(L, G, H, model):
@@ -209,7 +210,7 @@ def k2_quadrature(L, G, H, model):
 def long_period_coefficient(L, G, H, model):
     """Closed-form coefficient c2 of the long-period remainder c2*cos(2g),
     the l-average of the periodic part of the cross term."""
-    return model.mu**6 * model.R**4 * _C2(L, G, H)[0][0]
+    return model.mu**6 * model.R**4 * _MEAN(L, G, H)[0][1]
 
 
 class SecondOrderTables:
@@ -325,14 +326,14 @@ def ds2_dl_solution(L, G, H, l, g, model):
 
 
 class ClosedFormGenerator:
-    """w1 * S1 + w2 * S2 at fixed momenta (L, G, H), in closed form.
+    """w1 * S1 (+ w2 * S2) at fixed momenta (L, G, H), in closed form.
 
     Each generator is a sum c_j(L, G, H) * phi_j(nu, l, g) over the angle
     basis of `_secondorder`, phi = (nu - l)^p sin(k nu + m g + p pi/2), where
     p = 1 only with k = 0; S2's k = 0 sine terms are the Hansen l-means that
     give it zero l-mean.  The coefficients and their first and second
-    momentum partials are computed once, here, from the monomial tables;
-    `derivatives` chains them with nu(l, e(L, G)).
+    momentum partials are computed once, here, in one call of the monomial
+    table of order len(weights); `derivatives` chains them with nu(l, e(L, G)).
 
     The momenta are floats or (N,) arrays, one momentum vector per column;
     the coefficients have shape (terms, N), N = 1 for floats.
@@ -342,12 +343,12 @@ class ClosedFormGenerator:
         L, G, H = (np.asarray(x, dtype=float).reshape(-1) for x in (L, G, H))
         self.L, self.G, self.e = L, G, eccentricity_from_momenta(L, G)
         check_chart(self.e)
-        parts = [(weights[0] * model.mu**2 * model.R**2, _S1)]
-        if weights[1]:
-            parts.append((weights[1] * model.mu**4 * model.R**4, _S2))
-        coef = [[w * x for x in table(L, G, H)] for w, table in parts]
-        self.c, self.dc, self.d2c = (np.concatenate(x) for x in zip(*coef))
-        self.p, self.k, self.m, self.phase, self.linear = _BASES[len(parts) - 1]
+        table, basis = _GENERATORS[len(weights) - 1]
+        # Sn's terms scale by wn mu^(2n) R^(2n).
+        w = np.repeat([x * model.mu ** (2 * n) * model.R ** (2 * n) for n, x in enumerate(weights, 1)], table.sizes)
+        c, dc, d2c = table(L, G, H)
+        self.c, self.dc, self.d2c = w[:, None] * c, w[:, None, None] * dc, w[:, None, None, None] * d2c
+        self.p, self.k, self.m, self.phase, self.linear = basis
 
     def derivatives(self, l, g):
         """(value, gradient, Hessian) in (L, G, H, l, g) at mean anomaly l and
@@ -437,15 +438,17 @@ def _evaluate(x, products):
 
 
 class MonomialTable:
-    """f_j = sum of c e^a L^b G^c H^d u^f over the rows (j, c, a, b, c, d, f) of a
-    generated table, u = 1/(L + G), and its exact (L, G, H) gradient and Hessian:
-    the 13 outputs of a term, differentiated here by exponent arithmetic.  A call
+    """f_j = sum of c e^a L^b G^c H^d u^f over the rows (j, c, a, b, c, d, f) of
+    generated tables, u = 1/(L + G), and its exact (L, G, H) gradient and Hessian:
+    the 13 outputs of a term, differentiated here by exponent arithmetic.  Each
+    table's terms follow the previous one's; `sizes` holds their counts.  A call
     sums each output's monomials per (e, u) power over the distinct (L, G, H)
     products, then weights the sums by the (e, u) powers: two sparse products."""
 
-    def __init__(self, rows):
-        rows = np.array(rows, dtype=float)
-        self.terms = int(rows[:, 0].max()) + 1
+    def __init__(self, *tables):
+        self.sizes = [max(row[0] for row in table) + 1 for table in tables]
+        self.terms, shifts = sum(self.sizes), np.cumsum([0] + self.sizes).tolist()
+        rows = np.array([(j + s, *rest) for table, s in zip(tables, shifts) for j, *rest in table], dtype=float)
         value = (rows[:, 0].astype(int), rows[:, 1], rows[:, 2:].astype(int))
         first = [_partial(*value, x) for x in range(3)]
         parts = [value, *first, *(_partial(*first[x], y) for x in range(3) for y in range(3))]
@@ -471,15 +474,13 @@ class MonomialTable:
         return self.by_output @ ((self.by_lgh @ _evaluate((L, G, H), self.lgh)) * weights)
 
 
-_S1, _S2, _K2, _C2 = (MonomialTable(getattr(_secondorder, f"{n}_MONOMIALS")) for n in ("S1", "S2", "K2", "C2"))
+def _generator(*names):
+    """The named generators' table and angle basis: p, k and m as (terms, 1)
+    columns, the phase p pi/2 and the mask p == 1 of the terms linear in nu - l."""
+    table = MonomialTable(*(getattr(_secondorder, f"{n}_MONOMIALS") for n in names))
+    p, k, m = np.array(sum((getattr(_secondorder, f"{n}_BASIS") for n in names), ())).T[:, :, None]
+    return table, (p, k, m, 0.5 * np.pi * p, p == 1)
 
 
-def _basis(terms):
-    """p, k and m of the angle basis as (terms, 1) columns, the phase
-    p pi/2 and the mask p == 1 of the terms linear in nu - l."""
-    p, k, m = np.array(terms).T[:, :, None]
-    return p, k, m, 0.5 * np.pi * p, p == 1
-
-
-# S1's terms at order 1, then S2's at order 2
-_BASES = (_basis(_secondorder.S1_BASIS), _basis(_secondorder.S1_BASIS + _secondorder.S2_BASIS))
+_GENERATORS = (_generator("S1"), _generator("S1", "S2"))  # indexed by theory order - 1
+_MEAN = MonomialTable(_secondorder.K2_MONOMIALS, _secondorder.C2_MONOMIALS)  # terms k2, c2

@@ -8,6 +8,7 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 from zeipel import _secondorder
+from zeipel import vonzeipel as vz
 from zeipel.elements import EARTH, PhysicalModel, a_over_r, delaunay_momenta, true_from_mean
 from zeipel.errors import DegenerateFrequencyError, DomainError
 from zeipel.hamiltonian import (
@@ -21,6 +22,7 @@ from zeipel.propagator import mean_rates
 from zeipel.vonzeipel import (
     AveragingOperator,
     ClosedFormGenerator,
+    MonomialTable,
     SecondOrderTables,
     dk1,
     dk2,
@@ -29,6 +31,7 @@ from zeipel.vonzeipel import (
     ds1_dl,
     ds2_dl,
     ds2_dl_solution,
+    hbar,
     hbar_true,
     k1,
     k2,
@@ -499,9 +502,65 @@ def test_closed_form_s2_generator_equation(rng, e):
 def test_closed_form_s1_matches_hand_written():
     L, G, H = 1.2, 1.05, -0.5
     l = np.linspace(0.0, TWO_PI, 13)
-    value = ClosedFormGenerator(L, G, H, UNIT, (1.0, 0.0)).derivatives(l, 0.7)[0]
+    value = ClosedFormGenerator(L, G, H, UNIT, (1.0,)).derivatives(l, 0.7)[0]
     ref = s1(L, G, H, l, 0.7, UNIT)
     assert np.abs(value - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_one_table_call_per_evaluation(monkeypatch):
+    # A generator build of either order, and each mean-term evaluation, is
+    # one call of one monomial table.
+    calls = []
+    call = MonomialTable.__call__
+    monkeypatch.setattr(MonomialTable, "__call__", lambda self, *args: calls.append(self) or call(self, *args))
+    P = delaunay_momenta(7200.0, 0.1, 1.0, EARTH)
+    columns = np.column_stack([P, delaunay_momenta(9000.0, 0.3, 2.0, EARTH)])
+    counts = {}
+    for name, run in (
+        ("order 1", lambda: ClosedFormGenerator(*P, EARTH, (1.0,))),
+        ("order 2", lambda: ClosedFormGenerator(*P, EARTH, (1e-3, 1e-6))),
+        ("order 2, columns", lambda: ClosedFormGenerator(*columns, EARTH, (1e-3, 1e-6))),
+        ("k2", lambda: k2(*P, EARTH)),
+        ("dk2", lambda: dk2(*P, EARTH)),
+        ("c2", lambda: long_period_coefficient(*P, EARTH)),
+        ("mean_rates", lambda: mean_rates(P, EARTH, order=2)),
+    ):
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(counts, 1)
+
+
+def test_stacked_tables_match_generated_tables(rng):
+    # Each theory order's table and the mean table, against the generated
+    # tables taken one at a time, bit for bit: the order-2 generator is
+    # w1 mu^2 R^2 S1's outputs then w2 mu^4 R^4 S2's, and the mean terms are
+    # k2's outputs then c2's.  EARTH's mu and R tell the two scales apart.
+    S1, S2, K2, C2 = (MonomialTable(getattr(_secondorder, f"{n}_MONOMIALS")) for n in ("S1", "S2", "K2", "C2"))
+    draws = zip(rng.uniform(6800.0, 20000.0, 9), rng.uniform(0.01, 0.8, 9), rng.uniform(0.1, 3.0, 9))
+    L, G, H = np.array([delaunay_momenta(*x, EARTH) for x in draws]).T
+    w1, w2 = 1.1e-3, 3.7e-6
+    s1_scale, s2_scale = w1 * EARTH.mu**2 * EARTH.R**2, w2 * EARTH.mu**4 * EARTH.R**4
+    order1, order2 = (ClosedFormGenerator(L, G, H, EARTH, w) for w in ((w1,), (w1, w2)))
+    for x1, x2, t1, t2 in zip((order1.c, order1.dc, order1.d2c), (order2.c, order2.dc, order2.d2c), S1(L, G, H), S2(L, G, H)):
+        assert np.array_equal(x1, s1_scale * t1)
+        assert np.array_equal(x2, np.concatenate([s1_scale * t1, s2_scale * t2]))
+    for mean, tk, tc in zip(vz._MEAN(L, G, H), K2(L, G, H), C2(L, G, H)):
+        assert np.array_equal(mean, np.concatenate([tk, tc]))
+    scale = EARTH.mu**6 * EARTH.R**4
+    assert np.array_equal(k2(L, G, H, EARTH), scale * K2(L, G, H)[0][0])
+    assert np.array_equal(dk2(L, G, H, EARTH), scale * K2(L, G, H)[1][0])
+    assert np.array_equal(long_period_coefficient(L, G, H, EARTH), scale * C2(L, G, H)[0][0])
+
+
+def test_cross_term_on_arrays_matches_points(rng):
+    # checks.s2_residual evaluates the hand-written cross term on arrays of
+    # angles in one call.  Per point it is the loop's arithmetic, but numpy's
+    # array and scalar loops may round an elementary function an ulp apart.
+    L, G, H = delaunay_momenta(7500.0, 0.2, 1.0, EARTH)
+    l, g = rng.uniform(0.0, TWO_PI, size=(2, 64))
+    loop = np.array([hbar(L, G, H, a, b, EARTH) for a, b in zip(l, g)])
+    assert np.abs(hbar(L, G, H, l, g, EARTH) - loop).max() <= 8 * np.finfo(float).eps * np.abs(loop).max()
 
 
 def test_generated_module_matches_derive_script():
