@@ -1,12 +1,17 @@
-"""J2-halving convergence study.
+"""J2-halving convergence sweep over orbit shapes (a, e, i).
 
-Propagates the reference low-Earth orbit analytically at order 1 and 2,
-compares against the Cartesian oracle at J2, J2/2, J2/4, and prints the
-successive error ratios.  A theory whose neglected remainder is O(J2^n)
-shows ratios near 2^n: about 4 for the first-order theory, about 8 for
-the second-order one.
+For each row, propagates analytically at order 1 and 2, compares against
+the Cartesian oracle at J2, J2/2 and J2/4, and prints one line: each
+order's two successive position-error ratios and the order-2 max position
+error at full J2.  A theory whose neglected remainder is O(J2^n) shows
+ratios near 2^n: about 4 for the first-order theory, about 8 for the
+second-order one.  The default rows are the seven (a, e, i) rows of
+ROADMAP item 1's table, with raan 0.3, argp 1.1 and M 0.2 rad; `--a`,
+`--e` and `--i` select a single row instead (the others default to the
+first row's).
 
-Usage: python scripts/convergence_study.py [--orbits 10] [--samples 401]
+Usage: python scripts/convergence_study.py [--orbits 10] [--samples 201]
+       [--a 7000 --e 0.01 --i 0.5]
 """
 
 import argparse
@@ -16,46 +21,56 @@ import numpy as np
 from zeipel.checks import halving_study
 from zeipel.elements import EARTH, KeplerianElements
 
+# (a km, e, i rad); the last is the critical inclination, arctan(2).
+ROWS = (
+    (7000.0, 0.01, 0.5),
+    (7000.0, 0.1, 0.5),
+    (7500.0, 0.2, 0.5),
+    (7500.0, 0.2, 1.0),
+    (7500.0, 0.1, 1.1),
+    (8300.0, 0.3, 2.3),
+    (7500.0, 0.1, 1.1071),
+)
 
-def run(orbits, samples, a, e, i):
+
+def study_row(orbits, samples, a, e, i):
+    """Each order's (ratio step 1, ratio step 2) and the order-2 max
+    position error at full J2, km."""
     model = EARTH
     el0 = KeplerianElements(a, e, i, 0.3, 1.1, 0.2)
     period = 2.0 * np.pi / np.sqrt(model.mu / a**3)
     times = np.linspace(0.0, orbits * period, samples)
-
+    ratios, errs = {}, {}
     for order in (1, 2):
-        print(f"== order {order} ==")
-        levels = halving_study(el0, times, model, order)
-        errs = [lv.report.max_pos_err for lv in levels]
-        ptps = [np.ptp(lv.mean, axis=0) for lv in levels]
-        for lv, ptp in zip(levels, ptps):
-            energy = lv.oracle.extras["energy"]
-            print(
-                f"  J2={lv.model.j2:.6e}  max_pos_err={lv.report.max_pos_err:.6e} km  "
-                f"ptp(L'',G'',H'')={ptp[0]:.3e},{ptp[1]:.3e},{ptp[2]:.3e}  "
-                f"oracle dE/E={abs(np.ptp(energy) / energy[0]):.1e}"
-            )
-        for k in (0, 1):
-            print(
-                f"  ratio step{k + 1}: position {errs[k] / errs[k + 1]:.3f}  "
-                f"momenta {np.array2string(ptps[k] / ptps[k + 1], precision=3)}"
-            )
-    print(
-        "\nH'' peak-to-peak sits at the oracle round-off floor (~1e-12 relative)\n"
-        "at every J2: the map leaves H untouched and the zonal field conserves\n"
-        "it, so its ratio carries no convergence information."
-    )
+        errs[order] = [lv.report.max_pos_err for lv in halving_study(el0, times, model, order)]
+        ratios[order] = (errs[order][0] / errs[order][1], errs[order][1] / errs[order][2])
+    return ratios, errs[2][0]
+
+
+def run(orbits, samples, rows=ROWS):
+    print(f"J2-halving position-error ratios, {orbits:g} periods, {samples} samples")
+    for a, e, i in rows:
+        ratios, err = study_row(orbits, samples, a, e, i)
+        print(
+            f"a={a:g} km  e={e:g}  i={i:g} rad  "
+            f"order-1 ratios {ratios[1][0]:.2f} / {ratios[1][1]:.2f}  "
+            f"order-2 ratios {ratios[2][0]:.2f} / {ratios[2][1]:.2f}  "
+            f"order-2 max_pos_err {err:.2e} km"
+        )
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--orbits", type=float, default=10.0)
-    ap.add_argument("--samples", type=int, default=401)
-    ap.add_argument("--a", type=float, default=7000.0)
-    ap.add_argument("--e", type=float, default=0.01)
-    ap.add_argument("--i", type=float, default=0.5)
+    ap.add_argument("--samples", type=int, default=201)
+    ap.add_argument("--a", type=float)
+    ap.add_argument("--e", type=float)
+    ap.add_argument("--i", type=float)
     args = ap.parse_args()
-    run(args.orbits, args.samples, args.a, args.e, args.i)
+    rows = ROWS
+    if (args.a, args.e, args.i) != (None, None, None):
+        rows = [tuple(ROWS[0][k] if x is None else x for k, x in enumerate((args.a, args.e, args.i)))]
+    run(args.orbits, args.samples, rows)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,13 @@ defines the map implicitly through p = dS/dq, Q = dS/dP.  The forward
 direction solves for the osculating angles q given (P, Q); the inverse
 solves for the mean momenta P given (p, q).  Both are Newton iterations on
 the exact S_qP block of the closed-form generator, run over (3, N) arrays
-of states with one batched linear solve per step; a single state is the
-N = 1 case.  The other half of each output (p = P + S_q forward, Q = q +
-S_P inverse) comes from each column's last Newton evaluation plus one
-Hessian step (S_qq or S_PP) over the Newton step taken after it, so no
-evaluation is made at the solution.  The map's own Jacobian is assembled
-from the second derivatives of S at the solved (P, q) pair.
+of states; a single state is the N = 1 case.  S has no h term, so each step
+is a 2x2 elimination plus one substitution for the unit pivot h or H.  The
+other half of each output (p = P + S_q forward, Q = q + S_P inverse) comes
+from each column's last Newton evaluation plus one Hessian step (S_qq or
+S_PP) over the Newton step taken after it, so no evaluation is made at the
+solution.  The map's own Jacobian is assembled from the second derivatives
+of S at the solved (P, q) pair.
 """
 
 from __future__ import annotations
@@ -41,9 +42,25 @@ def _map_error(why, state, step):
     return MapError(f"{why}; input {describe('LGHlgh', state)}; last scaled step {step:.3e}")
 
 
-def _eye(k):
-    """(3, 3, k): one identity matrix per column."""
-    return np.repeat(np.eye(3)[:, :, None], k, axis=2)
+def _solve2(a, b, c, d, r, s):
+    """(x, y) with [[a, b], [c, d]] (x, y) = (r, s), column by column."""
+    det = a * d - b * c
+    return (d * r - b * s) / det, (a * s - c * r) / det
+
+
+def forward_step(F, hess):
+    """Newton step in (l, g, h) for F = q + S_P - Q, hess the generator's in
+    (L, G, H, l, g).  S has no h term, so 1 + S_Pq has a unit h column: a
+    2x2 step in (l, g), then h by substitution."""
+    dl, dg = _solve2(1.0 + hess[0, 3], hess[0, 4], hess[1, 3], 1.0 + hess[1, 4], -F[0], -F[1])
+    return np.array([dl, dg, -F[2] - hess[2, 3] * dl - hess[2, 4] * dg])
+
+
+def inverse_step(F, hess):
+    """Newton step in (L, G, H) for F = P + (S_l, S_g, 0) - p.  Its matrix
+    has a unit H row: H steps by -F_H, then a 2x2 step in (L, G)."""
+    r, s = -F[0] + hess[3, 2] * F[2], -F[1] + hess[4, 2] * F[2]
+    return np.array([*_solve2(1.0 + hess[3, 0], hess[3, 1], hess[4, 0], 1.0 + hess[4, 1], r, s), -F[2]])
 
 
 @dataclass(frozen=True)
@@ -90,46 +107,46 @@ class CanonicalMap:
     def _solve(self, system, x0, scale, start):
         """Newton iteration for F(x) = 0 on the columns of x0, (3, N).
 
-        system(x, run) gets the whole iterate and the (N,) mask of running
-        columns, and returns F, (3, N), dF/dx, (3, 3, N), the momenta's e,
-        broadcasting to (N,), and the generator gradient y, (3, N), that the
-        map adds to its fixed half, with dy/dx, (3, 3, N), all valid on the
-        `run` columns; F is nan where e is below CHAIN_FLOOR, the iterate
-        having left the Delaunay chart.  One batched solve steps the running
-        columns; a column stops when its own scaled step first falls to
-        NEWTON_TOL, as a lone solve would, so its iterate and count do not
-        depend on the batch.  A column's y is that of its last evaluation
-        plus dy/dx times the step taken after it, good to O(step^2), so
-        nothing is evaluated at the solution.  Returns x, y and the
-        iterations per column.  Any failure raises MapError naming the first
-        failing column's input state (its column of `start`) and its last
-        scaled step (nan before its first step).
+        system(x, run) gets the whole iterate and the running columns: a slice
+        of them all, so that the iteration works on whole arrays, until one
+        stops or breaks, and then their index array.  On those n columns it
+        returns F, (3, n), its Newton step, (3, n), the momenta's e, (n,), and
+        the generator gradient y, (k, n), that the map adds to its fixed half,
+        with dy/dx, (k, k, n), over the step's first k rows; F is nan where e
+        is below CHAIN_FLOOR, the iterate having left the Delaunay chart.  A
+        column stops when its own scaled step first falls to NEWTON_TOL, as a
+        lone solve would, so its iterate and count do not depend on the batch.
+        A column's y is that of its last evaluation plus dy/dx times the step
+        taken after it, good to O(step^2), so nothing is evaluated at the
+        solution.  Returns x, y (the first k of 3 rows) and the iterations per
+        column.  Any failure raises MapError naming the first failing column's
+        input state (its column of `start`) and its last scaled step (nan
+        before its first step).
         """
-        x = x0.copy()
-        n = x.shape[1]
-        its = np.zeros(n, dtype=int)
+        x, y, n = x0.copy(), np.zeros(x0.shape), x0.shape[1]
+        its, broke = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)  # broke: F non-finite
         step, e_broke = np.full((2, n), math.nan)
-        run, broke = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)  # broke: F non-finite
-        y = np.zeros_like(x)
+        run, left = slice(None), n  # every column, as whole arrays, until one stops or breaks
         for it in range(1, NEWTON_MAXITER + 1):
-            if not run.any():
+            if not left:
                 break
-            F, jac, e, y_it, dy_it = system(x, run)
-            bad = run & ~np.isfinite(F).all(axis=0)
-            if bad.any():
-                broke |= bad
-                e_broke[bad] = np.broadcast_to(e, n)[bad]
-                run &= ~bad
+            F, dx, e, y_it, dy_it = system(x, run)
+            s = np.abs(F / scale[:, run]).max(axis=0)
+            ok, done = np.isfinite(s), s <= NEWTON_TOL  # done: this evaluation was the column's last
             x_run = x[:, run]
-            x[:, run] = x_run + np.linalg.solve(jac[..., run].transpose(2, 0, 1), -F[:, run].T[..., None])[..., 0].T
-            step[run] = np.abs(F[:, run] / scale[:, run]).max(axis=0)
-            its[run] = it
-            done = run & (step <= NEWTON_TOL)  # this evaluation was the column's last
-            # The step as taken in floats, so that y is the evaluation at the returned x to O(step^2).
-            dx = x[:, done] - x_run[:, done[run]]
-            y[:, done] = y_it[:, done] + np.einsum("ijn,jn->in", dy_it[..., done], dx)
-            run &= ~done
-        for col in np.flatnonzero(broke | run)[:1]:
+            x_new = x_run + dx
+            if done.any():  # y on every running column; each keeps that of its last evaluation
+                # The step as taken in floats, so that y is the evaluation at the returned x to O(step^2).
+                y[: len(dy_it), run] = y_it + np.einsum("ijn,jn->in", dy_it, (x_new - x_run)[: len(dy_it)])
+            x[:, run], its[run] = x_new, it
+            if not ok.all():  # a non-finite F: the column breaks, keeping its last step
+                cols = np.arange(n)[run][~ok]
+                broke[cols], e_broke[cols], s[~ok] = True, e[~ok], step[cols]
+            step[run] = s
+            if done.any() or not ok.all():  # go on over the index array of the columns still running
+                run = np.arange(n)[run][ok & ~done]
+                left = run.size
+        for col in np.flatnonzero(~(step <= NEWTON_TOL))[:1]:  # broken or unconverged: last step above the tolerance or nan
             why = f"no convergence in {NEWTON_MAXITER} iterations"
             if e_broke[col] < CHAIN_FLOOR:
                 why = f"iterate left the Delaunay chart: e = {e_broke[col]:.3e} below the chain-rule floor {CHAIN_FLOOR}"
@@ -164,18 +181,15 @@ class CanonicalMap:
         start = np.vstack([p, Q])
         self._refuse(start)
         generator = self.series.at(P)
+        e = np.broadcast_to(generator.e, Q.shape[1:])
 
         def system(q, run):
-            _, grad, hess = generator.derivatives(q[0], q[1])
-            jac = _eye(q.shape[1])
-            jac[:, :2] += hess[:3, 3:]
-            s_q = np.zeros_like(q)  # (S_l, S_g, 0): p = P + s_q
-            s_q[:2] = grad[3:]
-            s_qq = np.zeros_like(jac)
-            s_qq[:2, :2] = hess[3:, 3:]
-            return q + grad[:3] - Q, jac, generator.e, s_q, s_qq
+            _, grad, hess = generator.derivatives(q[0], q[1])  # every column: the momenta are bound per column
+            grad, hess = grad[:, run], hess[..., run]
+            F = q[:, run] + grad[:3] - Q[:, run]
+            return F, forward_step(F, hess), e[run], grad[3:], hess[3:, 3:]  # p = P + (S_l, S_g, 0)
 
-        q, s_q, its = self._solve(system, Q, np.ones_like(Q), start)
+        q, s_q, its = self._solve(system, Q, np.ones(Q.shape), start)
         p[:2] += s_q[:2]
         return p, q, its
 
@@ -190,19 +204,13 @@ class CanonicalMap:
         self._refuse(start)
 
         def system(P, run):
+            P, angles = P[:, run], q[:, run]
             e = eccentricity_from_momenta(P[0], P[1])
-            live = run & (e >= CHAIN_FLOOR)  # the generator is built on these columns only
-            _, grad, hess = self.series.at(P[:, live]).derivatives(q[0, live], q[1, live])
-            F = np.full_like(P, math.nan)
-            F[:, live] = P[:, live] - p[:, live]
-            F[:2, live] += grad[3:]
-            jac = _eye(P.shape[1])
-            jac[:2, :, live] += hess[3:, :3]
-            s_P = np.zeros_like(P)  # Q = q + s_P
-            s_P[:, live] = grad[:3]
-            s_PP = np.zeros_like(jac)
-            s_PP[..., live] = hess[:3, :3]
-            return F, jac, e, s_P, s_PP
+            # The generator is built on the running columns only; off the chart, on nan momenta.
+            _, grad, hess = self.series.at(np.where(e >= CHAIN_FLOOR, P, math.nan)).derivatives(angles[0], angles[1])
+            F = P - p[:, run]
+            F[:2] += grad[3:]
+            return F, inverse_step(F, hess), e, grad[:3], hess[:3, :3]  # Q = q + S_P
 
         P, s_P, its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start)
         return P, q + s_P, its

@@ -341,14 +341,19 @@ class ClosedFormGenerator:
 
     def __init__(self, L, G, H, model, weights):
         L, G, H = (np.asarray(x, dtype=float).reshape(-1) for x in (L, G, H))
-        self.L, self.G, self.e = L, G, eccentricity_from_momenta(L, G)
-        check_chart(self.e)
+        self.e = e = eccentricity_from_momenta(L, G)
+        check_chart(e)
+        # 1 - e^2, its 3/2 power and e(L, G)'s partials, bound once: (N,) columns broadcasting with the angles.
+        e_L, e_G, self.eta2 = G * G / (e * L**3), -G / (e * L * L), 1.0 - e * e
+        self.eta3, self.e_P = self.eta2**1.5, np.array([e_L, e_G])
+        self.e_PP2 = self.e_P[:, None] * self.e_P[None, :]
+        self.e_PP = np.array([[-3.0 * e_L / L, 2.0 * e_L / G], [2.0 * e_L / G, e_G / G]]) - self.e_PP2 / e
         table, basis = _GENERATORS[len(weights) - 1]
         # Sn's terms scale by wn mu^(2n) R^(2n).
         w = np.repeat([x * model.mu ** (2 * n) * model.R ** (2 * n) for n, x in enumerate(weights, 1)], table.sizes)
         c, dc, d2c = table(L, G, H)
         self.c, self.dc, self.d2c = w[:, None] * c, w[:, None, None] * dc, w[:, None, None, None] * d2c
-        self.p, self.k, self.m, self.phase, self.linear = basis
+        self.basis = basis
 
     def derivatives(self, l, g):
         """(value, gradient, Hessian) in (L, G, H, l, g) at mean anomaly l and
@@ -360,44 +365,40 @@ class ClosedFormGenerator:
             l, g = np.broadcast_arrays(l, g)
         shape = l.shape
         l, g = l.ravel(), g.ravel()
-        # Momentum-only factors as (1,) or (N,) columns, broadcasting with the angles.
-        L, G, e = self.L, self.G, self.e
-        eta2 = 1.0 - e * e
+        e, eta2, eta3, e_P = self.e, self.eta2, self.eta3, self.e_P
         nu = true_from_mean(l, e)
         cn, sn = np.cos(nu), np.sin(nu)
-        # nu(l, e) and its partials at fixed l; e(L, G) and its partials.
+        # nu(l, e) and its partials at fixed l.
         one = 1.0 + e * cn
-        nu_l = one**2 / eta2**1.5
+        nu_l = one**2 / eta3
         nu_e = (2.0 + e * cn) * sn / eta2
-        nu_ll = -2.0 * e * sn * one / eta2**1.5 * nu_l
-        nu_le = one * (2.0 * cn + 3.0 * e * one / eta2 - 2.0 * e * sn * nu_e) / eta2**1.5
+        nu_ll = -2.0 * e * sn * one / eta3 * nu_l
+        nu_le = one * (2.0 * cn + 3.0 * e * one / eta2 - 2.0 * e * sn * nu_e) / eta3
         nu_ee = (cn * sn + 2.0 * e * nu_e + (2.0 * cn + e * np.cos(2.0 * nu)) * nu_e) / eta2
-        e_L, e_G = G * G / (e * L**3), -G / (e * L * L)
-        e_P = np.array([e_L, e_G])
-        e_PP2 = e_P[:, None] * e_P[None, :]
-        e_PP = np.array([[-3.0 * e_L / L, 2.0 * e_L / G], [2.0 * e_L / G, e_G / G]]) - e_PP2 / e
         Y = np.zeros((3, 5, len(nu)))  # d(nu, l, g)/d(L, G, H, l, g)
-        Y[0, 0], Y[0, 1], Y[0, 3] = e_L * nu_e, e_G * nu_e, nu_l
+        Y[0, 0], Y[0, 1], Y[0, 3] = e_P[0] * nu_e, e_P[1] * nu_e, nu_l
         Y[1, 3] = Y[2, 4] = 1.0
         nu_xx = np.zeros((5, 5, len(nu)))
-        nu_xx[:2, :2] = e_PP * nu_e + e_PP2 * nu_ee
+        nu_xx[:2, :2] = self.e_PP * nu_e + self.e_PP2 * nu_ee
         nu_xx[:2, 3] = nu_xx[3, :2] = e_P * nu_le
         nu_xx[3, 3] = nu_ll
 
-        # Basis values and their (nu, l, g) derivatives, one row per term.
-        p, k, m = self.p, self.k, self.m
-        theta = k * nu + m * g + self.phase
+        # Basis values, (nu, l, g) gradient and the Hessian's distinct non-zero entries nn, ng, lg, gg; a row per term.
+        p, k, m, phase, linear, n_p, n_kk, pm, km, n_pm, n_mm = self.basis
+        theta = k * nu + m * g + phase
         S, C = np.sin(theta), np.cos(theta)
-        U = np.where(self.linear, nu - l, 1.0)
+        U = np.where(linear, nu - l, 1.0)
         phi = U * S
-        d_phi = np.array([p * S + k * U * C, -p * S, m * U * C])
-        h_ng, h_lg, z = p * m * C - k * m * U * S, -p * m * C, np.zeros_like(phi)
-        h_phi = np.array([[-k * k * U * S, z, h_ng], [z, z, h_lg], [h_ng, h_lg, -m * m * U * S]])
+        d_phi = np.array([p * S + k * U * C, n_p * S, m * U * C])
+        h_phi = np.array([n_kk * U * S, pm * C - km * U * S, n_pm * C, n_mm * U * S])
+        h_nn, h_ng, h_lg, h_gg = np.einsum("jn,ajn->an", self.c, h_phi)
+        z = np.zeros(h_nn.shape)
+        h_y = np.array([[h_nn, z, h_ng], [z, z, h_lg], [h_ng, h_lg, h_gg]])
 
         g_y = np.einsum("jn,ajn->an", self.c, d_phi)
         grad = np.einsum("an,axn->xn", g_y, Y)
         grad[:3] += np.einsum("jpn,jn->pn", self.dc, phi)
-        hess = np.einsum("axn,abn,byn->xyn", Y, np.einsum("jn,abjn->abn", self.c, h_phi), Y) + g_y[0] * nu_xx
+        hess = np.einsum("axn,abn,byn->xyn", Y, h_y, Y) + g_y[0] * nu_xx
         cross = np.einsum("jpn,ajn,axn->pxn", self.dc, d_phi, Y)
         hess[:3] += cross
         hess[:, :3] += cross.transpose(1, 0, 2)
@@ -476,10 +477,11 @@ class MonomialTable:
 
 def _generator(*names):
     """The named generators' table and angle basis: p, k and m as (terms, 1)
-    columns, the phase p pi/2 and the mask p == 1 of the terms linear in nu - l."""
+    float columns, the phase p pi/2, the mask p == 1 of the terms linear in
+    nu - l, and the products -p, -k k, p m, k m, -p m, -m m its derivatives take."""
     table = MonomialTable(*(getattr(_secondorder, f"{n}_MONOMIALS") for n in names))
-    p, k, m = np.array(sum((getattr(_secondorder, f"{n}_BASIS") for n in names), ())).T[:, :, None]
-    return table, (p, k, m, 0.5 * np.pi * p, p == 1)
+    p, k, m = np.array(sum((getattr(_secondorder, f"{n}_BASIS") for n in names), ()), dtype=float).T[:, :, None]
+    return table, (p, k, m, 0.5 * np.pi * p, p == 1, -p, -k * k, p * m, k * m, -p * m, -m * m)
 
 
 _GENERATORS = (_generator("S1"), _generator("S1", "S2"))  # indexed by theory order - 1

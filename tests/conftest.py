@@ -14,13 +14,13 @@ UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
 
 
 def draw_states(rng, n, model=EARTH, a_lo=6800.0, a_hi=8200.0,
-                e_lo=0.01, e_hi=0.2):
+                e_lo=0.01, e_hi=0.2, i_lo=0.15, i_hi=np.pi - 0.15):
     """Random admissible Delaunay states, inclination kept off the guards."""
     out = []
     for _ in range(n):
         a = rng.uniform(a_lo, a_hi)
         e = rng.uniform(e_lo, e_hi)
-        inc = rng.uniform(0.15, np.pi - 0.15)
+        inc = rng.uniform(i_lo, i_hi)
         momenta = delaunay_momenta(a, e, inc, model)
         out.append(DelaunayState(*momenta, *rng.uniform(0.0, 2.0 * np.pi, size=3)))
     return out

@@ -1,7 +1,14 @@
 import importlib.util
+import math
+import re
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+NUMBER = r"(\d+(?:\.\d+)?(?:e[+-]\d+)?)"
+LINE = re.compile(
+    rf"a={NUMBER} km  e={NUMBER}  i={NUMBER} rad  order-1 ratios {NUMBER} / {NUMBER}  "
+    rf"order-2 ratios {NUMBER} / {NUMBER}  order-2 max_pos_err {NUMBER} km$"
+)
 
 
 def load_script():
@@ -11,11 +18,16 @@ def load_script():
     return module
 
 
-def test_convergence_study_prints_two_ratio_lines_per_order(capsys):
-    load_script().run(orbits=1, samples=9, a=7000.0, e=0.01, i=0.5)
-    out = capsys.readouterr().out
-    sections = out.split("== order ")[1:]
-    assert [s.split(" ==")[0] for s in sections] == ["1", "2"]
-    for section in sections:
-        ratios = [ln for ln in section.splitlines() if ln.strip().startswith("ratio step")]
-        assert len(ratios) == 2
+def test_convergence_study_prints_one_line_per_row(capsys):
+    # one row on a tiny grid: the line names the row and gives each order's
+    # two halving ratios and the order-2 error at full J2
+    script = load_script()
+    assert len(script.ROWS) == 7
+    script.run(orbits=1, samples=9, rows=[(7000.0, 0.05, 0.5)])
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.startswith("J2-halving position-error ratios, 1 periods, 9 samples")
+    fields = [float(x) for x in LINE.match(line).groups()]
+    assert fields[:3] == [7000.0, 0.05, 0.5]
+    assert all(math.isfinite(x) and x > 0.0 for x in fields[3:])
+    assert 3.0 < min(fields[3:5]) and max(fields[3:5]) < 5.0  # order 1: near 4
+    assert fields[7] < 0.01  # km, order 2 over one period

@@ -10,7 +10,7 @@ from zeipel.domain import CHAIN_FLOOR
 from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
 from zeipel.errors import DomainError, MapError
 from zeipel.symplectic import block_identities, symplectic_residual
-from zeipel.transform import CanonicalMap, GeneratingSeries, momentum_scale
+from zeipel.transform import CanonicalMap, GeneratingSeries, forward_step, inverse_step, momentum_scale
 
 J2 = EARTH.j2
 FD_REL = 1e-6  # relative step of the whole-map difference oracle
@@ -86,13 +86,14 @@ def test_zero_column_batches(rng):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts of generator builds and `derivatives` calls, by name."""
-    counts = {"builds": 0, "derivatives": 0}
+    """The column count of each generator build, in order, and the count of
+    `derivatives` calls."""
+    counts = {"builds": [], "derivatives": 0}
     init, derivatives = vz.ClosedFormGenerator.__init__, vz.ClosedFormGenerator.derivatives
 
-    def counted_init(self, *args):
-        counts["builds"] += 1
-        init(self, *args)
+    def counted_init(self, L, *args):
+        counts["builds"].append(np.size(L))
+        init(self, L, *args)
 
     def counted_derivatives(self, *args):
         counts["derivatives"] += 1
@@ -104,27 +105,64 @@ def evaluations(monkeypatch):
 
 
 def test_map_makes_one_evaluation_per_newton_iteration(rng, evaluations):
-    # The outputs come from Newton's last evaluation: forward, one build in
-    # all and one derivatives call per iteration; inverse, one build and one
-    # derivatives call per iteration.  No columns evaluate nothing beyond the
-    # forward build, and J2 = 0 evaluates nothing.
+    # The outputs come from Newton's last evaluation: forward, one build on
+    # every column and one derivatives call per iteration; inverse, one build
+    # and one derivatives call per iteration, each build on the columns still
+    # running (as in the CLI's 401-sample mean_history, where 17 columns take
+    # a 4th step), on a batch whose columns stop after different iteration
+    # counts.  No columns evaluate nothing beyond the forward build, and J2 = 0
+    # evaluates nothing.
     cm = CanonicalMap(EARTH)
-    cols = np.array([(*s.momenta, *s.angles) for s in draw_states(rng, 12)]).T
+    cols = np.array([(*s.momenta, *s.angles) for s in draw_states(rng, 12, a_hi=20000.0, e_hi=0.5)]).T
     its = cm.mean_to_osculating_batch(cols[:3], cols[3:])[2]
-    assert evaluations == {"builds": 1, "derivatives": its.max()}
-    evaluations.update(builds=0, derivatives=0)
+    assert len(set(its)) > 1
+    assert evaluations == {"builds": [12], "derivatives": its.max()}
+    evaluations.update(builds=[], derivatives=0)
     its = cm.osculating_to_mean_batch(cols[:3], cols[3:])[2]
-    assert evaluations == {"builds": its.max(), "derivatives": its.max()}
-    evaluations.update(builds=0, derivatives=0)
+    assert len(set(its)) > 1
+    running = [int((its >= k).sum()) for k in range(1, its.max() + 1)]
+    assert running[-1] < 12
+    assert evaluations == {"builds": running, "derivatives": its.max()}
+    evaluations.update(builds=[], derivatives=0)
     cm.mean_to_osculating_batch(np.zeros((3, 0)), np.zeros((3, 0)))
     cm.osculating_to_mean_batch(np.zeros((3, 0)), np.zeros((3, 0)))
-    assert evaluations == {"builds": 1, "derivatives": 0}
-    evaluations.update(builds=0, derivatives=0)
+    assert evaluations == {"builds": [0], "derivatives": 0}
+    evaluations.update(builds=[], derivatives=0)
     free = CanonicalMap(EARTH.with_j2(0.0))
     for direction in (free.mean_to_osculating_batch, free.osculating_to_mean_batch):
         p, q, its = direction(cols[:3], cols[3:])
         assert np.array_equal(p, cols[:3]) and np.array_equal(q, cols[3:]) and not its.any()
-    assert evaluations == {"builds": 0, "derivatives": 0}
+    assert evaluations == {"builds": [], "derivatives": 0}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_steps_match_the_assembled_newton_matrix(rng, order):
+    # S has no h term, so each direction's 3x3 Newton matrix is block
+    # triangular with a unit pivot for h (forward) or H (inverse), and its
+    # step is a 2x2 elimination plus one substitution.  The premise first:
+    # the generator Hessian in (L, G, H, l, g, h) has a zero h row and
+    # column, and the map commutes with a shift of h.
+    states = draw_states(rng, 240, a_hi=20000.0, e_hi=0.5, i_lo=0.05, i_hi=3.1)
+    P, q = np.array([(*s.momenta, *s.angles) for s in states]).T.reshape(2, 3, -1)
+    assert (np.abs(P[2]) < 0.01 * P[1]).any() and (P[2] < 0.0).any()  # near-polar and retrograde orbits
+    _, _, hess = GeneratingSeries(EARTH, order).at(P).derivatives(q[0], q[1])
+    full = np.zeros((6, 6, P.shape[1]))
+    full[: len(hess), : len(hess)] = hess
+    assert not full[5].any() and not full[:, 5].any()
+    cm = CanonicalMap(EARTH, order)
+    for direction in (cm.mean_to_osculating_batch, cm.osculating_to_mean_batch):
+        p, q_out, its = direction(P, q)
+        p_h, q_h, its_h = direction(P, q + [[0.0], [0.0], [1.0]])
+        assert np.array_equal(p_h, p) and np.array_equal(q_h[:2], q_out[:2]) and np.array_equal(its_h, its)
+        assert np.abs(q_h[2] - 1.0 - q_out[2]).max() <= 1e-14
+    # On a residual of either sign and size, the block step is LAPACK's solve
+    # of the assembled matrix, I + S_Pq forward and I + S_qP inverse, to 4 ulp
+    # of the step's largest entry.
+    F = rng.normal(size=P.shape) * 10.0 ** rng.uniform(-12.0, -2.0, P.shape[1])
+    for step, block in ((forward_step, full[:3, 3:]), (inverse_step, full[3:, :3])):
+        jac = (np.eye(3)[..., None] + block).transpose(2, 0, 1)
+        want = np.linalg.solve(jac, -F.T[..., None])[..., 0].T
+        assert (np.abs(step(F, hess) - want) <= 4.0 * np.finfo(float).eps * np.abs(want).max(axis=0)).all()
 
 
 @pytest.mark.parametrize("order", [1, 2])
