@@ -3,15 +3,17 @@
 The mixed-variable generator S(P, q) = P.q + J2*S1(P, q) + J2^2*S2(P, q)
 defines the map implicitly through p = dS/dq, Q = dS/dP.  The forward
 direction solves for the osculating angles q given (P, Q); the inverse
-solves for the mean momenta P given (p, q).  Both are Newton iterations on
-the exact S_qP block of the closed-form generator, run over (3, N) arrays
-of states; a single state is the N = 1 case.  S has no h term, so each step
-is a 2x2 elimination plus one substitution for the unit pivot h or H.  The
-other half of each output (p = P + S_q forward, Q = q + S_P inverse) comes
-from each column's last Newton evaluation plus one Hessian step (S_qq or
-S_PP) over the Newton step taken after it, so no evaluation is made at the
-solution.  The map's own Jacobian is assembled from the second derivatives
-of S at the solved (P, q) pair.
+solves for the mean momenta P given (p, q).  S has no h term (the field is
+axisymmetric), so h is cyclic and H is conserved: each direction is a
+Newton iteration in the two unknowns S depends on, (l, g) forward and
+(L, G) inverse, on the exact S_qP block of the closed-form generator, run
+over (2, N) arrays of states; a single state is the N = 1 case.  The third
+unknown is written out from the solution: h = Q_h - S_H forward, H = p_H
+inverse.  The other half of each output (p = P + S_q forward, Q = q + S_P
+inverse) and h come from each column's last Newton evaluation plus one
+Hessian step over the Newton step taken after it, so no evaluation is made
+at the solution.  The map's own Jacobian is assembled from the second
+derivatives of S at the solved (P, q) pair.
 """
 
 from __future__ import annotations
@@ -42,25 +44,12 @@ def _map_error(why, state, step):
     return MapError(f"{why}; input {describe('LGHlgh', state)}; last scaled step {step:.3e}")
 
 
-def _solve2(a, b, c, d, r, s):
-    """(x, y) with [[a, b], [c, d]] (x, y) = (r, s), column by column."""
+def newton_step(F, J):
+    """The step dx with (I + J) dx = -F, column by column, for F (2, n) and
+    J (2, 2, n): a closed-form 2x2 solve."""
+    a, b, c, d = 1.0 + J[0, 0], J[0, 1], J[1, 0], 1.0 + J[1, 1]
     det = a * d - b * c
-    return (d * r - b * s) / det, (a * s - c * r) / det
-
-
-def forward_step(F, hess):
-    """Newton step in (l, g, h) for F = q + S_P - Q, hess the generator's in
-    (L, G, H, l, g).  S has no h term, so 1 + S_Pq has a unit h column: a
-    2x2 step in (l, g), then h by substitution."""
-    dl, dg = _solve2(1.0 + hess[0, 3], hess[0, 4], hess[1, 3], 1.0 + hess[1, 4], -F[0], -F[1])
-    return np.array([dl, dg, -F[2] - hess[2, 3] * dl - hess[2, 4] * dg])
-
-
-def inverse_step(F, hess):
-    """Newton step in (L, G, H) for F = P + (S_l, S_g, 0) - p.  Its matrix
-    has a unit H row: H steps by -F_H, then a 2x2 step in (L, G)."""
-    r, s = -F[0] + hess[3, 2] * F[2], -F[1] + hess[4, 2] * F[2]
-    return np.array([*_solve2(1.0 + hess[3, 0], hess[3, 1], hess[4, 0], 1.0 + hess[4, 1], r, s), -F[2]])
+    return np.array([(b * F[1] - d * F[0]) / det, (c * F[0] - a * F[1]) / det])
 
 
 @dataclass(frozen=True)
@@ -105,25 +94,26 @@ class CanonicalMap:
     # -- Newton driver --------------------------------------------------------
 
     def _solve(self, system, x0, scale, start):
-        """Newton iteration for F(x) = 0 on the columns of x0, (3, N).
+        """Newton iteration for F(x) = 0 on the columns of x0, (2, N): the two
+        unknowns S depends on, (l, g) forward or (L, G) inverse.
 
         system(x, run) gets the whole iterate and the running columns: a slice
         of them all, so that the iteration works on whole arrays, until one
         stops or breaks, and then their index array.  On those n columns it
-        returns F, (3, n), its Newton step, (3, n), the momenta's e, (n,), and
-        the generator gradient y, (k, n), that the map adds to its fixed half,
-        with dy/dx, (k, k, n), over the step's first k rows; F is nan where e
+        returns F, (2, n), its Newton step, (2, n), the momenta's e, (n,), and
+        three rows of the generator gradient y, (3, n), from which the map
+        writes out its other outputs, with dy/dx, (3, 2, n); F is nan where e
         is below CHAIN_FLOOR, the iterate having left the Delaunay chart.  A
         column stops when its own scaled step first falls to NEWTON_TOL, as a
         lone solve would, so its iterate and count do not depend on the batch.
         A column's y is that of its last evaluation plus dy/dx times the step
         taken after it, good to O(step^2), so nothing is evaluated at the
-        solution.  Returns x, y (the first k of 3 rows) and the iterations per
+        solution.  Returns x, (2, N), y, (3, N), and the iterations per
         column.  Any failure raises MapError naming the first failing column's
         input state (its column of `start`) and its last scaled step (nan
         before its first step).
         """
-        x, y, n = x0.copy(), np.zeros(x0.shape), x0.shape[1]
+        x, y, n = x0.copy(), np.zeros((3, x0.shape[1])), x0.shape[1]
         its, broke = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)  # broke: F non-finite
         step, e_broke = np.full((2, n), math.nan)
         run, left = slice(None), n  # every column, as whole arrays, until one stops or breaks
@@ -137,7 +127,7 @@ class CanonicalMap:
             x_new = x_run + dx
             if done.any():  # y on every running column; each keeps that of its last evaluation
                 # The step as taken in floats, so that y is the evaluation at the returned x to O(step^2).
-                y[: len(dy_it), run] = y_it + np.einsum("ijn,jn->in", dy_it, (x_new - x_run)[: len(dy_it)])
+                y[:, run] = y_it + np.einsum("ijn,jn->in", dy_it, x_new - x_run)
             x[:, run], its[run] = x_new, it
             if not ok.all():  # a non-finite F: the column breaks, keeping its last step
                 cols = np.arange(n)[run][~ok]
@@ -186,12 +176,12 @@ class CanonicalMap:
         def system(q, run):
             _, grad, hess = generator.derivatives(q[0], q[1])  # every column: the momenta are bound per column
             grad, hess = grad[:, run], hess[..., run]
-            F = q[:, run] + grad[:3] - Q[:, run]
-            return F, forward_step(F, hess), e[run], grad[3:], hess[3:, 3:]  # p = P + (S_l, S_g, 0)
+            F = q[:, run] + grad[:2] - Q[:2, run]
+            return F, newton_step(F, hess[:2, 3:]), e[run], grad[2:], hess[2:, 3:]  # h = Q_h - S_H, p = P + (S_l, S_g, 0)
 
-        q, s_q, its = self._solve(system, Q, np.ones(Q.shape), start)
-        p[:2] += s_q[:2]
-        return p, q, its
+        q, y, its = self._solve(system, Q[:2], np.ones((2, Q.shape[1])), start)
+        p[:2] += y[1:]
+        return p, np.vstack([q, Q[2] - y[0]]), its
 
     def osculating_to_mean_batch(self, p, q):
         """Mean momenta and angles, both (3, N), and the Newton iterations
@@ -206,14 +196,14 @@ class CanonicalMap:
         def system(P, run):
             P, angles = P[:, run], q[:, run]
             e = eccentricity_from_momenta(P[0], P[1])
-            # The generator is built on the running columns only; off the chart, on nan momenta.
-            _, grad, hess = self.series.at(np.where(e >= CHAIN_FLOOR, P, math.nan)).derivatives(angles[0], angles[1])
-            F = P - p[:, run]
-            F[:2] += grad[3:]
-            return F, inverse_step(F, hess), e, grad[:3], hess[:3, :3]  # Q = q + S_P
+            # The generator is built on the running columns only, at H = p_H; off the chart, on nan momenta.
+            momenta = np.where(e >= CHAIN_FLOOR, np.vstack([P, p[2, run]]), math.nan)
+            _, grad, hess = self.series.at(momenta).derivatives(angles[0], angles[1])
+            F = P - p[:2, run] + grad[3:]
+            return F, newton_step(F, hess[3:, :2]), e, grad[:3], hess[:3, :2]  # Q = q + S_P
 
-        P, s_P, its = self._solve(system, p, np.maximum(1.0, np.abs(p)), start)
-        return P, q + s_P, its
+        P, s_P, its = self._solve(system, p[:2], np.maximum(1.0, np.abs(p[:2])), start)
+        return np.vstack([P, p[2]]), q + s_P, its
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""

@@ -348,9 +348,9 @@ class ClosedFormGenerator:
         self.eta3, self.e_P = self.eta2**1.5, np.array([e_L, e_G])
         self.e_PP2 = self.e_P[:, None] * self.e_P[None, :]
         self.e_PP = np.array([[-3.0 * e_L / L, 2.0 * e_L / G], [2.0 * e_L / G, e_G / G]]) - self.e_PP2 / e
-        table, basis = _GENERATORS[len(weights) - 1]
+        table, basis, order = _GENERATORS[len(weights) - 1]
         # Sn's terms scale by wn mu^(2n) R^(2n).
-        w = np.repeat([x * model.mu ** (2 * n) * model.R ** (2 * n) for n, x in enumerate(weights, 1)], table.sizes)
+        w = np.array([x * model.mu ** (2 * n) * model.R ** (2 * n) for n, x in enumerate(weights, 1)])[order]
         c, dc, d2c = table(L, G, H)
         self.c, self.dc, self.d2c = w[:, None] * c, w[:, None, None] * dc, w[:, None, None, None] * d2c
         self.basis = basis
@@ -476,12 +476,14 @@ class MonomialTable:
 
 
 def _generator(*names):
-    """The named generators' table and angle basis: p, k and m as (terms, 1)
+    """The named generators' table; its angle basis: p, k and m as (terms, 1)
     float columns, the phase p pi/2, the mask p == 1 of the terms linear in
-    nu - l, and the products -p, -k k, p m, k m, -p m, -m m its derivatives take."""
+    nu - l, and the products -p, -k k, p m, k m, -p m, -m m its derivatives
+    take; and each term's order index, 0 for S1 and 1 for S2."""
     table = MonomialTable(*(getattr(_secondorder, f"{n}_MONOMIALS") for n in names))
     p, k, m = np.array(sum((getattr(_secondorder, f"{n}_BASIS") for n in names), ()), dtype=float).T[:, :, None]
-    return table, (p, k, m, 0.5 * np.pi * p, p == 1, -p, -k * k, p * m, k * m, -p * m, -m * m)
+    basis = (p, k, m, 0.5 * np.pi * p, p == 1, -p, -k * k, p * m, k * m, -p * m, -m * m)
+    return table, basis, np.repeat(np.arange(len(names)), table.sizes)
 
 
 _GENERATORS = (_generator("S1"), _generator("S1", "S2"))  # indexed by theory order - 1

@@ -10,7 +10,7 @@ from zeipel.domain import CHAIN_FLOOR
 from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
 from zeipel.errors import DomainError, MapError
 from zeipel.symplectic import block_identities, symplectic_residual
-from zeipel.transform import CanonicalMap, GeneratingSeries, forward_step, inverse_step, momentum_scale
+from zeipel.transform import CanonicalMap, GeneratingSeries, momentum_scale, newton_step
 
 J2 = EARTH.j2
 FD_REL = 1e-6  # relative step of the whole-map difference oracle
@@ -137,11 +137,10 @@ def test_map_makes_one_evaluation_per_newton_iteration(rng, evaluations):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_block_steps_match_the_assembled_newton_matrix(rng, order):
-    # S has no h term, so each direction's 3x3 Newton matrix is block
-    # triangular with a unit pivot for h (forward) or H (inverse), and its
-    # step is a 2x2 elimination plus one substitution.  The premise first:
-    # the generator Hessian in (L, G, H, l, g, h) has a zero h row and
-    # column, and the map commutes with a shift of h.
+    # S has no h term, so each direction iterates the two unknowns S
+    # depends on, (l, g) forward and (L, G) inverse, with a 2x2 step.  The
+    # premise first: the generator Hessian in (L, G, H, l, g, h) has a zero
+    # h row and column, and the map commutes with a shift of h.
     states = draw_states(rng, 240, a_hi=20000.0, e_hi=0.5, i_lo=0.05, i_hi=3.1)
     P, q = np.array([(*s.momenta, *s.angles) for s in states]).T.reshape(2, 3, -1)
     assert (np.abs(P[2]) < 0.01 * P[1]).any() and (P[2] < 0.0).any()  # near-polar and retrograde orbits
@@ -155,21 +154,22 @@ def test_block_steps_match_the_assembled_newton_matrix(rng, order):
         p_h, q_h, its_h = direction(P, q + [[0.0], [0.0], [1.0]])
         assert np.array_equal(p_h, p) and np.array_equal(q_h[:2], q_out[:2]) and np.array_equal(its_h, its)
         assert np.abs(q_h[2] - 1.0 - q_out[2]).max() <= 1e-14
-    # On a residual of either sign and size, the block step is LAPACK's solve
-    # of the assembled matrix, I + S_Pq forward and I + S_qP inverse, to 4 ulp
-    # of the step's largest entry.
-    F = rng.normal(size=P.shape) * 10.0 ** rng.uniform(-12.0, -2.0, P.shape[1])
-    for step, block in ((forward_step, full[:3, 3:]), (inverse_step, full[3:, :3])):
-        jac = (np.eye(3)[..., None] + block).transpose(2, 0, 1)
+    # On a residual of either sign and size, the 2x2 step is LAPACK's solve
+    # of the Newton matrix, I + S_Pq forward and I + S_qP inverse, to 4 ulp of
+    # the step's largest entry.
+    F = rng.normal(size=(2, P.shape[1])) * 10.0 ** rng.uniform(-12.0, -2.0, P.shape[1])
+    for block in (hess[:2, 3:], hess[3:, :2]):
+        jac = (np.eye(2)[..., None] + block).transpose(2, 0, 1)
         want = np.linalg.solve(jac, -F.T[..., None])[..., 0].T
-        assert (np.abs(step(F, hess) - want) <= 4.0 * np.finfo(float).eps * np.abs(want).max(axis=0)).all()
+        assert (np.abs(newton_step(F, block) - want) <= 4.0 * np.finfo(float).eps * np.abs(want).max(axis=0)).all()
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_outputs_match_a_fresh_evaluation_at_the_solution(rng, order):
-    # Newton's last evaluation plus one Hessian step gives p = P + S_q and
-    # Q = q + S_P at the solved pair, as an evaluation there would, on a
-    # batch whose columns stop after different iteration counts.
+    # Newton's last evaluation plus one Hessian step gives p = P + S_q,
+    # h = Q_h - S_H and Q = q + S_P at the solved pair, as an evaluation
+    # there would, on a batch whose columns stop after different iteration
+    # counts; the inverse map carries H = p_H through unchanged.
     cm = CanonicalMap(EARTH, order)
     states = draw_states(rng, 60, a_hi=20000.0, e_hi=0.5)
     cols = np.array([(*s.momenta, *s.angles) for s in states]).T
@@ -179,8 +179,11 @@ def test_outputs_match_a_fresh_evaluation_at_the_solution(rng, order):
     fresh = P.copy()
     fresh[:2] += cm.series.grad_q(P, q)
     assert (np.abs(p - fresh) <= 1e-15 * np.abs(fresh)).all()
+    h = Q[2] - cm.series.grad_P(P, q)[2]
+    assert (np.abs(q[2] - h) <= 1e-14 * np.abs(h)).all()
     P, Q, its = cm.osculating_to_mean_batch(cols[:3], cols[3:])
     assert len(set(its)) > 1
+    assert np.array_equal(P[2], cols[2])
     fresh = cols[3:] + cm.series.grad_P(P, cols[3:])
     assert (np.abs(Q - fresh) <= 1e-14 * np.abs(fresh)).all()
 
