@@ -27,7 +27,6 @@ from .elements import (
 from .hamiltonian import dh0_dL, eccentricity_from_momenta, h1_periodic_true, h1_true
 from .propagator import (
     CompareReport,
-    Ephemeris,
     compare,
     mean_history,
     propagate_analytic,
@@ -252,7 +251,6 @@ class HalvingLevel:
 
     model: PhysicalModel
     report: CompareReport   # analytic against oracle
-    oracle: Ephemeris
     mean: np.ndarray        # mean momenta recovered along the oracle run
 
 
@@ -267,5 +265,5 @@ def halving_study(el0: KeplerianElements, times, model: PhysicalModel, order):
         oracle = propagate_oracle(kep_to_cartesian(el0, m), times, m)
         analytic = propagate_analytic(el0, times, m, order=order)
         mean = mean_history(oracle, m, order=order)
-        levels.append(HalvingLevel(m, compare(analytic, oracle), oracle, mean))
+        levels.append(HalvingLevel(m, compare(analytic, oracle), mean))
     return levels

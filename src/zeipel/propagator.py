@@ -88,9 +88,9 @@ _BUILD = {
 class Ephemeris:
     """Time-ordered samples in all three element representations.
 
-    `kep`, `cart` and `delaunay` accept sequences of state objects and are
-    stored as `States`: one (N, 6) array each, about a sixth of the memory
-    of three state objects per sample.
+    `kep`, `cart` and `delaunay` accept sequences of state objects or
+    (N, 6) arrays of rows and are stored as `States`: one (N, 6) array
+    each, about a sixth of the memory of three state objects per sample.
     """
 
     t: np.ndarray
@@ -107,7 +107,8 @@ class Ephemeris:
         for name, build in _BUILD.items():
             samples = getattr(self, name)
             if not isinstance(samples, States):
-                samples = States(np.array([as_row(s) for s in samples], dtype=float), build)
+                rows = samples if isinstance(samples, np.ndarray) else [as_row(s) for s in samples]
+                samples = States(np.asarray(rows, dtype=float), build)
             object.__setattr__(self, name, samples)
 
     def __len__(self):
@@ -139,18 +140,13 @@ class Ephemeris:
         return True
 
 
-def _ephemeris(t, kep, cart, model, extras=None):
-    """Ephemeris from (N, 6) Keplerian and Cartesian rows; the Delaunay rows
-    follow from the Keplerian ones."""
-    delaunay = States(kep_to_delaunay_batch(kep, model), _BUILD["delaunay"])
-    return Ephemeris(t, States(kep, _BUILD["kep"]), States(cart, _BUILD["cart"]), delaunay, extras or {})
-
-
 def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2) -> Ephemeris:
     """Full analytic pipeline at the given theory order: one inverse map of
     the initial state, the mean flow over all times, and one forward map
-    of every sample, whose shared mean momenta need one generator.  A
-    perigee at or inside the guard radius is refused at entry."""
+    of every sample, whose shared mean momenta need one generator.  The
+    map's (p, q) are the Delaunay rows; the Keplerian and Cartesian rows
+    follow from them.  A perigee at or inside the guard radius is refused
+    at entry."""
     times = _grid(times)
     perigee = osc0.a * (1.0 - osc0.e)
     if perigee <= GUARD_RADIUS * model.R:
@@ -161,7 +157,7 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
     angles = normalize_angle(mean0.angles[:, None] + rates[:, None] * (times - times[0]))
     p, q, _ = cmap.mean_to_osculating_batch(mean0.momenta, angles)
     kep = delaunay_to_kep_batch(np.vstack((p, q)).T, model)
-    return _ephemeris(times, kep, kep_to_cartesian_batch(kep, model), model)
+    return Ephemeris(times, kep, kep_to_cartesian_batch(kep, model), np.vstack((p, normalize_angle(q))).T)
 
 
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
@@ -173,7 +169,8 @@ def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephe
     cart = solve_ivp(zonal_rhs(model), np.concatenate([cart0.r, cart0.v]), times).rows
     r, v = cart[:, :3], cart[:, 3:]
     extras = {"energy": specific_energy(r, v, model), "hz": polar_angular_momentum(r, v)}
-    return _ephemeris(times, cartesian_to_kep_batch(cart, model), cart, model, extras)
+    kep = cartesian_to_kep_batch(cart, model)
+    return Ephemeris(times, kep, cart, kep_to_delaunay_batch(kep, model), extras)
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,12 @@ class CanonicalMap:
         return x, y, its
 
     def _refuse(self, start):
-        """Raise MapError for the first column of `start` with e at or below
+        """Raise MapError for the first column of `start` that holds a
+        non-finite momentum or angle, then for the first with e at or below
         the near-circular bound, before any generator is built."""
+        bad = np.flatnonzero(~np.isfinite(start).all(axis=0))
+        if bad.size:
+            raise _map_error("input is not finite", start[:, bad[0]], math.nan)
         e = eccentricity_from_momenta(start[0], start[1])
         bound = near_circular_bound(start[0], self.model)
         bad = np.flatnonzero(e <= bound)

@@ -33,7 +33,6 @@ from .hamiltonian import (
     dh1_true,
     eccentricity_from_momenta,
     h1_secular,
-    h1_true,
 )
 
 TWO_PI = 2.0 * math.pi

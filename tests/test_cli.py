@@ -194,6 +194,14 @@ def test_config_errors(tmp_path, capsys):
     assert run(["propagate", "--config", cfg])[0] == 2
     cfg = write_config(tmp_path, {"mystery": {}}, "sec.json")
     assert run(["propagate", "--config", cfg])[0] == 2
+    capsys.readouterr()
+    # the document and each section must be JSON objects
+    cfg = write_config(tmp_path, [], "list.json")
+    assert run(["propagate", "--config", cfg])[0] == 2
+    assert "error: config document must be a JSON object" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"model": 5}, "section.json")
+    assert run(["propagate", "--config", cfg])[0] == 2
+    assert "error: config section 'model' must be an object" in capsys.readouterr().err
     # the oracle sums the model's zonal degrees; there is no degree key
     cfg = write_config(tmp_path, {"run": {"oracle_nmax": 3}}, "nmax.json")
     assert run(["propagate", "--config", cfg])[0] == 2
@@ -300,6 +308,11 @@ def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):
     state = '{"a": 7000.0, "e": 0.05, "i": 0.5, "raan": 0.3, "argp": 1.1, "mean_anom": 0.2, "M": 3.0}'
     assert run(["elements", "--direction", "kep_to_delaunay", "--state", state]) == (2, "")
     assert "error: state for kep_to_delaunay has unknown keys: M" in capsys.readouterr().err
+    # and every key it has is required
+    assert run(["elements", "--direction", "kep_to_delaunay", "--state", '{"a": 7000.0}']) == (2, "")
+    assert "error: state for kep_to_delaunay missing keys: e, i, raan, argp, mean_anom" in capsys.readouterr().err
+    assert run(["elements", "--direction", "delaunay_to_kep", "--state", "{nope"]) == (2, "")
+    assert "error: --state is not valid JSON" in capsys.readouterr().err
 
 
 def test_print_config_dumps_sections():

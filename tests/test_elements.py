@@ -3,7 +3,7 @@ import decimal
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import given
 from numpy.testing import assert_allclose
 
 from zeipel.elements import (

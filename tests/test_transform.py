@@ -8,7 +8,7 @@ from conftest import draw_states
 from zeipel import vonzeipel as vz
 from zeipel.domain import CHAIN_FLOOR
 from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
-from zeipel.errors import DomainError, MapError
+from zeipel.errors import DomainError, MapError, describe
 from zeipel.symplectic import block_identities, symplectic_residual
 from zeipel.transform import CanonicalMap, GeneratingSeries, momentum_scale, newton_step
 
@@ -377,6 +377,24 @@ def test_near_circular_exit_is_map_error():
                 rf"iterate left the Delaunay chart: e = \d\.\d{{3}}e[+-]\d+ below the chain-rule floor {CHAIN_FLOOR};",
                 str(failure.value),
             )
+
+
+def test_non_finite_input_is_refused_at_entry(evaluations):
+    # An infinite momentum or a NaN angle in the middle column of a batch is
+    # refused in both directions before any eccentricity is computed (so no
+    # numpy warning) and before any generator is built.
+    good = kep_to_delaunay(KeplerianElements(7200.0, 0.05, 0.6, 0.3, 1.1, 2.0), EARTH)
+    cm = CanonicalMap(EARTH)
+    for row, value in ((0, np.inf), (3, np.nan)):  # L = inf, then l = nan
+        cols = np.tile(np.concatenate([good.momenta, good.angles])[:, None], 3)
+        cols[row, 1] = value
+        for solve in (cm.mean_to_osculating_batch, cm.osculating_to_mean_batch):
+            with pytest.raises(MapError) as failure:
+                solve(cols[:3], cols[3:])
+            assert str(failure.value) == (
+                f"input is not finite; input {describe('LGHlgh', cols[:, 1])}; last scaled step nan"
+            )
+    assert evaluations == {"builds": [], "derivatives": 0}
 
 
 def test_displacement_prediction_matches_map(rng):

@@ -15,7 +15,6 @@ from zeipel.hamiltonian import (
     dh0_dL,
     eccentricity_from_momenta,
     h1_periodic_true,
-    h1_secular,
     h1_true,
 )
 from zeipel.propagator import mean_rates
