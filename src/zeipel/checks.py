@@ -20,11 +20,12 @@ from .elements import (
     KeplerianElements,
     PhysicalModel,
     delaunay_momenta,
+    eccentricity_from_momenta,
     kep_to_cartesian,
     kepler_solve,
     true_from_mean,
 )
-from .hamiltonian import dh0_dL, eccentricity_from_momenta, h1_periodic_true, h1_true
+from .hamiltonian import dh0_dL, h1_periodic_true, h1_true
 from .propagator import (
     CompareReport,
     compare,

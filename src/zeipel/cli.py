@@ -145,7 +145,7 @@ def _fmt(x):
 def write_ephemeris_csv(path, eph):
     """One line per sample: t, then the Keplerian, Cartesian and Delaunay
     rows, each value as `_fmt` writes it."""
-    rows = np.column_stack([eph.t, eph.kep.rows, eph.cart.rows, eph.delaunay.rows])
+    rows = np.column_stack([eph.t, eph.kep, eph.cart, eph.delaunay])
     line = ",".join(["%.17g"] * rows.shape[1])
     lines = [CSV_HEADER] + [line % tuple(row) for row in rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")

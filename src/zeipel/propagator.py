@@ -8,7 +8,6 @@ the element conversions, so the two can check each other.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +16,8 @@ from .domain import GUARD_RADIUS, ORDERS, inside_guard
 from .dop853 import solve_ivp
 from .elements import (
     CartesianState,
-    DelaunayState,
     KeplerianElements,
     PhysicalModel,
-    as_row,
     cartesian_to_kep_batch,
     delaunay_to_kep_batch,
     kep_to_cartesian_batch,
@@ -61,78 +58,48 @@ def _grid(times):
     return t
 
 
-class States(Sequence):
-    """N states of one representation, stored as the rows of an (N, 6)
-    array; indexing builds the state object of one row."""
-
-    def __init__(self, rows, build):
-        self.rows = rows
-        self._build = build
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, k):
-        return self._build(self.rows[k])
-
-
-# representation -> row to state object
-_BUILD = {
-    "kep": lambda r: KeplerianElements(*r),
-    "cart": lambda r: CartesianState(r[:3], r[3:]),
-    "delaunay": lambda r: DelaunayState(*r),
-}
-
-
 @dataclass(frozen=True)
 class Ephemeris:
-    """Time-ordered samples in all three element representations.
-
-    `kep`, `cart` and `delaunay` accept sequences of state objects or
-    (N, 6) arrays of rows and are stored as `States`: one (N, 6) array
-    each, about a sixth of the memory of three state objects per sample.
-    """
+    """Time-ordered samples in all three element representations, each an
+    (N, 6) float array of rows: `kep` (a, e, i, raan, argp, M), `cart`
+    (x, y, z, vx, vy, vz) and `delaunay` (L, G, H, l, g, h)."""
 
     t: np.ndarray
-    kep: States
-    cart: States
-    delaunay: States
+    kep: np.ndarray
+    cart: np.ndarray
+    delaunay: np.ndarray
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = _grid(self.t)
-        if not (len(self.kep) == len(self.cart) == len(self.delaunay) == len(t)):
-            raise DomainError("sample lists must share the grid length")
         object.__setattr__(self, "t", t)
-        for name, build in _BUILD.items():
-            samples = getattr(self, name)
-            if not isinstance(samples, States):
-                rows = samples if isinstance(samples, np.ndarray) else [as_row(s) for s in samples]
-                samples = States(np.asarray(rows, dtype=float), build)
-            object.__setattr__(self, name, samples)
+        for name in ("kep", "cart", "delaunay"):
+            rows = np.asarray(getattr(self, name), dtype=float)
+            if rows.shape != (len(t), 6):
+                raise DomainError(f"{name} rows have shape {rows.shape}, the grid needs {(len(t), 6)}")
+            if not np.isfinite(rows).all():
+                raise DomainError(f"{name} rows hold a non-finite value")
+            object.__setattr__(self, name, rows)
 
     def __len__(self):
         return len(self.t)
 
     def positions(self):
-        return self.cart.rows[:, :3].copy()
-
-    def velocities(self):
-        return self.cart.rows[:, 3:].copy()
+        return self.cart[:, :3].copy()
 
     def momenta(self):
-        return self.delaunay.rows[:, :3].copy()
+        return self.delaunay[:, :3].copy()
 
     def validate(self, model: PhysicalModel):
         """Cross-representation consistency; raises on violation."""
         tol = 1e-9
-        ref = kep_to_cartesian_batch(self.kep.rows, model)
+        ref = kep_to_cartesian_batch(self.kep, model)
         for cols, what in ((slice(0, 3), "positions"), (slice(3, 6), "velocities")):
             want = ref[:, cols]
-            err = np.linalg.norm(want - self.cart.rows[:, cols], axis=1)
+            err = np.linalg.norm(want - self.cart[:, cols], axis=1)
             if np.any(err > tol * np.maximum(1.0, np.linalg.norm(want, axis=1))):
                 raise DomainError(f"Cartesian {what} inconsistent with elements")
-        ref, st = kep_to_delaunay_batch(self.kep.rows, model), self.delaunay.rows
+        ref, st = kep_to_delaunay_batch(self.kep, model), self.delaunay
         dm = np.abs(ref[:, :3] - st[:, :3]).max(axis=1)
         da = np.abs((ref[:, 3:] - st[:, 3:] + np.pi) % (2 * np.pi) - np.pi).max(axis=1)
         if np.any((dm > tol * np.maximum(1.0, st[:, 0])) | (da > tol)):
@@ -193,6 +160,6 @@ def mean_history(eph: Ephemeris, model: PhysicalModel, order=2):
     """Mean momenta time series, (N, 3), obtained by inverting the map along
     an osculating trajectory in one solve; flat up to the truncation order."""
     cmap = CanonicalMap(model, order=order)
-    osc = eph.delaunay.rows.T
+    osc = eph.delaunay.T
     P, _, _ = cmap.osculating_to_mean_batch(osc[:3], osc[3:])
     return P.T

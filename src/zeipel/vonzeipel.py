@@ -25,13 +25,12 @@ from scipy import sparse
 
 from . import _secondorder
 from .domain import check_chart
-from .elements import a_over_r, true_from_mean
+from .elements import a_over_r, eccentricity_from_momenta, true_from_mean
 from .errors import DegenerateFrequencyError, DomainError
 from .hamiltonian import (
     d2h0_dL2,
     dh0_dL,
     dh1_true,
-    eccentricity_from_momenta,
     h1_secular,
 )
 

@@ -77,8 +77,7 @@ def test_csv_rows_read_as_per_value_format(tmp_path):
     rows = np.random.default_rng(3).normal(size=(4, 19)) * 10.0 ** np.arange(-9, 10)
     rows[0, :6] = (-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300)
     rows[1, 7:10] = (-0.0, 5e-324, 1e300)
-    eph = SimpleNamespace(t=rows[:, 0], **{name: SimpleNamespace(rows=rows[:, cols]) for name, cols in
-                                           (("kep", slice(1, 7)), ("cart", slice(7, 13)), ("delaunay", slice(13, 19)))})
+    eph = SimpleNamespace(t=rows[:, 0], kep=rows[:, 1:7], cart=rows[:, 7:13], delaunay=rows[:, 13:19])
     cli.write_ephemeris_csv(tmp_path / "e.csv", eph)
     want = [CSV_HEADER] + [",".join(cli._fmt(x) for x in row) for row in rows]
     assert (tmp_path / "e.csv").read_text() == "\n".join(want) + "\n"

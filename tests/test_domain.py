@@ -95,7 +95,7 @@ def test_routes_give_finite_ephemerides_or_refuse(a, e, i, raan, argp, M):
         except DomainError as exc:
             assert_names_bound(exc)
             continue
-        assert np.isfinite(eph.kep.rows).all() and np.isfinite(eph.cart.rows).all()
+        assert np.isfinite(eph.kep).all() and np.isfinite(eph.cart).all()
 
 
 def test_perigee_inside_guard_radius_is_refused_by_both_routes():

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from zeipel.elements import (
     KeplerianElements,
     CartesianState,
     PhysicalModel,
+    as_row,
     cartesian_to_kep,
     delaunay_momenta,
     kep_to_cartesian,
@@ -119,7 +119,8 @@ def test_analytic_zero_j2_matches_kepler():
     times = np.linspace(0.0, 2.0 * T, 41)
     eph = propagate_analytic(el0, times, EARTH.with_j2(0.0))
     n = np.sqrt(EARTH.mu / el0.a**3)
-    for t, el, cs in zip(times, eph.kep, eph.cart):
+    for t, row, cart in zip(times, eph.kep, eph.cart):
+        el, cs = KeplerianElements(*row), CartesianState(cart[:3], cart[3:])
         two_body = KeplerianElements(
             a=el0.a,
             e=el0.e,
@@ -140,23 +141,23 @@ def test_analytic_ephemeris_is_consistent():
     assert len(eph) == 11
     assert eph.validate(EARTH)
     # starting sample reproduces the input osculating state
-    assert eph.kep[0].a == pytest.approx(el0.a, rel=1e-9)
-    assert eph.kep[0].e == pytest.approx(el0.e, rel=1e-9)
-    assert abs(wrap(eph.kep[0].mean_anom - el0.mean_anom)) < 1e-9
+    first = KeplerianElements(*eph.kep[0])
+    assert first.a == pytest.approx(el0.a, rel=1e-9)
+    assert first.e == pytest.approx(el0.e, rel=1e-9)
+    assert abs(wrap(first.mean_anom - el0.mean_anom)) < 1e-9
 
 
 def test_validate_names_each_inconsistent_representation():
     el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
     eph = propagate_analytic(el0, np.linspace(0.0, 3000.0, 11), EARTH)
     assert eph.validate(EARTH)
-    cs, st = eph.cart[7], eph.delaunay[7]
-    for rep, bad, message in (
-        ("cart", CartesianState(cs.r + (0.0, 1e-3, 0.0), cs.v), "Cartesian positions"),
-        ("cart", CartesianState(cs.r, cs.v + (0.0, 0.0, 1e-6)), "Cartesian velocities"),
-        ("delaunay", replace(st, g=st.g + 1e-6), "Delaunay samples"),
+    for rep, col, step, message in (
+        ("cart", 1, 1e-3, "Cartesian positions"),
+        ("cart", 5, 1e-6, "Cartesian velocities"),
+        ("delaunay", 4, 1e-6, "Delaunay samples"),
     ):
-        samples = {name: list(getattr(eph, name)) for name in ("kep", "cart", "delaunay")}
-        samples[rep][7] = bad
+        samples = {name: getattr(eph, name).copy() for name in ("kep", "cart", "delaunay")}
+        samples[rep][7, col] += step
         with pytest.raises(DomainError, match=f"^{message} inconsistent with elements$"):
             Ephemeris(eph.t, samples["kep"], samples["cart"], samples["delaunay"]).validate(EARTH)
 
@@ -185,7 +186,7 @@ def test_oracle_closed_orbit_return():
     eph = propagate_oracle(cs0, np.linspace(0.0, T, 7), model)
     r0, r1 = eph.positions()[0], eph.positions()[-1]
     assert np.linalg.norm(r1 - r0) < 1e-9 * np.linalg.norm(r0)
-    v0, v1 = eph.velocities()[0], eph.velocities()[-1]
+    v0, v1 = eph.cart[0, 3:], eph.cart[-1, 3:]
     assert np.linalg.norm(v1 - v0) < 1e-9 * np.linalg.norm(v0)
 
 
@@ -252,7 +253,7 @@ def test_oracle_zero_zonal_terms_change_nothing():
     padded = PhysicalModel(mu=EARTH.mu, R=EARTH.R, zonal=j23.zonal + (0.0, 0.0))
     times = np.linspace(0.0, 2.0 * kepler_period(el0.a, EARTH), 41)
     a, b = (propagate_oracle(kep_to_cartesian(el0, m), times, m) for m in (j23, padded))
-    assert np.array_equal(a.cart.rows, b.cart.rows)
+    assert np.array_equal(a.cart, b.cart)
     assert np.array_equal(a.extras["energy"], b.extras["energy"])
 
 
@@ -271,13 +272,13 @@ def test_oracle_array_post_processing_matches_scalar_conversions(monkeypatch):
     times = np.linspace(0.0, 3.0 * kepler_period(el0.a, EARTH), 121)
     eph = propagate_oracle(kep_to_cartesian(el0, EARTH), times, EARTH)
     (sol,) = solutions
-    assert np.array_equal(eph.cart.rows, sol.rows)
+    assert np.array_equal(eph.cart, sol.rows)
     for k, y in enumerate(sol.rows):
         cs = CartesianState(y[:3], y[3:])
         el = cartesian_to_kep(cs, EARTH)
         st = kep_to_delaunay(el, EARTH)
-        for got, want in ((eph.kep.rows[k], (el.a, el.e, el.i, el.raan, el.argp, el.mean_anom)),
-                          (eph.delaunay.rows[k], (st.L, st.G, st.H, st.l, st.g, st.h))):
+        for got, want in ((eph.kep[k], (el.a, el.e, el.i, el.raan, el.argp, el.mean_anom)),
+                          (eph.delaunay[k], (st.L, st.G, st.H, st.l, st.g, st.h))):
             assert_allclose(got[:3], want[:3], rtol=1e-12, atol=0)
             assert np.abs(wrap(got[3:] - np.array(want[3:]))).max() <= 1e-12
         energy = specific_energy(cs.r, cs.v, EARTH)
@@ -314,18 +315,19 @@ def test_batched_map_matches_per_sample_calls(order):
 
         eph = propagate_analytic(el0, times, EARTH, order)
         lone = [cm.mean_to_osculating(m, return_info=True) for m in means]
-        for got, (want, _) in zip(eph.delaunay, lone):
+        for row, (want, _) in zip(eph.delaunay, lone):
+            got = DelaunayState(*row)
             assert_allclose(got.momenta, want.momenta, rtol=1e-12, atol=0)
             assert np.abs(wrap(got.angles - want.angles)).max() <= 1e-12
         p, q, its = cm.mean_to_osculating_batch(mean0.momenta, np.array([m.angles for m in means]).T)
         assert its.tolist() == [info["iterations"] for _, info in lone]
         # the Delaunay rows are the forward batch's own output, bit for bit
-        assert np.array_equal(eph.delaunay.rows, np.vstack((p, normalize_angle(q))).T)
+        assert np.array_equal(eph.delaunay, np.vstack((p, normalize_angle(q))).T)
 
         hist = mean_history(eph, EARTH, order)
-        lone = [cm.osculating_to_mean(st, return_info=True) for st in eph.delaunay]
+        lone = [cm.osculating_to_mean(DelaunayState(*row), return_info=True) for row in eph.delaunay]
         assert_allclose(hist, [m.momenta for m, _ in lone], rtol=1e-12, atol=0)
-        osc = np.array([(*st.momenta, *st.angles) for st in eph.delaunay]).T
+        osc = eph.delaunay.T
         P, Q, its = cm.osculating_to_mean_batch(osc[:3], osc[3:])
         assert np.abs(wrap(Q.T - [m.angles for m, _ in lone])).max() <= 1e-12
         assert its.tolist() == [info["iterations"] for _, info in lone]
@@ -371,7 +373,7 @@ def test_one_sample_grid_is_the_initial_state_in_both_routes():
         assert len(eph) == 1 and eph.t.tolist() == [250.0]
         eph.validate(EARTH)
     assert oracle.positions()[0].tolist() == cs0.r.tolist()
-    assert oracle.velocities()[0].tolist() == cs0.v.tolist()
+    assert oracle.cart[0, 3:].tolist() == cs0.v.tolist()
     # the analytic sample is the map's round trip of the initial state
     assert compare(analytic, oracle).max_pos_err < 1e-6
 
@@ -392,11 +394,26 @@ def test_both_routes_refuse_a_bad_grid_at_entry(times):
 
 def test_ephemeris_grid_validation():
     el = KeplerianElements(a=7000.0, e=0.02, i=0.7, raan=0.2, argp=0.9, mean_anom=0.4)
-    cs = kep_to_cartesian(el, EARTH)
-    dl = kep_to_delaunay(el, EARTH)
+    kep = np.tile(as_row(el), (3, 1))
+    cart = np.tile(as_row(kep_to_cartesian(el, EARTH)), (3, 1))
+    dl = np.tile(as_row(kep_to_delaunay(el, EARTH)), (3, 1))
     with pytest.raises(DomainError):
-        Ephemeris(np.array([0.0, 1.0, 1.0]), (el,) * 3, (cs,) * 3, (dl,) * 3)
+        Ephemeris(np.array([0.0, 1.0, 1.0]), kep, cart, dl)
     with pytest.raises(DomainError):
-        Ephemeris(np.array([0.0, 1.0]), (el,), (cs,), (dl,))
+        Ephemeris(np.array([0.0, 1.0]), kep[:1], cart[:1], dl[:1])
     with pytest.raises(DomainError):
-        Ephemeris(np.zeros((2, 2)), (el,) * 2, (cs,) * 2, (dl,) * 2)
+        Ephemeris(np.zeros((2, 2)), kep[:2], cart[:2], dl[:2])
+    t = np.array([0.0, 1.0, 2.0])
+    assert Ephemeris(t, kep, cart, dl).kep.shape == (3, 6)
+    nan, inf = cart.copy(), dl.copy()
+    nan[1] = np.nan
+    inf[2, 3] = np.inf
+    for kwargs, name in (
+        (dict(kep=kep[:, :5]), "kep"),  # rows of width 5
+        (dict(cart=cart[:2]), "cart"),  # a row count unlike the grid's
+        (dict(cart=nan), "cart"),  # a NaN row
+        (dict(delaunay=inf), "delaunay"),  # an infinite value
+    ):
+        fields = dict(kep=kep, cart=cart, delaunay=dl) | kwargs
+        with pytest.raises(DomainError, match=f"^{name} rows "):
+            Ephemeris(t, **fields)
