@@ -18,7 +18,7 @@ import argparse
 
 import numpy as np
 
-from zeipel.checks import halving_study
+from zeipel.checks import halving_ratios, halving_study
 from zeipel.elements import EARTH, KeplerianElements
 
 # (a km, e, i rad); the last is the critical inclination, arctan(2).
@@ -40,11 +40,11 @@ def study_row(orbits, samples, a, e, i):
     el0 = KeplerianElements(a, e, i, 0.3, 1.1, 0.2)
     period = 2.0 * np.pi / np.sqrt(model.mu / a**3)
     times = np.linspace(0.0, orbits * period, samples)
-    ratios, errs = {}, {}
+    ratios = {}
     for order in (1, 2):
-        errs[order] = [lv.report.max_pos_err for lv in halving_study(el0, times, model, order)]
-        ratios[order] = (errs[order][0] / errs[order][1], errs[order][1] / errs[order][2])
-    return ratios, errs[2][0]
+        levels = halving_study(el0, times, model, order)
+        ratios[order] = halving_ratios(levels)[0]
+    return ratios, levels[0].report.max_pos_err  # the last levels are order 2's
 
 
 def run(orbits, samples, rows=ROWS):

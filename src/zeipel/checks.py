@@ -4,7 +4,8 @@ Each function draws its inputs from `rng`, measures one quantity and returns
 the worst value over its draws.  `zeipel verify` and the acceptance gates
 call the same functions, each with its own seed, draw counts, draw ranges
 and grid sizes.  `halving_study` runs the J2-halving study behind
-`zeipel compare`, the convergence script and the halving gate.
+`zeipel compare`, the convergence script and the halving gate, and
+`halving_ratios` gives the ratios all three read.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _state_draw(rng, model, e_range, i_range):
     return DelaunayState(*momenta, *rng.uniform(0.0, TWO_PI, size=3))
 
 
-def _richardson(fun, x, h):
+def richardson(fun, x, h):
     """Central difference of fun at x with steps h and h/2, one Richardson
     pass."""
     d1 = (fun(x + h) - fun(x - h)) / (2 * h)
@@ -73,10 +74,18 @@ def kepler_residual(rng, eccentricities, points):
 
 
 def operator_algebra(rng, n):
-    """Projection, annihilation, idempotence and fixed constants of the
-    secular/periodic operators on `n` random five-term trigonometric
-    polynomials with harmonics 1 to 4."""
-    op = vz.AveragingOperator()
+    """Projection, annihilation, idempotence and fixed constants of the torus
+    average the k1 and k2 quadratures use, `vz.torus_average_weighted` at
+    e = 0 (where its dnu weight is exactly 1), and of the periodic part f(q)
+    minus that average, on `n` random five-term trigonometric polynomials
+    with harmonics 1 to 4."""
+
+    def secular(f):
+        return vz.torus_average_weighted(f, 0.0)
+
+    def periodic(f, q):
+        return float(f(*q)) - secular(f)
+
     worst = 0.0
     for _ in range(n):
         coef = rng.normal(size=5)
@@ -91,13 +100,13 @@ def operator_algebra(rng, n):
                 + c[4] * np.sin(x + 2 * y)
             )
 
-        sec = op.secular(f, 2)
+        sec = secular(f)
         q = rng.uniform(0.0, TWO_PI, size=2)
-        per_val = op.periodic(f, q)
-        worst = max(worst, abs(sec - coef[0]))                                  # projection
-        worst = max(worst, abs(op.secular(lambda x, y: f(x, y) - sec, 2)))      # annihilation
-        worst = max(worst, abs(op.periodic(lambda x, y: f(x, y) - sec, q) - per_val))  # idempotence
-        worst = max(worst, abs(op.secular(lambda x, y: sec + 0.0 * x, 2) - sec))  # constants fixed
+        per_val = periodic(f, q)
+        worst = max(worst, abs(sec - coef[0]))                                   # projection
+        worst = max(worst, abs(secular(lambda x, y: f(x, y) - sec)))             # annihilation
+        worst = max(worst, abs(periodic(lambda x, y: f(x, y) - sec, q) - per_val))  # idempotence
+        worst = max(worst, abs(secular(lambda x, y: sec + 0.0 * x) - sec))       # constants fixed
     return worst
 
 
@@ -170,9 +179,9 @@ def k2_rates_vs_quadrature(rng, model, n, e_range, i_range):
         grad = vz.dk2(L, G, H, model)
         fd = np.array(
             [
-                _richardson(lambda x: vz.k2_quadrature(x, G, H, model), L, 1e-4 * L),
-                _richardson(lambda x: vz.k2_quadrature(L, x, H, model), G, 1e-4 * G),
-                _richardson(lambda x: vz.k2_quadrature(L, G, x, model), H, 1e-4 * max(abs(H), 1.0)),
+                richardson(lambda x: vz.k2_quadrature(x, G, H, model), L, 1e-4 * L),
+                richardson(lambda x: vz.k2_quadrature(L, x, H, model), G, 1e-4 * G),
+                richardson(lambda x: vz.k2_quadrature(L, G, x, model), H, 1e-4 * max(abs(H), 1.0)),
             ]
         )
         worst = max(worst, float(np.abs(grad - fd).max() / np.abs(grad).max()))
@@ -240,7 +249,7 @@ def homological_line_solver(rng, model, n, e_range, i_range):
         def sigma(x):
             return vz.solve_homological(w, f_per, np.array([x, g0, h0]))
 
-        fd = _richardson(sigma, l0, 1e-3)
+        fd = richardson(sigma, l0, 1e-3)
         ref = float(_ds1_dl(L, G, H, l0, g0, model))
         worst = max(worst, abs(fd - ref) / abs(ref))
     return worst
@@ -253,6 +262,11 @@ class HalvingLevel:
     model: PhysicalModel
     report: CompareReport   # analytic against oracle
     mean: np.ndarray        # mean momenta recovered along the oracle run
+
+    @property
+    def ptp(self):
+        """Peak-to-peak of each mean momentum (L, G, H) along the run."""
+        return np.ptp(self.mean, axis=0)
 
 
 def halving_study(el0: KeplerianElements, times, model: PhysicalModel, order):
@@ -268,3 +282,12 @@ def halving_study(el0: KeplerianElements, times, model: PhysicalModel, order):
         mean = mean_history(oracle, m, order=order)
         levels.append(HalvingLevel(m, compare(analytic, oracle), mean))
     return levels
+
+
+def halving_ratios(levels):
+    """Successive ratios of the levels of `halving_study`, each level's value
+    over the next one's: the max position errors, shape (2,), and each mean
+    momentum's peak-to-peak, shape (2, 3)."""
+    err = np.array([lv.report.max_pos_err for lv in levels])
+    ptp = np.array([lv.ptp for lv in levels])
+    return err[:-1] / err[1:], ptp[:-1] / ptp[1:]

@@ -102,8 +102,12 @@ class RunConfig:
     @property
     def times(self):
         if self.step is not None:
-            n = int(np.floor((self.t1 - self.t0) / self.step)) + 1
-            return self.t0 + self.step * np.arange(n)
+            # a span within 1e-9 of a whole number of steps ends exactly at t1
+            span = (self.t1 - self.t0) / self.step
+            k = round(span)
+            if abs(span - k) <= 1e-9 * max(k, 1):
+                return np.append(self.t0 + self.step * np.arange(k), self.t1)
+            return self.t0 + self.step * np.arange(int(np.floor(span)) + 1)
         return np.linspace(self.t0, self.t1, self.count)
 
     def as_document(self):
@@ -189,13 +193,11 @@ def cmd_compare(cfg: RunConfig, oracle: bool, stdout):
         f"rms_pos_err_km {_fmt(full.rms_pos_err)}",
         "# halving table: J2 max_pos_err_km ptp_L ptp_G ptp_H",
     ]
-    ptps = [np.ptp(lv.mean, axis=0) for lv in levels]
-    for lv, ptp in zip(levels, ptps):
-        lines.append(" ".join(_fmt(x) for x in (lv.model.j2, lv.report.max_pos_err, *ptp)))
+    for lv in levels:
+        lines.append(" ".join(_fmt(x) for x in (lv.model.j2, lv.report.max_pos_err, *lv.ptp)))
     lines.append("# successive ratios: position then momenta ptp")
-    for k in (0, 1):
-        ratio_pos = levels[k].report.max_pos_err / levels[k + 1].report.max_pos_err
-        lines.append(" ".join(_fmt(x) for x in (ratio_pos, *(ptps[k] / ptps[k + 1]))))
+    for ratio_pos, ratio_ptp in zip(*checks.halving_ratios(levels)):
+        lines.append(" ".join(_fmt(x) for x in (ratio_pos, *ratio_ptp)))
 
     text = "\n".join(lines) + "\n"
     (_output_dir(cfg) / "compare.txt").write_text(text)

@@ -23,8 +23,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def normalize_angle(x):
-    """Reduce an angle (scalar or array) to [0, 2*pi)."""
-    return np.asarray(x, dtype=float) - TWO_PI * np.floor(np.asarray(x, dtype=float) / TWO_PI)
+    """Reduce an angle (scalar or array) to [0, 2*pi).  A residue that
+    rounding leaves below 0 or at 2*pi, from a tiny negative x, becomes 0."""
+    x = np.asarray(x, dtype=float)
+    y = x - TWO_PI * np.floor(x / TWO_PI)
+    return np.where((y < 0.0) | (y >= TWO_PI), 0.0, y)
 
 
 def _require_finite(state):

@@ -88,41 +88,10 @@ def generating_jacobian(A, B, C):
 
 
 def random_symplectic(rng):
-    """Exact symplectic Jacobian of a random near-identity generating map.
-
-    The generator is S = P.q + eps * T(q) * Pi(P) with T a random
-    trigonometric polynomial and Pi a random quadratic; its exact second
-    derivatives go through `generating_jacobian`.
-    """
-    n, eps, harmonics = 3, 1e-2, 2
-    kvec = rng.integers(1, harmonics + 1, size=(3, n))
-    amp = rng.normal(size=3)
-    phase = rng.uniform(0, 2 * np.pi, size=3)
-    c_lin = rng.normal(size=n)
-    c_quad = rng.normal(size=(n, n))
-    c_quad = 0.5 * (c_quad + c_quad.T)
-    q0 = rng.uniform(0, 2 * np.pi, size=n)
-    P0 = rng.uniform(0.5, 2.0, size=n)
-
-    def T_val_grad_hess(q):
-        val = 0.0
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        for a, k, ph in zip(amp, kvec, phase):
-            arg = float(k @ q) + ph
-            val += a * np.sin(arg)
-            grad += a * np.cos(arg) * k
-            hess -= a * np.sin(arg) * np.outer(k, k)
-        return val, grad, hess
-
-    def Pi_val_grad_hess(P):
-        val = float(c_lin @ P) + 0.5 * float(P @ c_quad @ P)
-        return val, c_lin + c_quad @ P, c_quad
-
-    Tv, Tg, Th = T_val_grad_hess(q0)
-    Pv, Pg, Ph = Pi_val_grad_hess(P0)
-
-    A = np.eye(n) + eps * np.outer(Tg, Pg)  # S_qP
-    B = eps * Pv * Th                       # S_qq
-    C = eps * Tv * Ph                       # S_PP
-    return generating_jacobian(A, B, C)
+    """Exact symplectic Jacobian of a random near-identity generating map:
+    `generating_jacobian` of S_qP = I + eps N with N random and of random
+    symmetric S_qq and S_PP of size eps, eps = 1e-2.  The result is
+    symplectic for any invertible S_qP and symmetric S_qq and S_PP."""
+    n, eps = 3, 1e-2
+    N, B, C = eps * rng.normal(size=(3, n, n))
+    return generating_jacobian(np.eye(n) + N, B + B.T, C + C.T)

@@ -1,13 +1,14 @@
 """Canonical averaging engine.
 
-Secular/periodic operators on the angle torus, the first-order solution
-(new Hamiltonian term k1, generator s1 and its partials, both closed-form
-and via the generic characteristic-line integral), and the second-order
-solution (k2 closed form and quadrature, s2 closed form, with spectral
-tables as its independent oracle).  `ClosedFormGenerator` evaluates s1 (and
-s2, the order being its weights' count) with their first and second
-derivatives from one monomial table (`MonomialTable`) per order; the map uses
-it and nothing else.  One more table holds k2 and c2.
+The dnu-weighted torus average behind the k1 and k2 quadratures, the
+first-order solution (new Hamiltonian term k1, generator s1 and its
+partials, both closed-form and via the generic characteristic-line
+integral), and the second-order solution (k2 closed form and quadrature, s2
+closed form, with spectral tables as its independent oracle).
+`ClosedFormGenerator` evaluates s1 (and s2, the order being its weights'
+count) with their first and second derivatives from one monomial table
+(`MonomialTable`) per order; the map uses it and nothing else.  One more
+table holds k2 and c2.
 
 Conventions.  The generating series is S = P.q + J2*S1 + J2^2*S2 in mixed
 variables (new momenta P, old angles q); the first-order PDE is
@@ -37,34 +38,12 @@ from .hamiltonian import (
 TWO_PI = 2.0 * math.pi
 
 
-class AveragingOperator:
-    """Equal-weight trapezoid average over the N-angle torus.
-
-    Exact to round-off for trigonometric polynomials with harmonics below
-    nodes/2 per angle, which is what every use in this package feeds it.
-    """
-
-    def __init__(self, nodes=256):
-        if nodes < 4:
-            raise DomainError("need at least 4 quadrature nodes")
-        self.nodes = nodes
-
-    def grid(self, nangles):
-        axes = [TWO_PI * np.arange(self.nodes) / self.nodes for _ in range(nangles)]
-        return np.meshgrid(*axes, indexing="ij")
-
-    def secular(self, f, nangles):
-        """Average of f over the torus; f must accept nangles mesh arrays."""
-        return float(np.mean(f(*self.grid(nangles))))
-
-    def periodic(self, f, q):
-        """Zero-mean remainder of f evaluated at angle tuple q."""
-        q = np.asarray(q, dtype=float)
-        return float(f(*q)) - self.secular(f, len(q))
-
-
 def torus_average_weighted(f_of_nu_g, e, nodes_nu=256, nodes_g=64):
-    """Average over (l, g) of a field given at (nu, g), dnu-weighted in l."""
+    """Average over (l, g) of a field given at (nu, g), dnu-weighted in l.
+
+    At e = 0 the weight is exactly 1, so this is the plain trapezoid average
+    over the (nu, g) torus: exact to round-off for trigonometric polynomials
+    with harmonics below half of each axis's node count."""
     nu = TWO_PI * np.arange(nodes_nu) / nodes_nu
     g = TWO_PI * np.arange(nodes_g) / nodes_g
     NU, GG = np.meshgrid(nu, g, indexing="ij")

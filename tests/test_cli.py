@@ -340,3 +340,8 @@ def test_step_grid():
     cfg = RunConfig(t0=0.0, t1=10.0, step=2.5)
     assert np.allclose(cfg.times, [0.0, 2.5, 5.0, 7.5, 10.0])
     assert RunConfig(t0=0.0, t1=10.0, step=10.0).validate().times.tolist() == [0.0, 10.0]
+    # a span a hair short of a whole number of steps still ends at t1
+    for t1, step, n in ((0.3, 0.1, 4), (0.7, 0.1, 8), (0.9, 0.3, 4)):
+        times = RunConfig(t0=0.0, t1=t1, step=step).validate().times
+        assert len(times) == n and times[-1] == t1
+    assert RunConfig(t0=0.0, t1=10.0, step=3.0).validate().times.tolist() == [0.0, 3.0, 6.0, 9.0]

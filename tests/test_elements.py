@@ -3,7 +3,7 @@ import decimal
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import example, given
 from numpy.testing import assert_allclose
 
 from zeipel.elements import (
@@ -168,6 +168,17 @@ def test_normalize_angle():
     assert normalize_angle(-0.1) == pytest.approx(TWO_PI - 0.1, abs=1e-15)
     assert normalize_angle(TWO_PI + 0.2) == pytest.approx(0.2, abs=1e-14)
     assert normalize_angle(0.0) == 0.0
+    assert KeplerianElements(7000.0, 0.01, 0.5, -1e-17, 0.0, 0.0).raan == 0.0
+
+
+@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+@example(-1e-17)  # rounds up to 2*pi
+@example(-5e-324)  # x / 2*pi underflows to -0, so x is its own residue
+def test_normalize_angle_lands_in_range(x):
+    y = float(normalize_angle(x))
+    assert 0.0 <= y < TWO_PI
+    turns = (y - x) / TWO_PI
+    assert abs(turns - round(turns)) * TWO_PI <= 1e-9 * max(1.0, abs(x))
 
 
 def test_delaunay_momenta_arithmetic():

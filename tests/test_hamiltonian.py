@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 from numpy.testing import assert_allclose
 
+from zeipel.checks import richardson
 from zeipel.elements import EARTH, PhysicalModel, kep_to_cartesian, KeplerianElements, true_from_mean
 from zeipel.errors import DomainError
 from zeipel.hamiltonian import (
@@ -138,11 +139,6 @@ def test_dh1_against_finite_differences():
     def f(Lx, Gx):
         ex = eccentricity_from_momenta(Lx, Gx)
         return h1_mean(Lx, Gx, H, l, g, model)
-
-    def richardson(fun, x, h):
-        d1 = (fun(x + h) - fun(x - h)) / (2 * h)
-        d2 = (fun(x + h / 2) - fun(x - h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
 
     fdL = richardson(lambda x: f(x, G), L, 1e-4 * L)
     fdG = richardson(lambda x: f(L, x), G, 1e-4 * G)

@@ -19,6 +19,7 @@ from zeipel.elements import (
     normalize_angle,
 )
 from zeipel import elements, propagator
+from zeipel.checks import richardson
 from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy
 from zeipel.transform import CanonicalMap
 from zeipel.errors import DomainError, IntegrationError, UsageError
@@ -76,12 +77,6 @@ def test_rates_node_drift_antisymmetric_in_inclination():
         r_ret = mean_rates(delaunay_momenta(a, e, np.pi - inc, EARTH), EARTH)
         assert r_pro[2] == pytest.approx(-r_ret[2], rel=1e-12)
         assert r_pro[1] == pytest.approx(r_ret[1], rel=1e-12)
-
-
-def richardson(fun, x, h):
-    d1 = (fun(x + h) - fun(x - h)) / (2 * h)
-    d2 = (fun(x + h / 2) - fun(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 EARTH_P = delaunay_momenta(7000.0, 0.08, 0.9, EARTH)

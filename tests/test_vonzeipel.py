@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from zeipel import _secondorder
 from zeipel import vonzeipel as vz
+from zeipel.checks import richardson
 from zeipel.elements import EARTH, PhysicalModel, a_over_r, delaunay_momenta, true_from_mean
 from zeipel.errors import DegenerateFrequencyError, DomainError
 from zeipel.hamiltonian import (
@@ -19,7 +20,6 @@ from zeipel.hamiltonian import (
 )
 from zeipel.propagator import mean_rates
 from zeipel.vonzeipel import (
-    AveragingOperator,
     ClosedFormGenerator,
     MonomialTable,
     SecondOrderTables,
@@ -58,12 +58,6 @@ def ds2_dg(L, G, H, l, g, model):
     return ClosedFormGenerator(L, G, H, model, (0.0, 1.0)).derivatives(l, g)[1][4]
 
 
-def richardson(fun, x, h):
-    d1 = (fun(x + h) - fun(x - h)) / (2 * h)
-    d2 = (fun(x + h / 2) - fun(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def random_momenta(rng, e_lo=0.05, e_hi=0.4):
     L = rng.uniform(0.8, 1.5)
     e = rng.uniform(e_lo, e_hi)
@@ -72,7 +66,7 @@ def random_momenta(rng, e_lo=0.05, e_hi=0.4):
     return L, G, H
 
 
-# -- averaging operators ------------------------------------------------------
+# -- torus averages -----------------------------------------------------------
 
 trig_terms = st.lists(
     st.tuples(
@@ -88,7 +82,9 @@ trig_terms = st.lists(
 
 @given(trig_terms, st.floats(min_value=-3.0, max_value=3.0))
 def test_operator_algebra(terms, c0):
-    op = AveragingOperator(nodes=64)
+    # at e = 0 the weighted average is the plain average over the torus
+    def secular(f):
+        return torus_average_weighted(f, 0.0, 64, 64)
 
     def f(x, y):
         out = c0 * np.ones_like(np.asarray(x, dtype=float) + y)
@@ -97,24 +93,18 @@ def test_operator_algebra(terms, c0):
         return out
 
     expected_mean = c0 + sum(amp * np.cos(ph) for ka, kb, amp, ph in terms if ka == kb == 0)
-    sec = op.secular(f, 2)
+    sec = secular(f)
     assert sec == pytest.approx(expected_mean, abs=1e-12)
 
-    # secular annihilates the periodic part; periodic is idempotent
+    # the average annihilates the periodic part, so taking it is idempotent
     def per_f(x, y):
         return f(x, y) - sec
 
     q = (0.7, 2.2)
-    assert abs(op.secular(per_f, 2)) < 1e-12
-    assert op.periodic(per_f, q) == pytest.approx(per_f(*q), abs=1e-12)
-    assert op.periodic(f, q) == pytest.approx(f(*q) - sec, abs=1e-12)
-    # secular of a secular (constant) is itself
-    assert op.secular(lambda x, y: np.full_like(x, sec), 2) == pytest.approx(sec, abs=1e-13)
-
-
-def test_operator_rejects_tiny_grids():
-    with pytest.raises(DomainError):
-        AveragingOperator(nodes=2)
+    assert abs(secular(per_f)) < 1e-12
+    assert per_f(*q) - secular(per_f) == pytest.approx(per_f(*q), abs=1e-12)
+    # the average of a constant is itself
+    assert secular(lambda x, y: np.full_like(x, sec)) == pytest.approx(sec, abs=1e-13)
 
 
 def test_mean_anomaly_average_known_integrals():
