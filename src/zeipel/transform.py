@@ -13,7 +13,13 @@ inverse.  The other half of each output (p = P + S_q forward, Q = q + S_P
 inverse) and h come from each column's last Newton evaluation plus one
 Hessian step over the Newton step taken after it, so no evaluation is made
 at the solution.  The map's own Jacobian is assembled from the second
-derivatives of S at the solved (P, q) pair.
+derivatives of S that the same last evaluation computed, one Newton step
+from the solved (P, q) pair: it is the exact Jacobian at an input that
+differs from the given one by that evaluation's residual, at most
+NEWTON_TOL in scaled units.  Forward the step is in the angles and the
+matrix moves from the one at the pair by round-off; inverse it is in
+(L, G), and the Hessian's 1/e^2 dependence on L - G moves it by up to about
+3e-9 relative at e >= 0.01 and 4e-6 near the near-circular bound.
 """
 
 from __future__ import annotations
@@ -100,34 +106,38 @@ class CanonicalMap:
         system(x, run) gets the whole iterate and the running columns: a slice
         of them all, so that the iteration works on whole arrays, until one
         stops or breaks, and then their index array.  On those n columns it
-        returns F, (2, n), its Newton step, (2, n), the momenta's e, (n,), and
+        returns F, (2, n), its Newton step, (2, n), the momenta's e, (n,),
         three rows of the generator gradient y, (3, n), from which the map
-        writes out its other outputs, with dy/dx, (3, 2, n); F is nan where e
-        is below CHAIN_FLOOR, the iterate having left the Delaunay chart.  A
-        column stops when its own scaled step first falls to NEWTON_TOL, as a
-        lone solve would, so its iterate and count do not depend on the batch.
-        A column's y is that of its last evaluation plus dy/dx times the step
-        taken after it, good to O(step^2), so nothing is evaluated at the
-        solution.  Returns x, (2, N), y, (3, N), and the iterations per
-        column.  Any failure raises MapError naming the first failing column's
-        input state (its column of `start`) and its last scaled step (nan
-        before its first step).
+        writes out its other outputs, with dy/dx, (3, 2, n), and the generator
+        Hessian, (5, 5, n); F is nan where e is below CHAIN_FLOOR, the iterate
+        having left the Delaunay chart.  A column stops when its own scaled
+        step first falls to NEWTON_TOL, as a lone solve would, so its iterate
+        and count do not depend on the batch.  A column's y is that of its
+        last evaluation plus dy/dx times the step taken after it, good to
+        O(step^2), so nothing is evaluated at the solution; its Hessian is
+        that of its last evaluation.  Returns x, (2, N), y, (3, N), the
+        Hessians, (5, 5, N), and the iterations per column.  Any failure
+        raises MapError naming the first failing column's input state (its
+        column of `start`) and its last scaled step (nan before its first
+        step).
         """
-        x, y, n = x0.copy(), np.zeros((3, x0.shape[1])), x0.shape[1]
+        n = x0.shape[1]
+        x, y, hess = x0.copy(), np.zeros((3, n)), np.zeros((5, 5, n))
         its, broke = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)  # broke: F non-finite
         step, e_broke = np.full((2, n), math.nan)
         run, left = slice(None), n  # every column, as whole arrays, until one stops or breaks
         for it in range(1, NEWTON_MAXITER + 1):
             if not left:
                 break
-            F, dx, e, y_it, dy_it = system(x, run)
+            F, dx, e, y_it, dy_it, hess_it = system(x, run)
             s = np.abs(F / scale[:, run]).max(axis=0)
             ok, done = np.isfinite(s), s <= NEWTON_TOL  # done: this evaluation was the column's last
             x_run = x[:, run]
             x_new = x_run + dx
-            if done.any():  # y on every running column; each keeps that of its last evaluation
+            if done.any():  # y and the Hessian on every running column; each keeps those of its last evaluation
                 # The step as taken in floats, so that y is the evaluation at the returned x to O(step^2).
                 y[:, run] = y_it + np.einsum("ijn,jn->in", dy_it, x_new - x_run)
+                hess[..., run] = hess_it
             x[:, run], its[run] = x_new, it
             if not ok.all():  # a non-finite F: the column breaks, keeping its last step
                 cols = np.arange(n)[run][~ok]
@@ -143,7 +153,7 @@ class CanonicalMap:
             elif broke[col]:
                 why = "residual became non-finite"
             raise _map_error(why, start[:, col], step[col])
-        return x, y, its
+        return x, y, hess, its
 
     def _refuse(self, start):
         """Raise MapError for the first column of `start` that holds a
@@ -162,16 +172,15 @@ class CanonicalMap:
 
     # -- the map ------------------------------------------------------------
 
-    def mean_to_osculating_batch(self, P, Q):
-        """Osculating momenta and angles, both (3, N), and the Newton
-        iterations of each column, for mean momenta P and mean angles Q,
-        (3, N).  P is (3, N), one column per sample, or one 3-vector shared
-        by every column; either way one generator serves every step."""
+    def _mean_to_osculating(self, P, Q):
+        """`mean_to_osculating_batch` plus, per column, the generator Hessian
+        of the Newton solve's last evaluation, (5, 5, N); zero at J2 = 0,
+        where nothing is built."""
         P = np.asarray(P, dtype=float).reshape(3, -1)
         Q = np.asarray(Q, dtype=float)
         p = np.broadcast_to(P, Q.shape).copy()
         if self.model.j2 == 0.0:
-            return p, Q.copy(), np.zeros(Q.shape[1], dtype=int)
+            return p, Q.copy(), np.zeros(Q.shape[1], dtype=int), np.zeros((5, 5, Q.shape[1]))
         start = np.vstack([p, Q])
         self._refuse(start)
         generator = self.series.at(P)
@@ -181,19 +190,20 @@ class CanonicalMap:
             _, grad, hess = generator.derivatives(q[0], q[1])  # every column: the momenta are bound per column
             grad, hess = grad[:, run], hess[..., run]
             F = q[:, run] + grad[:2] - Q[:2, run]
-            return F, newton_step(F, hess[:2, 3:]), e[run], grad[2:], hess[2:, 3:]  # h = Q_h - S_H, p = P + (S_l, S_g, 0)
+            return F, newton_step(F, hess[:2, 3:]), e[run], grad[2:], hess[2:, 3:], hess  # h = Q_h - S_H, p = P + (S_l, S_g, 0)
 
-        q, y, its = self._solve(system, Q[:2], np.ones((2, Q.shape[1])), start)
+        q, y, hess, its = self._solve(system, Q[:2], np.ones((2, Q.shape[1])), start)
         p[:2] += y[1:]
-        return p, np.vstack([q, Q[2] - y[0]]), its
+        return p, np.vstack([q, Q[2] - y[0]]), its, hess
 
-    def osculating_to_mean_batch(self, p, q):
-        """Mean momenta and angles, both (3, N), and the Newton iterations
-        of each column, for osculating momenta p and angles q, (3, N)."""
+    def _osculating_to_mean(self, p, q):
+        """`osculating_to_mean_batch` plus, per column, the generator Hessian
+        of the Newton solve's last evaluation, (5, 5, N); zero at J2 = 0,
+        where nothing is built."""
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         if self.model.j2 == 0.0:
-            return p.copy(), q.copy(), np.zeros(p.shape[1], dtype=int)
+            return p.copy(), q.copy(), np.zeros(p.shape[1], dtype=int), np.zeros((5, 5, p.shape[1]))
         start = np.vstack([p, q])
         self._refuse(start)
 
@@ -204,33 +214,57 @@ class CanonicalMap:
             momenta = np.where(e >= CHAIN_FLOOR, np.vstack([P, p[2, run]]), math.nan)
             _, grad, hess = self.series.at(momenta).derivatives(angles[0], angles[1])
             F = P - p[:2, run] + grad[3:]
-            return F, newton_step(F, hess[3:, :2]), e, grad[:3], hess[:3, :2]  # Q = q + S_P
+            return F, newton_step(F, hess[3:, :2]), e, grad[:3], hess[:3, :2], hess  # Q = q + S_P
 
-        P, s_P, its = self._solve(system, p[:2], np.maximum(1.0, np.abs(p[:2])), start)
-        return np.vstack([P, p[2]]), q + s_P, its
+        P, s_P, hess, its = self._solve(system, p[:2], np.maximum(1.0, np.abs(p[:2])), start)
+        return np.vstack([P, p[2]]), q + s_P, its, hess
+
+    def mean_to_osculating_batch(self, P, Q):
+        """Osculating momenta and angles, both (3, N), and the Newton
+        iterations of each column, for mean momenta P and mean angles Q,
+        (3, N).  P is (3, N), one column per sample, or one 3-vector shared
+        by every column; either way one generator serves every step."""
+        return self._mean_to_osculating(P, Q)[:3]
+
+    def osculating_to_mean_batch(self, p, q):
+        """Mean momenta and angles, both (3, N), and the Newton iterations
+        of each column, for osculating momenta p and angles q, (3, N)."""
+        return self._osculating_to_mean(p, q)[:3]
+
+    def _one(self, solve, state: DelaunayState):
+        """The N = 1 case of a direction's solve: the image of `state` as a
+        DelaunayState (so an image off the chart, G > L, raises DomainError),
+        its Newton iterations and its last-evaluation Hessian, (5, 5)."""
+        x, y, its, hess = solve(state.momenta[:, None], state.angles[:, None])
+        return DelaunayState(*x[:, 0], *y[:, 0]), int(its[0]), hess[..., 0]
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""
         osc, its = mean, 0
         if self.model.j2 != 0.0:
-            p, q, its = self.mean_to_osculating_batch(mean.momenta, mean.angles[:, None])
-            osc, its = DelaunayState(*p[:, 0], *q[:, 0]), int(its[0])
+            osc, its, _ = self._one(self._mean_to_osculating, mean)
         return (osc, {"iterations": its}) if return_info else osc
 
     def osculating_to_mean(self, osc: DelaunayState, return_info=False):
         """One state: the N = 1 case of `osculating_to_mean_batch`."""
         mean, its = osc, 0
         if self.model.j2 != 0.0:
-            P, Q, its = self.osculating_to_mean_batch(osc.momenta[:, None], osc.angles[:, None])
-            mean, its = DelaunayState(*P[:, 0], *Q[:, 0]), int(its[0])
+            mean, its, _ = self._one(self._osculating_to_mean, osc)
         return (mean, {"iterations": its}) if return_info else mean
 
     # -- derived linear objects ----------------------------------------------
 
     def map_jacobian(self, at: DelaunayState, direction="mean_to_osculating", scaled=False):
         """Jacobian of the map at `at`, assembled from the generator's exact
-        Hessian blocks (S_qP, S_qq, S_PP) at the (P, q) pair the map solves
-        for.
+        Hessian blocks (S_qP, S_qq, S_PP) that the map's own Newton solve
+        evaluated last; no generator is built or evaluated beyond the
+        solve's.  That evaluation is one Newton step from the solved (P, q)
+        pair, so the matrix is the exact one at an input within NEWTON_TOL
+        (scaled) of `at`.  It differs from the matrix at the pair by
+        round-off forward, and inverse by up to about 3e-9 relative at
+        e >= 0.01 and 4e-6 near the near-circular bound, where the Hessian
+        varies as 1/e^2 with L - G.  At J2 = 0 the
+        Hessian is zero and the matrix the identity.
 
         The matrix is built in momentum units of sqrt(mu R), where all six
         variables are O(1); `scaled=True` returns it as is (itself
@@ -239,13 +273,11 @@ class CanonicalMap:
         momenta.  The inverse direction is the symplectic inverse of the
         forward matrix at the same (P, q).
         """
-        if direction == "mean_to_osculating":
-            P, q = at.momenta, self.mean_to_osculating(at).angles
-        elif direction == "osculating_to_mean":
-            P, q = self.osculating_to_mean(at).momenta, at.angles
-        else:
+        solve = {"mean_to_osculating": self._mean_to_osculating,
+                 "osculating_to_mean": self._osculating_to_mean}.get(direction)
+        if solve is None:
             raise DomainError(f"unknown direction {direction!r}")
-        _, _, hess = self.series.at(P).derivatives(q[0], q[1])
+        hess = self._one(solve, at)[2]
         s = momentum_scale(self.model)
         # S has no h-terms (the field is axisymmetric): the h rows are zero.
         A = np.eye(3)

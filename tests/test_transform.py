@@ -10,8 +10,8 @@ from zeipel.checks import richardson
 from zeipel.domain import CHAIN_FLOOR
 from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
 from zeipel.errors import DomainError, MapError, describe
-from zeipel.symplectic import block_identities, symplectic_residual
-from zeipel.transform import CanonicalMap, GeneratingSeries, momentum_scale, newton_step
+from zeipel.symplectic import block_identities, generating_jacobian, symplectic_inverse, symplectic_residual
+from zeipel.transform import NEWTON_TOL, CanonicalMap, GeneratingSeries, momentum_scale, newton_step
 
 J2 = EARTH.j2
 FD_REL = 1e-6  # relative step of the whole-map difference oracle
@@ -266,11 +266,67 @@ def test_map_jacobian_matches_richardson_oracle():
             assert symplectic_residual(M_fd) <= 1e-6
 
 
-def test_map_jacobian_identity_at_zero_j2(rng):
+def fresh_map_jacobian(cm, x, direction):
+    """Oracle for map_jacobian's Hessian source: the scaled matrix assembled
+    from a fresh generator build and evaluation at the pair x = (P, q)."""
+    _, _, hess = cm.series.at(x[:3]).derivatives(x[3], x[4])
+    s = momentum_scale(cm.model)
+    A = np.eye(3)
+    A[:2] += hess[3:, :3]
+    B = np.zeros((3, 3))
+    B[:2, :2] = hess[3:, 3:] / s
+    M = generating_jacobian(A, B, hess[:3, :3] * s)
+    return symplectic_inverse(M) if direction == "osculating_to_mean" else M
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_map_jacobian_matches_a_fresh_evaluation_at_the_solution(rng, order):
+    # map_jacobian reads the Hessian of Newton's last evaluation, one step of
+    # at most NEWTON_TOL in scaled units from the solved pair: (l, g) forward,
+    # (L, G) over max(1, |p|) inverse.  So it differs from the matrix
+    # assembled afresh at the pair by round-off (1e-12 relative) plus at most
+    # what moving each unknown by NEWTON_TOL in those units does to that
+    # matrix.  Forward that is round-off; inverse, the Hessian's 1/e^2
+    # dependence on L - G makes it up to about 3e-9 relative at e from 0.01
+    # to 0.2, and more toward the near-circular bound.
+    cm = CanonicalMap(EARTH, order)
+    for st in draw_states(rng, 10):
+        for direction in ("mean_to_osculating", "osculating_to_mean"):
+            M = cm.map_jacobian(st, direction, scaled=True)
+            if direction == "mean_to_osculating":
+                x = np.concatenate([st.momenta, cm.mean_to_osculating(st).angles])
+                steps = NEWTON_TOL * np.eye(6)[3:5]
+            else:
+                x = np.concatenate([cm.osculating_to_mean(st).momenta, st.angles])
+                steps = NEWTON_TOL * np.maximum(1.0, np.abs(st.momenta[:2, None])) * np.eye(6)[:2]
+            want = fresh_map_jacobian(cm, x, direction)
+            moved = sum(np.abs(fresh_map_jacobian(cm, x + dx, direction) - want).max() for dx in steps)
+            assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max() + moved
+
+
+def test_map_jacobian_reuses_the_newton_evaluations(rng, evaluations):
+    # One Newton solve and nothing else: forward, one build and one
+    # derivatives call per iteration; inverse, one build and one call per
+    # iteration.
+    cm = CanonicalMap(EARTH)
+    for st in draw_states(rng, 3):
+        fwd = cm.mean_to_osculating(st, return_info=True)[1]["iterations"]
+        inv = cm.osculating_to_mean(st, return_info=True)[1]["iterations"]
+        evaluations.update(builds=[], derivatives=0)
+        cm.map_jacobian(st)
+        assert evaluations == {"builds": [1], "derivatives": fwd}
+        evaluations.update(builds=[], derivatives=0)
+        cm.map_jacobian(st, "osculating_to_mean")
+        assert evaluations == {"builds": [1] * inv, "derivatives": inv}
+
+
+def test_map_jacobian_identity_at_zero_j2(rng, evaluations):
+    # the identity in both directions, with no generator built
     cm = CanonicalMap(EARTH.with_j2(0.0))
     st = draw_states(rng, 1)[0]
-    M = cm.map_jacobian(st)
-    assert_allclose(M, np.eye(6), atol=1e-9)
+    for direction in ("mean_to_osculating", "osculating_to_mean"):
+        assert np.array_equal(cm.map_jacobian(st, direction), np.eye(6))
+    assert evaluations == {"builds": [], "derivatives": 0}
 
 
 def test_map_jacobian_is_symplectic(rng):
@@ -284,12 +340,13 @@ def test_map_jacobian_is_symplectic(rng):
 
 
 def test_forward_inverse_jacobians_compose(rng):
-    cm = CanonicalMap(EARTH)
-    st = draw_states(rng, 3)[0]
-    osc = cm.mean_to_osculating(st)
-    Mf = cm.map_jacobian(st, scaled=True)
-    Mi = cm.map_jacobian(osc, "osculating_to_mean", scaled=True)
-    assert np.abs(Mf @ Mi - np.eye(6)).max() < 1e-6
+    for order in (1, 2):
+        cm = CanonicalMap(EARTH, order)
+        for st in draw_states(rng, 5):
+            osc = cm.mean_to_osculating(st)
+            Mf = cm.map_jacobian(st, scaled=True)
+            Mi = cm.map_jacobian(osc, "osculating_to_mean", scaled=True)
+            assert np.abs(Mf @ Mi - np.eye(6)).max() < 1e-6
 
 
 def test_scaled_and_physical_jacobians_are_conjugate(rng):
@@ -372,6 +429,18 @@ def test_near_circular_exit_is_map_error():
                 rf"iterate left the Delaunay chart: e = \d\.\d{{3}}e[+-]\d+ below the chain-rule floor {CHAIN_FLOOR};",
                 str(failure.value),
             )
+
+
+def test_map_jacobian_refuses_an_image_off_the_chart():
+    # Next to the near-circular bound (e = 1.5e-3) the forward image of this
+    # mean state has G > L: the single-state map refuses it, and so does the
+    # Jacobian, which solves the same map.
+    st = DelaunayState(52370.56307794199, 52370.50467477727, -50020.23499835714,
+                       3.1552775907315733, 3.500930869973849, 3.808342199249111)
+    cm = CanonicalMap(EARTH)
+    for call in (cm.mean_to_osculating, cm.map_jacobian):
+        with pytest.raises(DomainError, match="G must satisfy"):
+            call(st)
 
 
 def test_non_finite_input_is_refused_at_entry(evaluations):
