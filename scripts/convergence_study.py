@@ -1,12 +1,12 @@
 """J2-halving convergence sweep over orbit shapes (a, e, i).
 
-For each row, propagates analytically at order 1 and 2, compares against
-the Cartesian oracle at J2, J2/2 and J2/4, and prints one line: each
-order's two successive position-error ratios and the order-2 max position
-error at full J2.  A theory whose neglected remainder is O(J2^n) shows
-ratios near 2^n: about 4 for the first-order theory, about 8 for the
-second-order one.  The default rows are the seven (a, e, i) rows of
-ROADMAP item 1's table, with raan 0.3, argp 1.1 and M 0.2 rad; `--a`,
+For each row, integrates the Cartesian oracle once at each of J2, J2/2 and
+J2/4, compares the order-1 and order-2 analytic ephemerides against it, and
+prints one line: each order's two successive position-error ratios and the
+order-2 max position error at full J2.  A theory whose neglected remainder
+is O(J2^n) shows ratios near 2^n: about 4 for the first-order theory, about
+8 for the second-order one.  The default rows are the seven (a, e, i) rows
+of ROADMAP item 1's table, with raan 0.3, argp 1.1 and M 0.2 rad; `--a`,
 `--e` and `--i` select a single row instead (the others default to the
 first row's).
 
@@ -36,15 +36,11 @@ ROWS = (
 def study_row(orbits, samples, a, e, i):
     """Each order's (ratio step 1, ratio step 2) and the order-2 max
     position error at full J2, km."""
-    model = EARTH
     el0 = KeplerianElements(a, e, i, 0.3, 1.1, 0.2)
-    period = 2.0 * np.pi / np.sqrt(model.mu / a**3)
-    times = np.linspace(0.0, orbits * period, samples)
-    ratios = {}
-    for order in (1, 2):
-        levels = halving_study(el0, times, model, order)
-        ratios[order] = halving_ratios(levels)[0]
-    return ratios, levels[0].report.max_pos_err  # the last levels are order 2's
+    times = np.linspace(0.0, orbits * (2.0 * np.pi / np.sqrt(EARTH.mu / a**3)), samples)
+    levels = halving_study(el0, times, EARTH, (1, 2))
+    ratios = {n: halving_ratios([lv.reports[n].max_pos_err for lv in levels]) for n in (1, 2)}
+    return ratios, levels[0].reports[2].max_pos_err
 
 
 def run(orbits, samples, rows=ROWS):

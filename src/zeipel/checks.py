@@ -4,8 +4,10 @@ Each function draws its inputs from `rng`, measures one quantity and returns
 the worst value over its draws.  `zeipel verify` and the acceptance gates
 call the same functions, each with its own seed, draw counts, draw ranges
 and grid sizes.  `halving_study` runs the J2-halving study behind
-`zeipel compare`, the convergence script and the halving gate, and
-`halving_ratios` gives the ratios all three read.
+`zeipel compare`, the convergence script and the halving gate, one oracle
+run per level for all orders; `halving_means` recovers the mean momenta
+that compare and the gate read, and `halving_ratios` gives the ratios all
+three read.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from .elements import (
     true_from_mean,
 )
 from .hamiltonian import dh0_dL, h1_periodic_true, h1_true
-from .propagator import (
-    CompareReport,
-    compare,
-    mean_history,
-    propagate_analytic,
-    propagate_oracle,
-)
+from .propagator import Ephemeris, compare, mean_history, propagate_analytic, propagate_oracle
 from .transform import CanonicalMap
 
 TWO_PI = 2.0 * np.pi
@@ -260,34 +256,32 @@ class HalvingLevel:
     """One J2 level of the halving study."""
 
     model: PhysicalModel
-    report: CompareReport   # analytic against oracle
-    mean: np.ndarray        # mean momenta recovered along the oracle run
-
-    @property
-    def ptp(self):
-        """Peak-to-peak of each mean momentum (L, G, H) along the run."""
-        return np.ptp(self.mean, axis=0)
+    oracle: Ephemeris   # the Cartesian oracle run at this level's J2
+    reports: dict       # theory order -> CompareReport, analytic against oracle
 
 
-def halving_study(el0: KeplerianElements, times, model: PhysicalModel, order):
-    """Analytic ephemeris of `order` against the Cartesian oracle at J2, J2/2
-    and J2/4 (each level `model.with_j2`, the oracle's degrees those of
-    `model.zonal`), with the mean momenta recovered along each oracle run.
-    A neglected remainder of O(J2^n) shows successive error ratios near 2^n."""
+def halving_study(el0: KeplerianElements, times, model: PhysicalModel, orders):
+    """Analytic ephemerides of each of `orders` against the Cartesian oracle
+    at J2, J2/2 and J2/4 (each level `model.with_j2`, the oracle's degrees
+    those of `model.zonal`), one oracle run per level.  A neglected
+    remainder of O(J2^n) shows successive error ratios near 2^n."""
     levels = []
     for factor in (1.0, 0.5, 0.25):
         m = model.with_j2(model.j2 * factor)
         oracle = propagate_oracle(kep_to_cartesian(el0, m), times, m)
-        analytic = propagate_analytic(el0, times, m, order=order)
-        mean = mean_history(oracle, m, order=order)
-        levels.append(HalvingLevel(m, compare(analytic, oracle), mean))
+        reports = {n: compare(propagate_analytic(el0, times, m, order=n), oracle) for n in orders}
+        levels.append(HalvingLevel(m, oracle, reports))
     return levels
 
 
-def halving_ratios(levels):
-    """Successive ratios of the levels of `halving_study`, each level's value
-    over the next one's: the max position errors, shape (2,), and each mean
-    momentum's peak-to-peak, shape (2, 3)."""
-    err = np.array([lv.report.max_pos_err for lv in levels])
-    ptp = np.array([lv.ptp for lv in levels])
-    return err[:-1] / err[1:], ptp[:-1] / ptp[1:]
+def halving_means(levels, order):
+    """The mean momenta (L, G, H) recovered at `order` along each level's
+    oracle run, an (N, 3) array per level."""
+    return [mean_history(lv.oracle, lv.model, order=order) for lv in levels]
+
+
+def halving_ratios(values):
+    """Successive ratios of a per-level quantity, each level's value over the
+    next one's: shape (levels - 1, ...) for values of shape (levels, ...)."""
+    values = np.asarray(values)
+    return values[:-1] / values[1:]

@@ -18,8 +18,9 @@ from the solved (P, q) pair: it is the exact Jacobian at an input that
 differs from the given one by that evaluation's residual, at most
 NEWTON_TOL in scaled units.  Forward the step is in the angles and the
 matrix moves from the one at the pair by round-off; inverse it is in
-(L, G), and the Hessian's 1/e^2 dependence on L - G moves it by up to about
-3e-9 relative at e >= 0.01 and 4e-6 near the near-circular bound.
+(L, G), where the Hessian varies as 1/e^2 with L - G, so the Jacobian
+evaluates it again at the pair when the step moves L - G by more than
+STALE_REL of itself.  A forward image past e = 0 (G > L) is a MapError.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .symplectic import generating_jacobian, symplectic_inverse
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 25
+STALE_REL = 1e-13  # inverse: a last step moving L - G by more than this of itself leaves the Hessian stale
 
 
 def momentum_scale(model: PhysicalModel) -> float:
@@ -116,13 +118,14 @@ class CanonicalMap:
         last evaluation plus dy/dx times the step taken after it, good to
         O(step^2), so nothing is evaluated at the solution; its Hessian is
         that of its last evaluation.  Returns x, (2, N), y, (3, N), the
-        Hessians, (5, 5, N), and the iterations per column.  Any failure
+        Hessians, (5, 5, N), the iterations per column and the step each
+        column took after its last evaluation, (2, N).  Any failure
         raises MapError naming the first failing column's input state (its
         column of `start`) and its last scaled step (nan before its first
         step).
         """
         n = x0.shape[1]
-        x, y, hess = x0.copy(), np.zeros((3, n)), np.zeros((5, 5, n))
+        x, y, hess, last = x0.copy(), np.zeros((3, n)), np.zeros((5, 5, n)), np.zeros((2, n))
         its, broke = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)  # broke: F non-finite
         step, e_broke = np.full((2, n), math.nan)
         run, left = slice(None), n  # every column, as whole arrays, until one stops or breaks
@@ -136,8 +139,9 @@ class CanonicalMap:
             x_new = x_run + dx
             if done.any():  # y and the Hessian on every running column; each keeps those of its last evaluation
                 # The step as taken in floats, so that y is the evaluation at the returned x to O(step^2).
-                y[:, run] = y_it + np.einsum("ijn,jn->in", dy_it, x_new - x_run)
-                hess[..., run] = hess_it
+                taken = x_new - x_run
+                y[:, run] = y_it + np.einsum("ijn,jn->in", dy_it, taken)
+                hess[..., run], last[:, run] = hess_it, taken
             x[:, run], its[run] = x_new, it
             if not ok.all():  # a non-finite F: the column breaks, keeping its last step
                 cols = np.arange(n)[run][~ok]
@@ -153,20 +157,17 @@ class CanonicalMap:
             elif broke[col]:
                 why = "residual became non-finite"
             raise _map_error(why, start[:, col], step[col])
-        return x, y, hess, its
+        return x, y, hess, its, last
 
     def _refuse(self, start):
         """Raise MapError for the first column of `start` that holds a
         non-finite momentum or angle, then for the first with e at or below
         the near-circular bound, before any generator is built."""
-        bad = np.flatnonzero(~np.isfinite(start).all(axis=0))
-        if bad.size:
-            raise _map_error("input is not finite", start[:, bad[0]], math.nan)
+        for col in np.flatnonzero(~np.isfinite(start).all(axis=0))[:1]:
+            raise _map_error("input is not finite", start[:, col], math.nan)
         e = eccentricity_from_momenta(start[0], start[1])
         bound = near_circular_bound(start[0], self.model)
-        bad = np.flatnonzero(e <= bound)
-        if bad.size:
-            col = bad[0]
+        for col in np.flatnonzero(e <= bound)[:1]:
             why = f"map left the admissible domain: e = {e[col]:.3e} is not above |J2| (R/a)^2 = {bound[col]:.3e}"
             raise _map_error(why, start[:, col], math.nan)
 
@@ -174,13 +175,13 @@ class CanonicalMap:
 
     def _mean_to_osculating(self, P, Q):
         """`mean_to_osculating_batch` plus, per column, the generator Hessian
-        of the Newton solve's last evaluation, (5, 5, N); zero at J2 = 0,
-        where nothing is built."""
+        of the Newton solve's last evaluation, (5, 5, N), and the step after
+        it, (2, N); zero at J2 = 0.  An image with G > L raises MapError."""
         P = np.asarray(P, dtype=float).reshape(3, -1)
         Q = np.asarray(Q, dtype=float)
         p = np.broadcast_to(P, Q.shape).copy()
         if self.model.j2 == 0.0:
-            return p, Q.copy(), np.zeros(Q.shape[1], dtype=int), np.zeros((5, 5, Q.shape[1]))
+            return p, Q.copy(), np.zeros(Q.shape[1], dtype=int), np.zeros((5, 5, Q.shape[1])), np.zeros((2, Q.shape[1]))
         start = np.vstack([p, Q])
         self._refuse(start)
         generator = self.series.at(P)
@@ -192,18 +193,22 @@ class CanonicalMap:
             F = q[:, run] + grad[:2] - Q[:2, run]
             return F, newton_step(F, hess[:2, 3:]), e[run], grad[2:], hess[2:, 3:], hess  # h = Q_h - S_H, p = P + (S_l, S_g, 0)
 
-        q, y, hess, its = self._solve(system, Q[:2], np.ones((2, Q.shape[1])), start)
+        q, y, hess, its, last = self._solve(system, Q[:2], np.ones((2, Q.shape[1])), start)
         p[:2] += y[1:]
-        return p, np.vstack([q, Q[2] - y[0]]), its, hess
+        for col in np.flatnonzero(p[1] > p[0])[:1]:  # the short-period e oscillation carried the image past e = 0
+            why = f"osculating image left the Delaunay chart: G - L = {p[1, col] - p[0, col]:+.3e} from e = {e[col]:.3e}"
+            bound = near_circular_bound(start[0, col], self.model)
+            raise _map_error(f"{why}, near |J2| (R/a)^2 = {bound:.3e}", start[:, col], np.abs(last[:, col]).max())
+        return p, np.vstack([q, Q[2] - y[0]]), its, hess, last
 
     def _osculating_to_mean(self, p, q):
         """`osculating_to_mean_batch` plus, per column, the generator Hessian
-        of the Newton solve's last evaluation, (5, 5, N); zero at J2 = 0,
-        where nothing is built."""
+        of the Newton solve's last evaluation, (5, 5, N), and the step after
+        it, (2, N); zero at J2 = 0, where nothing is built."""
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         if self.model.j2 == 0.0:
-            return p.copy(), q.copy(), np.zeros(p.shape[1], dtype=int), np.zeros((5, 5, p.shape[1]))
+            return p.copy(), q.copy(), np.zeros(p.shape[1], dtype=int), np.zeros((5, 5, p.shape[1])), np.zeros((2, p.shape[1]))
         start = np.vstack([p, q])
         self._refuse(start)
 
@@ -216,8 +221,8 @@ class CanonicalMap:
             F = P - p[:2, run] + grad[3:]
             return F, newton_step(F, hess[3:, :2]), e, grad[:3], hess[:3, :2], hess  # Q = q + S_P
 
-        P, s_P, hess, its = self._solve(system, p[:2], np.maximum(1.0, np.abs(p[:2])), start)
-        return np.vstack([P, p[2]]), q + s_P, its, hess
+        P, s_P, hess, its, last = self._solve(system, p[:2], np.maximum(1.0, np.abs(p[:2])), start)
+        return np.vstack([P, p[2]]), q + s_P, its, hess, last
 
     def mean_to_osculating_batch(self, P, Q):
         """Osculating momenta and angles, both (3, N), and the Newton
@@ -233,23 +238,23 @@ class CanonicalMap:
 
     def _one(self, solve, state: DelaunayState):
         """The N = 1 case of a direction's solve: the image of `state` as a
-        DelaunayState (so an image off the chart, G > L, raises DomainError),
-        its Newton iterations and its last-evaluation Hessian, (5, 5)."""
-        x, y, its, hess = solve(state.momenta[:, None], state.angles[:, None])
-        return DelaunayState(*x[:, 0], *y[:, 0]), int(its[0]), hess[..., 0]
+        DelaunayState, its Newton iterations, its last-evaluation Hessian,
+        (5, 5), and the step taken after that evaluation, (2,)."""
+        x, y, its, hess, last = solve(state.momenta[:, None], state.angles[:, None])
+        return DelaunayState(*x[:, 0], *y[:, 0]), int(its[0]), hess[..., 0], last[:, 0]
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""
         osc, its = mean, 0
         if self.model.j2 != 0.0:
-            osc, its, _ = self._one(self._mean_to_osculating, mean)
+            osc, its = self._one(self._mean_to_osculating, mean)[:2]
         return (osc, {"iterations": its}) if return_info else osc
 
     def osculating_to_mean(self, osc: DelaunayState, return_info=False):
         """One state: the N = 1 case of `osculating_to_mean_batch`."""
         mean, its = osc, 0
         if self.model.j2 != 0.0:
-            mean, its, _ = self._one(self._osculating_to_mean, osc)
+            mean, its = self._one(self._osculating_to_mean, osc)[:2]
         return (mean, {"iterations": its}) if return_info else mean
 
     # -- derived linear objects ----------------------------------------------
@@ -257,14 +262,15 @@ class CanonicalMap:
     def map_jacobian(self, at: DelaunayState, direction="mean_to_osculating", scaled=False):
         """Jacobian of the map at `at`, assembled from the generator's exact
         Hessian blocks (S_qP, S_qq, S_PP) that the map's own Newton solve
-        evaluated last; no generator is built or evaluated beyond the
-        solve's.  That evaluation is one Newton step from the solved (P, q)
-        pair, so the matrix is the exact one at an input within NEWTON_TOL
-        (scaled) of `at`.  It differs from the matrix at the pair by
-        round-off forward, and inverse by up to about 3e-9 relative at
-        e >= 0.01 and 4e-6 near the near-circular bound, where the Hessian
-        varies as 1/e^2 with L - G.  At J2 = 0 the
-        Hessian is zero and the matrix the identity.
+        evaluated last.  That evaluation is one Newton step from the solved
+        (P, q) pair, so the matrix is the exact one at an input within
+        NEWTON_TOL (scaled) of `at`.  Forward the step is in the angles and
+        the matrix differs from the one at the pair by round-off.  Inverse
+        the step is in (L, G), and S's second derivatives vary as 1/e^2 with
+        L - G: where the step moved L - G by more than STALE_REL of itself,
+        the Hessian is taken from one more evaluation, at the solved pair,
+        so the matrix is within a few STALE_REL of the one at the pair.  At
+        J2 = 0 the Hessian is zero and the matrix the identity.
 
         The matrix is built in momentum units of sqrt(mu R), where all six
         variables are O(1); `scaled=True` returns it as is (itself
@@ -277,7 +283,9 @@ class CanonicalMap:
                  "osculating_to_mean": self._osculating_to_mean}.get(direction)
         if solve is None:
             raise DomainError(f"unknown direction {direction!r}")
-        hess = self._one(solve, at)[2]
+        image, _, hess, last = self._one(solve, at)
+        if direction == "osculating_to_mean" and abs(last[0] - last[1]) > STALE_REL * (image.L - image.G):
+            hess = self.series.at(image.momenta).derivatives(at.l, at.g)[2]
         s = momentum_scale(self.model)
         # S has no h-terms (the field is axisymmetric): the h rows are zero.
         A = np.eye(3)

@@ -135,11 +135,14 @@ def test_criterion_6_second_order_convergence():
     T = TWO_PI * np.sqrt(el0.a**3 / EARTH.mu)
     times = np.linspace(0.0, 10.0 * T, 401)
 
-    levels = checks.halving_study(el0, times, EARTH, order=order)
-    pos_ratios, ptp_ratios = checks.halving_ratios(levels)
+    levels = checks.halving_study(el0, times, EARTH, (order,))
+    means = checks.halving_means(levels, order)
+    ptps = [np.ptp(mean, axis=0) for mean in means]
+    pos_ratios = checks.halving_ratios([lv.reports[order].max_pos_err for lv in levels])
+    ptp_ratios = checks.halving_ratios(ptps)
     # a component whose relative ptp at the upper level is at the oracle
     # round-off floor carries no signal
-    live = [lv.ptp / np.abs(lv.mean[0]) > 1e-9 for lv in levels[:2]]
+    live = [ptp / np.abs(mean[0]) > 1e-9 for ptp, mean in zip(ptps[:2], means[:2])]
     live_ratios = np.concatenate([r[m] for r, m in zip(ptp_ratios, live)]).tolist()
 
     dt = time.monotonic() - t0

@@ -5,8 +5,6 @@ from numpy.testing import assert_array_equal
 
 from zeipel import checks
 from zeipel import vonzeipel as vz
-from zeipel.elements import EARTH
-from zeipel.propagator import CompareReport
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,18 +22,12 @@ def test_operator_algebra_catches_a_missing_node(monkeypatch):
 
 
 def test_halving_ratios_divide_each_level_by_the_next():
-    # peak-to-peaks (L, G, H) of (8, 4, 1), (1, 1, 1) and (1/8, 1/4, 1):
-    # powers of two, so every ratio is exact
+    # position errors per level, and peak-to-peaks (L, G, H) of (8, 4, 1),
+    # (1, 1, 1) and (1/8, 1/4, 1): powers of two, so every ratio is exact
     errs = (6.4, 0.8, 0.2)
     ptps = ((8.0, 4.0, 1.0), (1.0, 1.0, 1.0), (0.125, 0.25, 1.0))
-    levels = []
-    for k, (err, (pL, pG, pH)) in enumerate(zip(errs, ptps)):
-        mean = np.array([[10.0, 20.0, 30.0], [10.0 + pL, 20.0 - pG, 30.0], [10.0, 20.0, 30.0 + pH]])
-        report = CompareReport(max_pos_err=err, rms_pos_err=0.5 * err)
-        levels.append(checks.HalvingLevel(EARTH.with_j2(EARTH.j2 / 2**k), report, mean))
 
-    assert_array_equal(levels[2].ptp, [0.125, 0.25, 1.0])
-    pos, ptp = checks.halving_ratios(levels)
+    pos, ptp = checks.halving_ratios(errs), checks.halving_ratios(ptps)
     assert pos.shape == (2,) and ptp.shape == (2, 3)
     assert_array_equal(pos, [6.4 / 0.8, 0.8 / 0.2])
     assert_array_equal(ptp, [[8.0, 4.0, 1.0], [8.0, 4.0, 1.0]])

@@ -1,7 +1,10 @@
 import importlib.util
 import math
 import re
+from collections import Counter
 from pathlib import Path
+
+from zeipel import checks
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
 NUMBER = r"(\d+(?:\.\d+)?(?:e[+-]\d+)?)"
@@ -31,3 +34,19 @@ def test_convergence_study_prints_one_line_per_row(capsys):
     assert all(math.isfinite(x) and x > 0.0 for x in fields[3:])
     assert 3.0 < min(fields[3:5]) and max(fields[3:5]) < 5.0  # order 1: near 4
     assert fields[7] < 0.01  # km, order 2 over one period
+
+
+def test_convergence_study_integrates_each_level_once(monkeypatch):
+    # one row: one oracle run per J2 level, shared by both orders, one
+    # analytic ephemeris per level and order, and no mean recovery, which
+    # the sweep never reads
+    script = load_script()
+    calls = Counter()
+    for name in ("propagate_oracle", "propagate_analytic", "mean_history"):
+        def counted(*args, _name=name, _fun=getattr(checks, name), **kwargs):
+            calls[_name] += 1
+            return _fun(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counted)
+    script.study_row(1, 9, 7000.0, 0.05, 0.5)
+    assert calls == {"propagate_oracle": 3, "propagate_analytic": 6}

@@ -22,7 +22,7 @@ from zeipel import elements, propagator
 from zeipel.checks import richardson
 from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy
 from zeipel.transform import CanonicalMap
-from zeipel.errors import DomainError, IntegrationError, UsageError
+from zeipel.errors import DomainError, IntegrationError, MapError, UsageError, describe
 from zeipel.propagator import (
     Ephemeris,
     compare,
@@ -208,6 +208,24 @@ def test_order_two_beats_order_one():
         err1 = compare(propagate_analytic(el0, times, EARTH, order=1), oracle).max_pos_err
         err2 = compare(propagate_analytic(el0, times, EARTH, order=2), oracle).max_pos_err
         assert err2 <= 0.1 * err1, f"a = {a}, e = {e}: order 2 {err2:.3e} km, order 1 {err1:.3e} km"
+
+
+def test_analytic_route_refuses_an_image_off_the_chart():
+    # Osculating e = 0.002 at a = 7000 km has mean e = 1.1e-3, just above
+    # the map's bound |J2| (R/a)^2 = 9.0e-4.  At the fourth of nine samples
+    # over one period the forward image has G > L: the route raises the
+    # map's MapError, which names that sample's mean state and the bound,
+    # rather than passing the image on to the element conversions.
+    el0 = KeplerianElements(a=7000.0, e=0.002, i=0.5, raan=0.3, argp=0.5, mean_anom=0.2)
+    times = np.linspace(0.0, kepler_period(el0.a, EARTH), 9)
+    mean0 = CanonicalMap(EARTH).osculating_to_mean(kep_to_delaunay(el0, EARTH))
+    angles = normalize_angle(mean0.angles + mean_rates(mean0.momenta, EARTH) * times[3])
+    with pytest.raises(MapError) as failure:
+        propagate_analytic(el0, times, EARTH)
+    text = str(failure.value)
+    assert text.startswith("osculating image left the Delaunay chart: G - L = +1.011e-02 from e = 1.148e-03, "
+                           "near |J2| (R/a)^2 = 8.989e-04; input ")
+    assert f"input {describe('LGHlgh', (*mean0.momenta, *angles))}; last scaled step " in text
 
 
 def test_oracle_failure_names_state_and_last_time(nan_field):

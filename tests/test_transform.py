@@ -8,10 +8,10 @@ from conftest import draw_states
 from zeipel import vonzeipel as vz
 from zeipel.checks import richardson
 from zeipel.domain import CHAIN_FLOOR
-from zeipel.elements import EARTH, DelaunayState, KeplerianElements, kep_to_delaunay
+from zeipel.elements import EARTH, DelaunayState, KeplerianElements, delaunay_momenta, kep_to_delaunay
 from zeipel.errors import DomainError, MapError, describe
 from zeipel.symplectic import block_identities, generating_jacobian, symplectic_inverse, symplectic_residual
-from zeipel.transform import NEWTON_TOL, CanonicalMap, GeneratingSeries, momentum_scale, newton_step
+from zeipel.transform import NEWTON_TOL, STALE_REL, CanonicalMap, GeneratingSeries, momentum_scale, newton_step
 
 J2 = EARTH.j2
 FD_REL = 1e-6  # relative step of the whole-map difference oracle
@@ -282,42 +282,52 @@ def fresh_map_jacobian(cm, x, direction):
 @pytest.mark.parametrize("order", [1, 2])
 def test_map_jacobian_matches_a_fresh_evaluation_at_the_solution(rng, order):
     # map_jacobian reads the Hessian of Newton's last evaluation, one step of
-    # at most NEWTON_TOL in scaled units from the solved pair: (l, g) forward,
-    # (L, G) over max(1, |p|) inverse.  So it differs from the matrix
-    # assembled afresh at the pair by round-off (1e-12 relative) plus at most
-    # what moving each unknown by NEWTON_TOL in those units does to that
-    # matrix.  Forward that is round-off; inverse, the Hessian's 1/e^2
-    # dependence on L - G makes it up to about 3e-9 relative at e from 0.01
-    # to 0.2, and more toward the near-circular bound.
+    # at most NEWTON_TOL in scaled units from the solved pair.  Forward the
+    # step is in (l, g), so the matrix differs from the one assembled afresh
+    # at the pair by round-off (1e-12 relative) plus at most what moving each
+    # angle by NEWTON_TOL does to that matrix.  Inverse the step is in (L, G),
+    # and the Hessian varies as 1/e^2 with L - G: near circular (e from
+    # 0.0015 to 0.01) the last step moves L - G by up to about 1e-6 of
+    # itself, and the matrix would miss the fresh one by up to about 1e-6
+    # relative.  Where that move exceeds STALE_REL the Hessian is evaluated
+    # again at the pair, so the inverse matrix stays within 1e-12 relative.
     cm = CanonicalMap(EARTH, order)
-    for st in draw_states(rng, 10):
-        for direction in ("mean_to_osculating", "osculating_to_mean"):
-            M = cm.map_jacobian(st, direction, scaled=True)
-            if direction == "mean_to_osculating":
-                x = np.concatenate([st.momenta, cm.mean_to_osculating(st).angles])
-                steps = NEWTON_TOL * np.eye(6)[3:5]
-            else:
-                x = np.concatenate([cm.osculating_to_mean(st).momenta, st.angles])
-                steps = NEWTON_TOL * np.maximum(1.0, np.abs(st.momenta[:2, None])) * np.eye(6)[:2]
-            want = fresh_map_jacobian(cm, x, direction)
-            moved = sum(np.abs(fresh_map_jacobian(cm, x + dx, direction) - want).max() for dx in steps)
-            assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max() + moved
+    for st in draw_states(rng, 10) + draw_states(rng, 10, e_lo=0.0015, e_hi=0.01):
+        M = cm.map_jacobian(st, scaled=True)
+        x = np.concatenate([st.momenta, cm.mean_to_osculating(st).angles])
+        want = fresh_map_jacobian(cm, x, "mean_to_osculating")
+        moved = sum(np.abs(fresh_map_jacobian(cm, x + dx, "mean_to_osculating") - want).max()
+                    for dx in NEWTON_TOL * np.eye(6)[3:5])
+        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max() + moved
+        M = cm.map_jacobian(st, "osculating_to_mean", scaled=True)
+        x = np.concatenate([cm.osculating_to_mean(st).momenta, st.angles])
+        want = fresh_map_jacobian(cm, x, "osculating_to_mean")
+        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_map_jacobian_reuses_the_newton_evaluations(rng, evaluations):
-    # One Newton solve and nothing else: forward, one build and one
-    # derivatives call per iteration; inverse, one build and one call per
-    # iteration.
+    # One Newton solve: forward, one build and one derivatives call per
+    # iteration; inverse, one build and one call per iteration, plus one of
+    # each at the solved pair where the last step moved L - G by more than
+    # STALE_REL of itself.  That happens near circular, and not at the
+    # benchmark's Jacobian states (e = 0.05 and 0.3, inverse at their
+    # forward images).
     cm = CanonicalMap(EARTH)
-    for st in draw_states(rng, 3):
+    bench = [DelaunayState(*delaunay_momenta(a, e, i, EARTH), l, g, 0.3)
+             for a, e, i, l, g in ((7100.0, 0.05, 0.7, 1.0, 2.5), (8600.0, 0.3, 2.0, 4.0, 0.8))]
+    refreshed = []
+    for st in draw_states(rng, 3) + draw_states(rng, 6, e_lo=0.0015, e_hi=0.01) + [cm.mean_to_osculating(x) for x in bench]:
         fwd = cm.mean_to_osculating(st, return_info=True)[1]["iterations"]
-        inv = cm.osculating_to_mean(st, return_info=True)[1]["iterations"]
+        mean, inv, _, last = cm._one(cm._osculating_to_mean, st)
+        stale = abs(last[0] - last[1]) > STALE_REL * (mean.L - mean.G)
         evaluations.update(builds=[], derivatives=0)
         cm.map_jacobian(st)
         assert evaluations == {"builds": [1], "derivatives": fwd}
         evaluations.update(builds=[], derivatives=0)
         cm.map_jacobian(st, "osculating_to_mean")
-        assert evaluations == {"builds": [1] * inv, "derivatives": inv}
+        assert evaluations == {"builds": [1] * (inv + stale), "derivatives": inv + stale}
+        refreshed.append(stale)
+    assert any(refreshed[3:9]) and not any(refreshed[9:])
 
 
 def test_map_jacobian_identity_at_zero_j2(rng, evaluations):
@@ -433,14 +443,23 @@ def test_near_circular_exit_is_map_error():
 
 def test_map_jacobian_refuses_an_image_off_the_chart():
     # Next to the near-circular bound (e = 1.5e-3) the forward image of this
-    # mean state has G > L: the single-state map refuses it, and so does the
-    # Jacobian, which solves the same map.
+    # mean state has G > L, off the Delaunay chart.  The batch (here the
+    # middle column of three), the single-state map and the Jacobian, which
+    # solves the same map, all raise a MapError that names the state and the
+    # bound.
     st = DelaunayState(52370.56307794199, 52370.50467477727, -50020.23499835714,
                        3.1552775907315733, 3.500930869973849, 3.808342199249111)
+    good = kep_to_delaunay(KeplerianElements(7200.0, 0.05, 0.6, 0.3, 1.1, 2.0), EARTH)
+    cols = np.array([(*s.momenta, *s.angles) for s in (good, st, good)]).T
     cm = CanonicalMap(EARTH)
-    for call in (cm.mean_to_osculating, cm.map_jacobian):
-        with pytest.raises(DomainError, match="G must satisfy"):
+    for call in (cm.mean_to_osculating, cm.map_jacobian, lambda _: cm.mean_to_osculating_batch(cols[:3], cols[3:])):
+        with pytest.raises(MapError) as failure:
             call(st)
+        assert str(failure.value).startswith(
+            "osculating image left the Delaunay chart: G - L = +2.918e-03 from e = 1.493e-03, "
+            f"near |J2| (R/a)^2 = 9.302e-04; input {describe('LGHlgh', (*st.momenta, *st.angles))}; "
+            "last scaled step "
+        )
 
 
 def test_non_finite_input_is_refused_at_entry(evaluations):
