@@ -5,21 +5,18 @@ step.  Everything is done with exact Fourier algebra on the unit torus:
 expressions are Laurent polynomials in z = exp(i*nu) and w = exp(i*g) with
 rational-function coefficients in (e, eta, L, G, H), where eta^2 = 1 - e^2.
 
-Derived objects; the first three scale by mu^6 R^4:
-  1. the full cosine table of the quadratic cross term
-         hb = (3/2 L^4) (dS1/dl)^2 + dH1/dL * dS1/dl + dH1/dG * dS1/dg
-     as sum a[(k,m)] cos(k*nu + m*g), spot-checked against a direct float
-     evaluation and no longer emitted: the package evaluates the cross term
-     from its parts (zeipel.vonzeipel.hbar_true),
-  2. the l-averaged long-period remainder m(g) = <hb>_l - <hb>_{l,g}
-     = c2 cos(2g) + c4 cos(4g),
-  3. the secular average <hb>_{l,g} = k2, asserted equal to a hand-written
+Derived objects; the first two scale by mu^6 R^4:
+  1. the l-averaged long-period remainder m(g) = <hb>_l - <hb>_{l,g}
+     = c2 cos(2g) + c4 cos(4g) of the quadratic cross term
+         hb = (3/2 L^4) (dS1/dl)^2 + dH1/dL * dS1/dl + dH1/dG * dS1/dg,
+     which the package evaluates from its parts (zeipel.vonzeipel.hbar_true),
+  2. the secular average <hb>_{l,g} = k2, asserted equal to a hand-written
      polynomial,
-  4. the generators S1 and S2 (periodic, zero l-mean part) over a fixed angle
+  3. the generators S1 and S2 (periodic, zero l-mean part) over a fixed angle
      basis, sin(k*nu + m*g) and cos(m*g)*(nu - l); S1 is asserted equal to
      its hand copy S1_HAND (the coefficients of zeipel.vonzeipel.s1_true),
-     S2 is spot-checked against its generator equation.  These scale by
-     mu^2 R^2 and mu^4 R^4.
+     S2 is spot-checked against its generator equation with hb evaluated
+     directly in floats.  These scale by mu^2 R^2 and mu^4 R^4.
 
 Emitted: the angle bases of S1 and S2 and the monomial tables of S1, S2, k2
 and c2.
@@ -29,7 +26,7 @@ average of f * rho^-2 / eta, which is exact term by term because every
 rho power in hb is >= 2 except the constant.
 
 Run from the repository root:  python scripts/derive_second_order.py
-(about half a minute).  The output records this script's SHA-256, which a test
+(about 15 seconds).  The output records this script's SHA-256, which a test
 compares with the script.  Output is deterministic for a fixed sympy
 version; cosmetic differences may appear across sympy releases.
 """
@@ -159,18 +156,6 @@ def fold_to_cosine(d):
     return out
 
 
-print("building full Fourier table of the cross term ...")
-flat = defaultdict(lambda: sp.Integer(0))
-flat[(0, 0)] += const_term
-for c, p in terms:
-    rp = rho_power(p)
-    for (kz, kw), cc in laurent_dict(c).items():
-        for kr, cr in rp.items():
-            flat[(kz + kr, kw)] += cc * cr
-hbar_table = fold_to_cosine(flat)
-print(f"  {len(hbar_table)} cosine entries, "
-      f"k up to {max(k for k, _ in hbar_table)}, m in {sorted({m for _, m in hbar_table})}")
-
 print("averaging over l (dnu-weighted) ...")
 avg = defaultdict(lambda: sp.Integer(0))
 for c, p in terms:
@@ -221,47 +206,6 @@ assert lp[4] == 0, "cos(4g) harmonic expected to cancel on eta = G/L"
 assert lp[2] != 0
 print("  long-period remainder reduces to a single cos(2g) harmonic")
 assert all(sp.expand(avg.get(m, 0)) == 0 for m in avg if abs(m) not in (0, 2, 4))
-
-# Spot check: the folded table must reproduce a direct float evaluation.
-print("numeric spot check ...")
-
-
-def direct_eval(ev, ee, GG, HH, LL, nu, g):
-    rho = (1 + ee * math.cos(nu)) / (1 - ee * ee)
-    et = math.sqrt(1 - ee * ee)
-    c2g = math.cos(2 * g + 2 * nu)
-    s2g = math.sin(2 * g + 2 * nu)
-    d1 = 3 * HH * HH - GG * GG
-    d2 = 3 * (GG * GG - HH * HH)
-    pr = 1 / (4 * GG**5)
-    s1l = pr * ((GG**2 - 3 * HH**2) * (1 - et**3 * rho**3)
-                + (GG**2 - HH**2) * et * rho**2 * (3 * c2g
-                + 1.5 * ee * math.cos(2 * g + nu) + 1.5 * ee * math.cos(2 * g + 3 * nu)))
-    s1gv = pr * (GG**2 - HH**2) * (3 * c2g + 3 * ee * math.cos(2 * g + nu) + ee * math.cos(2 * g + 3 * nu))
-    nue = (2 + ee * math.cos(nu)) * math.sin(nu) / (1 - ee * ee)
-    rhoe = (math.cos(nu) + 2 * ee + ee * ee * math.cos(nu)) / (1 - ee * ee) ** 2
-    rhonu = -ee * math.sin(nu) / (1 - ee * ee)
-    drho = rhoe + rhonu * nue
-    eL = GG * GG / (ee * LL**3)
-    eG = -GG / (ee * LL * LL)
-    F = rho**3 * (d1 + d2 * c2g)
-    dF = 3 * rho * rho * drho * (d1 + d2 * c2g) + rho**3 * d2 * (-2 * s2g) * nue
-    hh1L = 0.25 * (-6 * F / (LL**7 * GG * GG) + dF * eL / (LL**6 * GG * GG))
-    hh1G = 0.25 * (-2 * F / (LL**6 * GG**3)
-                   + (dF * eG + rho**3 * (-2 * GG + 6 * GG * c2g)) / (LL**6 * GG * GG))
-    return 1.5 / LL**4 * s1l * s1l + hh1L * s1l + hh1G * s1gv
-
-
-for ee, GG, HH, LL, nuv, gv in [(0.2, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.04), 0.7, 1.1),
-                                (0.35, 1.3, -0.5, 1.3 / math.sqrt(1 - 0.1225), 2.9, 0.3)]:
-    et = math.sqrt(1 - ee * ee)
-    subs = {e: ee, eta: et, G: GG, H: HH, L: LL}
-    table_val = sum(float(cf.subs(subs)) * math.cos(k * nuv + m * gv)
-                    for (k, m), cf in hbar_table.items())
-    ref = direct_eval(None, ee, GG, HH, LL, nuv, gv)
-    rel = abs(table_val - ref) / abs(ref)
-    assert rel < 1e-10, f"table mismatch {rel:.3e}"
-print("  table agrees with direct evaluation")
 
 # ---------------------------------------------------------------------------
 # Generators in closed form.  A source f = sum c * rho^p with every p >= 2
@@ -331,7 +275,36 @@ print("  S1 matches s1_true")
 s2_table = generator_table(terms, zero_mean=True)
 print(f"  S2: {len(s2_table)} basis terms")
 
+
+def direct_eval(ee, GG, HH, LL, nu, g):
+    """The cross term hb at one point, in floats, from S1 and h1 directly."""
+    rho = (1 + ee * math.cos(nu)) / (1 - ee * ee)
+    et = math.sqrt(1 - ee * ee)
+    c2g = math.cos(2 * g + 2 * nu)
+    s2g = math.sin(2 * g + 2 * nu)
+    d1 = 3 * HH * HH - GG * GG
+    d2 = 3 * (GG * GG - HH * HH)
+    pr = 1 / (4 * GG**5)
+    s1l = pr * ((GG**2 - 3 * HH**2) * (1 - et**3 * rho**3)
+                + (GG**2 - HH**2) * et * rho**2 * (3 * c2g
+                + 1.5 * ee * math.cos(2 * g + nu) + 1.5 * ee * math.cos(2 * g + 3 * nu)))
+    s1gv = pr * (GG**2 - HH**2) * (3 * c2g + 3 * ee * math.cos(2 * g + nu) + ee * math.cos(2 * g + 3 * nu))
+    nue = (2 + ee * math.cos(nu)) * math.sin(nu) / (1 - ee * ee)
+    rhoe = (math.cos(nu) + 2 * ee + ee * ee * math.cos(nu)) / (1 - ee * ee) ** 2
+    rhonu = -ee * math.sin(nu) / (1 - ee * ee)
+    drho = rhoe + rhonu * nue
+    eL = GG * GG / (ee * LL**3)
+    eG = -GG / (ee * LL * LL)
+    F = rho**3 * (d1 + d2 * c2g)
+    dF = 3 * rho * rho * drho * (d1 + d2 * c2g) + rho**3 * d2 * (-2 * s2g) * nue
+    hh1L = 0.25 * (-6 * F / (LL**7 * GG * GG) + dF * eL / (LL**6 * GG * GG))
+    hh1G = 0.25 * (-2 * F / (LL**6 * GG**3)
+                   + (dF * eG + rho**3 * (-2 * GG + 6 * GG * c2g)) / (LL**6 * GG * GG))
+    return 1.5 / LL**4 * s1l * s1l + hh1L * s1l + hh1G * s1gv
+
+
 # Spot check: w1 dS2/dl + hb - k2 - c2 cos 2g = 0, with dnu/dl = eta rho^2.
+print("numeric spot check of S2 ...")
 for ee, GG, HH, LL, nuv, gv in [(0.3, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.09), 0.7, 1.1),
                                 (0.7, 1.3, -0.5, 1.3 / math.sqrt(1 - 0.49), 2.9, 0.3)]:
     et = math.sqrt(1 - ee * ee)
@@ -344,7 +317,7 @@ for ee, GG, HH, LL, nuv, gv in [(0.3, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.09), 0.7, 
             ds2dl += cf * k * math.cos(k * nuv + m * gv) * nu_l
         else:
             ds2dl += cf * math.cos(m * gv) * (nu_l - 1)
-    source = direct_eval(None, ee, GG, HH, LL, nuv, gv)
+    source = direct_eval(ee, GG, HH, LL, nuv, gv)
     mean_l = float(K2_HAND.subs(subs)) + float(lp[2].subs(subs)) * math.cos(2 * gv)
     res = -ds2dl / LL**3 + source - mean_l
     assert abs(res) < 1e-11 * abs(source - mean_l), f"S2 generator equation residual {res:.3e}"

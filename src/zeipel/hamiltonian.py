@@ -6,8 +6,9 @@ NOT included in h1 or its derivatives.  The zonal field at the bottom does
 include the physical Jn, one per degree of `model.zonal`; a shorter `zonal`
 truncates it.  It feeds the independent Cartesian oracle and shares no code
 with the series evaluators: the oracle's right-hand side `zonal_rhs` is a
-kernel on Python floats with its own Legendre recurrence, and the potential,
-energy and h_z take one state or N as arrays.
+kernel on Python floats with the package's one Legendre recurrence.  The
+potential, energy and h_z, the tests' route to the oracle's conserved
+quantities, take one state or N as arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
 from .domain import GUARD_RADIUS, check_chart, inside_guard
 from .elements import a_over_r, eccentricity_from_momenta
@@ -97,33 +99,16 @@ def dh1_true(L, G, H, nu, g, model):
     return dL, dG
 
 
-def legendre_upward(nmax, x):
-    """Legendre polynomials P_0..P_nmax and derivatives at x, by upward
-    recurrence.  Returns two arrays of length nmax + 1."""
-    x = np.asarray(x, dtype=float)
-    P = np.zeros((nmax + 1,) + x.shape)
-    dP = np.zeros_like(P)
-    P[0] = 1.0
-    if nmax >= 1:
-        P[1] = x
-        dP[1] = 1.0
-    for n in range(2, nmax + 1):
-        P[n] = ((2 * n - 1) * x * P[n - 1] - (n - 1) * P[n - 2]) / n
-        dP[n] = dP[n - 2] + (2 * n - 1) * P[n - 1]
-    return P, dP
-
-
 def zonal_potential(r_vec, model):
     """Disturbing potential U = sum_n (mu/r) Jn (R/r)^n Pn(z/r), Jn in
-    `model.zonal`, at a position (3,) or at each row of an (N, 3) array."""
+    `model.zonal`, at a position (3,) or at each row of an (N, 3) array: one
+    Legendre series per row, summed by numpy's `legval`."""
     r_vec = np.asarray(r_vec, dtype=float)
     r = np.linalg.norm(r_vec, axis=-1)
     raise_first((np.atleast_1d(r <= GUARD_RADIUS * model.R), lambda k: inside_guard("|r|", np.ravel(r)[k], model.R)))
-    P, _ = legendre_upward(len(model.zonal) + 1, r_vec[..., 2] / r)
-    U = 0.0 * r
-    for n, Jn in enumerate(model.zonal, start=2):
-        U += model.mu / r * Jn * (model.R / r) ** n * P[n]
-    return U
+    q = model.R / r
+    series = [0.0 * q, 0.0 * q, *(Jn * q**n for n, Jn in enumerate(model.zonal, start=2))]
+    return model.mu / r * legval(r_vec[..., 2] / r, series, tensor=False)
 
 
 def zonal_rhs(model):

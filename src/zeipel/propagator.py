@@ -8,7 +8,7 @@ the element conversions, so the two can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .elements import (
     normalize_angle,
 )
 from .errors import DomainError, UsageError
-from .hamiltonian import dh0_dL, polar_angular_momentum, specific_energy, zonal_rhs
+from .hamiltonian import dh0_dL, zonal_rhs
 from .transform import CanonicalMap
 from .vonzeipel import dk1, dk2
 
@@ -68,7 +68,6 @@ class Ephemeris:
     kep: np.ndarray
     cart: np.ndarray
     delaunay: np.ndarray
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = _grid(self.t)
@@ -130,14 +129,13 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
     """Adaptive high-order integration in the zonal field of `model.zonal`,
     by `dop853.solve_ivp` on the six floats of the state; its first sample
-    is the initial state.  The samples are converted as (N, 6) arrays:
-    elements, energy and h_z."""
+    is the initial state.  The samples are converted to elements as (N, 6)
+    arrays; energy and h_z follow from `cart` by `hamiltonian.specific_energy`
+    and `polar_angular_momentum`."""
     times = _grid(times)
     cart = solve_ivp(zonal_rhs(model), np.concatenate([cart0.r, cart0.v]), times).rows
-    r, v = cart[:, :3], cart[:, 3:]
-    extras = {"energy": specific_energy(r, v, model), "hz": polar_angular_momentum(r, v)}
     kep = cartesian_to_kep_batch(cart, model)
-    return Ephemeris(times, kep, cart, kep_to_delaunay_batch(kep, model), extras)
+    return Ephemeris(times, kep, cart, kep_to_delaunay_batch(kep, model))
 
 
 @dataclass(frozen=True)

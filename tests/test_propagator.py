@@ -18,7 +18,7 @@ from zeipel.elements import (
     kep_to_delaunay,
     normalize_angle,
 )
-from zeipel import elements, propagator
+from zeipel import elements, hamiltonian, propagator
 from zeipel.checks import richardson
 from zeipel.hamiltonian import h0, polar_angular_momentum, specific_energy
 from zeipel.transform import CanonicalMap
@@ -190,8 +190,9 @@ def test_oracle_conserves_energy_and_hz():
     cs0 = kep_to_cartesian(el0, EARTH)
     T = kepler_period(el0.a, EARTH)
     eph = propagate_oracle(cs0, np.linspace(0.0, 2.0 * T, 81), EARTH)
-    en = eph.extras["energy"]
-    hz = eph.extras["hz"]
+    r, v = eph.cart[:, :3], eph.cart[:, 3:]
+    en = specific_energy(r, v, EARTH)
+    hz = polar_angular_momentum(r, v)
     assert np.ptp(en) < 1e-11 * abs(en[0])
     assert np.ptp(hz) < 1e-11 * abs(hz[0])
 
@@ -260,14 +261,27 @@ def test_oracle_field_gone_nan_fails_fast_through_the_integrator(nan_field):
 
 def test_oracle_zero_zonal_terms_change_nothing():
     # The oracle sums the degrees of model.zonal; zero coefficients above
-    # the last nonzero one leave positions and energy bit-identical.
+    # the last nonzero one leave the samples, and their energy under each
+    # run's own model, bit-identical.
     el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
     j23 = PhysicalModel(mu=EARTH.mu, R=EARTH.R, zonal=(EARTH.j2, -2.53265649e-6))
     padded = PhysicalModel(mu=EARTH.mu, R=EARTH.R, zonal=j23.zonal + (0.0, 0.0))
     times = np.linspace(0.0, 2.0 * kepler_period(el0.a, EARTH), 41)
     a, b = (propagate_oracle(kep_to_cartesian(el0, m), times, m) for m in (j23, padded))
     assert np.array_equal(a.cart, b.cart)
-    assert np.array_equal(a.extras["energy"], b.extras["energy"])
+    energies = [specific_energy(eph.cart[:, :3], eph.cart[:, 3:], m) for eph, m in ((a, j23), (b, padded))]
+    assert np.array_equal(*energies)
+
+
+def test_oracle_evaluates_no_potential(monkeypatch):
+    # The oracle returns its sample rows only: energy and h_z are its
+    # readers' to compute, so one run evaluates the potential nowhere.
+    calls = []
+    potential = hamiltonian.zonal_potential
+    monkeypatch.setattr(hamiltonian, "zonal_potential", lambda *a: calls.append(1) or potential(*a))
+    el0 = KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2)
+    propagate_oracle(kep_to_cartesian(el0, EARTH), np.linspace(0.0, 5000.0, 11), EARTH)
+    assert calls == []
 
 
 def test_oracle_array_post_processing_matches_scalar_conversions(monkeypatch):
@@ -294,10 +308,6 @@ def test_oracle_array_post_processing_matches_scalar_conversions(monkeypatch):
                           (eph.delaunay[k], (st.L, st.G, st.H, st.l, st.g, st.h))):
             assert_allclose(got[:3], want[:3], rtol=1e-12, atol=0)
             assert np.abs(wrap(got[3:] - np.array(want[3:]))).max() <= 1e-12
-        energy = specific_energy(cs.r, cs.v, EARTH)
-        hz = polar_angular_momentum(cs.r, cs.v)
-        assert abs(eph.extras["energy"][k] - energy) <= 1e-15 * abs(energy)
-        assert abs(eph.extras["hz"][k] - hz) <= 1e-15 * abs(hz)
 
 
 def test_mean_history_is_flatter_than_osculating():

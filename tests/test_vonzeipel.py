@@ -556,4 +556,8 @@ def test_generated_module_matches_derive_script():
     # _secondorder.py records the SHA-256 of the script that generated it;
     # a changed script means the module must be regenerated.
     script = Path(__file__).resolve().parents[1] / "scripts" / "derive_second_order.py"
-    assert hashlib.sha256(script.read_bytes()).hexdigest() == _secondorder.SCRIPT_SHA256
+    assert hashlib.sha256(script.read_bytes()).hexdigest() == _secondorder.SCRIPT_SHA256, (
+        "scripts/derive_second_order.py changed after src/zeipel/_secondorder.py was generated; "
+        "regenerate it from the repository root with "
+        "`python scripts/derive_second_order.py` (sympy, from `pip install -e .[derive]`)"
+    )
