@@ -8,7 +8,8 @@ closed form, with spectral tables as its independent oracle).
 `ClosedFormGenerator` evaluates s1 (and s2, the order being its weights'
 count) with their first and second derivatives from one monomial table
 (`MonomialTable`) per order; the map uses it and nothing else.  One more
-table holds k2 and c2.
+table holds k2 and c2.  A table call is numpy alone: one dense product per
+generated table, weights and a sum per output.
 
 Conventions.  The generating series is S = P.q + J2*S1 + J2^2*S2 in mixed
 variables (new momenta P, old angles q); the first-order PDE is
@@ -22,7 +23,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import sparse
 
 from . import _secondorder
 from .domain import check_chart
@@ -392,6 +392,7 @@ _CHAIN = (
     ((3, 1, (0, 0, 0, -1, 0)),),
 )
 _BLOCK = 64  # columns per evaluation: larger temporaries are mapped afresh per call
+_HESSIAN = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])  # the output of Hessian entry (x, y): the upper one
 
 
 def _partial(term, coef, powers, x):
@@ -401,55 +402,96 @@ def _partial(term, coef, powers, x):
     return term[coef != 0], coef[coef != 0], powers[coef != 0]
 
 
+def _key(exponents):
+    """One integer per row of `exponents`: the row's digits in base 128."""
+    if exponents.min() < -64 or exponents.max() >= 64:
+        raise ValueError(f"monomial exponents span [{exponents.min()}, {exponents.max()}], outside [-64, 64)")
+    return (exponents + 64) @ 128 ** np.arange(exponents.shape[1])
+
+
 def _products(exponents):
-    """Distinct rows of `exponents` as per-variable power indices; each row's index."""
-    key = (exponents + 64) @ 128 ** np.arange(exponents.shape[1])  # exponents lie in [-64, 64)
-    _, first, index = np.unique(key, return_index=True, return_inverse=True)
-    return [np.unique(col, return_inverse=True) for col in exponents[first].T.astype(float)], index
+    """Distinct rows of `exponents` as per-variable (exponents as a column,
+    their index per distinct row); each row's index."""
+    _, first, index = np.unique(_key(exponents), return_index=True, return_inverse=True)
+    columns = (np.unique(col, return_inverse=True) for col in exponents[first].T.astype(float))
+    return [(column[:, None], i) for column, i in columns], index
 
 
 def _evaluate(x, products):
-    out = 1.0
+    """The distinct rows' monomials at (N,) variables x, as (rows, N)."""
+    out = None
     for xv, (exponents, index) in zip(x, products):
-        out = out * (xv ** exponents[:, None])[index]
+        factor = (xv**exponents)[index]
+        out = factor if out is None else out * factor
     return out
+
+
+def _groups(out, coef, powers):
+    """One generated table's rows as e^a (1 + x)^-f x^c y^d L^D, x = G/L, y = H/L
+    and D = b + c + d - f: the output and (a, f, D) of each distinct (output, a,
+    f, D) group, sorted by output; the distinct (c, d); and the dense
+    coefficient matrix of the groups over them."""
+    a, b, c, d, f = powers.T
+    cd, afd = np.column_stack([c, d]), np.column_stack([a, f, b + c + d - f])
+    _, first, product = np.unique(_key(cd), return_index=True, return_inverse=True)
+    keys, head, group = np.unique(out * 128**3 + _key(afd), return_index=True, return_inverse=True)
+    n = len(first)
+    coefs = np.bincount(group * n + product, coef, len(keys) * n).reshape(len(keys), n)
+    return out[head], afd[head], cd[first], coefs
 
 
 class MonomialTable:
     """f_j = sum of c e^a L^b G^c H^d u^f over the rows (j, c, a, b, c, d, f) of
     generated tables, u = 1/(L + G), and its exact (L, G, H) gradient and Hessian:
-    the 13 outputs of a term, differentiated here by exponent arithmetic.  Each
-    table's terms follow the previous one's; `sizes` holds their counts.  A call
-    sums each output's monomials per (e, u) power over the distinct (L, G, H)
-    products, then weights the sums by the (e, u) powers: two sparse products."""
+    10 outputs per term, the value, the gradient and the upper Hessian,
+    differentiated here by exponent arithmetic; the lower Hessian is mirrored on
+    read.  Each table's terms follow the previous one's; `sizes` holds their
+    counts.  Every output is homogeneous in (L, G, H), u counting as degree -1,
+    so a monomial is e^a (1 + x)^-f x^c y^d L^D with x = G/L, y = H/L.  A call
+    takes one dense product per generated table, of its (output, a, f, D)
+    groups' coefficients with its distinct x^c y^d; weights each group by
+    e^a (1 + x)^-f L^D; and sums the groups of each output."""
 
     def __init__(self, *tables):
         self.sizes = [max(row[0] for row in table) + 1 for table in tables]
         self.terms, shifts = sum(self.sizes), np.cumsum([0] + self.sizes).tolist()
-        rows = np.array([(j + s, *rest) for table, s in zip(tables, shifts) for j, *rest in table], dtype=float)
-        value = (rows[:, 0].astype(int), rows[:, 1], rows[:, 2:].astype(int))
-        first = [_partial(*value, x) for x in range(3)]
-        parts = [value, *first, *(_partial(*first[x], y) for x in range(3) for y in range(3))]
-        out, coef, powers = (np.concatenate(a) for a in zip(*((13 * t + k, c, p) for k, (t, c, p) in enumerate(parts))))
-        (self.eu, eu), (self.lgh, lgh) = _products(powers[:, [0, 4]]), _products(powers[:, 1:4])
-        n = eu.max() + 1
-        pairs, pair = np.unique(out * n + eu, return_inverse=True)
-        self.by_lgh = sparse.csr_array((coef, (pair, lgh)))
-        self.by_output = sparse.csr_array((np.ones(len(pairs)), (pairs // n, np.arange(len(pairs)))), (13 * self.terms, len(pairs)))
-        self.pair_eu = pairs % n
+        groups = []
+        for table, s in zip(tables, shifts):
+            rows = np.array(table, dtype=float)
+            value = (rows[:, 0].astype(int) + s, rows[:, 1], rows[:, 2:].astype(int))
+            first = [_partial(*value, x) for x in range(3)]
+            parts = [value, *first, *(_partial(*first[x], y) for x in range(3) for y in range(x, 3))]
+            groups.append(_groups(*(np.concatenate(a) for a in zip(*((10 * t + k, c, p) for k, (t, c, p) in enumerate(parts))))))
+        outs, afds, cds, coefs = zip(*groups)
+        self.cd, cd = _products(np.concatenate(cds))
+        self.afd, self.weights = _products(np.concatenate(afds))
+        # One product per generated table: its coefficients, its rows of self.cd, its groups' rows of a call's sums.
+        cd = np.split(cd, np.cumsum([len(x) for x in cds])[:-1])
+        runs = np.cumsum([0] + [len(x) for x in outs]).tolist()
+        self.products = list(zip(coefs, cd, map(slice, runs, runs[1:])))
+        self.group_out = np.concatenate(outs)[:, None]
 
     def __call__(self, L, G, H):
         """(value, gradient, Hessian) of every term at momenta of one shape,
-        as (terms,) + shape, (terms, 3) + shape and (terms, 3, 3) + shape."""
+        as (terms,) + shape, (terms, 3) + shape and (terms, 3, 3) + shape; the
+        Hessian is exactly symmetric."""
         L, G, H = (np.asarray(x, dtype=float) for x in (L, G, H))
-        # max(size, 1): no momenta still make one (empty) block, so zero columns give zero columns.
-        cols = [[x.ravel()[k : k + _BLOCK] for x in (L, G, H)] for k in range(0, max(L.size, 1), _BLOCK)]
-        out = np.concatenate([self._outputs(*c) for c in cols], axis=1).reshape((self.terms, 13) + L.shape)
-        return out[:, 0], out[:, 1:4], out[:, 4:].reshape((self.terms, 3, 3) + L.shape)
+        flat = [x.ravel() for x in (L, G, H)]
+        out = np.empty((10 * self.terms, L.size))
+        for k in range(0, L.size, _BLOCK):
+            out[:, k : k + _BLOCK] = self._outputs(*(x[k : k + _BLOCK] for x in flat))
+        out = out.reshape((self.terms, 10) + L.shape)
+        return out[:, 0], out[:, 1:4], out[:, _HESSIAN]
 
     def _outputs(self, L, G, H):
-        weights = _evaluate((eccentricity_from_momenta(L, G), 1.0 / (L + G)), self.eu)[self.pair_eu]
-        return self.by_output @ ((self.by_lgh @ _evaluate((L, G, H), self.lgh)) * weights)
+        n = len(L)
+        x = G / L
+        monomials = _evaluate((x, H / L), self.cd)
+        sums = np.empty((len(self.group_out), n))
+        for coefs, cd, rows in self.products:
+            np.matmul(coefs, monomials[cd], out=sums[rows])
+        sums *= _evaluate((eccentricity_from_momenta(L, G), 1.0 / (1.0 + x), L), self.afd)[self.weights]
+        return np.bincount((self.group_out * n + np.arange(n)).ravel(), sums.ravel(), 10 * self.terms * n).reshape(-1, n)
 
 
 def _generator(*names):

@@ -259,9 +259,14 @@ def test_failed_oracle_leaves_no_partial_output(tmp_path, nan_field, capsys):
     assert not (tmp_path / "o" / "analytic.csv").exists()
 
 
-def test_no_command_loads_scipy_integrate(tmp_path):
-    # In a fresh interpreter: no command loads scipy.integrate, the oracle's
-    # included, while the same probe sees scipy.sparse, which the map loads.
+def cli_env(**extra):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **extra}
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # In a fresh interpreter no command loads any scipy module, the oracle's
+    # and the map's included: zeipel's runtime needs numpy alone.
     cfg = write_config(tmp_path, SMALL_GRID)
     out = tmp_path / "o"
     script = f"""
@@ -270,13 +275,29 @@ import zeipel.cli as cli
 for argv in (["propagate"], ["propagate", "--oracle"], ["compare", "--oracle"], ["verify"],
              ["elements", "--direction", "kep_to_cartesian"]):
     assert cli.main([*argv, "--config", {cfg!r}, "--out", {str(out)!r}], stdout=io.StringIO()) == 0
-print(json.dumps([name in sys.modules for name in ("scipy.integrate", "scipy.sparse")]))
+print(json.dumps(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == [False, True]
+    done = subprocess.run([sys.executable, "-c", script], env=cli_env(), capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
     assert (out / "oracle.csv").is_file()
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # The monomial tables' dense products are the map's BLAS calls: one and
+    # two BLAS threads write byte-identical files.
+    cfg = write_config(tmp_path, SMALL_GRID)
+    written = {}
+    for threads in ("1", "2"):
+        env = cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        for argv in (["propagate", "--oracle"], ["compare", "--oracle"]):
+            out = tmp_path / f"{argv[0]}-{threads}"
+            subprocess.run([sys.executable, "-m", "zeipel.cli", *argv, "--config", cfg, "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            written[argv[0], threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for command in ("propagate", "compare"):
+        assert written[command, "1"] == written[command, "2"]
+    assert sorted(written["propagate", "1"]) == ["analytic.csv", "oracle.csv"]
+    assert "compare.txt" in written["compare", "1"]
 
 
 def test_non_finite_fields_exit_with_usage_code(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import functools
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from zeipel import _secondorder
@@ -540,6 +542,70 @@ def test_stacked_tables_match_generated_tables(rng):
     assert np.array_equal(k2(L, G, H, EARTH), scale * K2(L, G, H)[0][0])
     assert np.array_equal(dk2(L, G, H, EARTH), scale * K2(L, G, H)[1][0])
     assert np.array_equal(long_period_coefficient(L, G, H, EARTH), scale * C2(L, G, H)[0][0])
+
+
+def python_sums(names, L, G, H, magnitude=False):
+    """Each term of the named generated tables, its rows summed one at a time
+    in Python floats: c e^a L^b G^c H^d u^f, u = 1/(L + G); or, with
+    `magnitude`, the sum of the rows' magnitudes."""
+    e, u = math.sqrt((L - G) * (L + G)) / L, 1.0 / (L + G)
+    out = []
+    for name in names:
+        rows = getattr(_secondorder, f"{name}_MONOMIALS")
+        sums = [0.0] * (rows[-1][0] + 1)
+        for j, c, a, b, p, d, f in rows:
+            term = c * e**a * L**b * G**p * H**d * u**f
+            sums[j] += abs(term) if magnitude else term
+        out += sums
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=1.0, max_value=20.0),
+    st.floats(min_value=1e-3, max_value=0.95),
+    st.floats(min_value=1e-3, max_value=np.pi - 1e-3),
+)
+def test_tables_match_rows_summed_one_at_a_time(a, e, inc):
+    # The production tables against their generated rows summed in Python
+    # floats, and against Richardson differences of those sums.  Each
+    # derivative is scaled by s = (min(L - G, G), min(L - G, G), G) per
+    # variable, the lengths over which the rows vary, and each error by the
+    # term's sum of row magnitudes.  Steps are powers of two near 1e-3 s, so
+    # that x +- h is exact.  Measured over 240 draws: values 1.1e-15,
+    # gradients 1.9e-9, Hessians 6.1e-8.
+    P = delaunay_momenta(a, e, inc, UNIT)
+    L, G, H = P
+    scale = np.array([min(L - G, G), min(L - G, G), G])
+    step = 2.0 ** np.round(np.log2(1e-3 * scale))
+
+    def partial(fun, k):
+        """d fun / dP[k], by Richardson differences, as a function of P."""
+        return lambda *Q: richardson(lambda x: fun(*(x if j == k else Q[j] for j in range(3))), Q[k], step[k])
+
+    for table, names in ((vz._GENERATORS[1][0], ("S1", "S2")), (vz._MEAN, ("K2", "C2"))):
+        value, grad, hess = table(L, G, H)
+        assert np.array_equal(hess, hess.swapaxes(1, 2))
+        magnitude = python_sums(names, L, G, H, magnitude=True)
+        sums = functools.partial(python_sums, names)
+        assert np.all(np.abs(value - sums(L, G, H)) <= 1e-14 * magnitude)
+        for k in range(3):
+            fd = partial(sums, k)(L, G, H)
+            assert np.all(scale[k] * np.abs(grad[:, k] - fd) <= 1e-8 * magnitude)
+            for m in range(k, 3):
+                fd = partial(partial(sums, m), k)(L, G, H)
+                assert np.all(scale[k] * scale[m] * np.abs(hess[:, k, m] - fd) <= 5e-7 * magnitude)
+
+
+def test_products_refuse_exponents_outside_their_keys():
+    # Exponents are keyed as base-128 digits; one outside [-64, 64) would
+    # alias another row's key, so it is refused.
+    assert len(vz._products(np.array([[-64, 63], [0, 0]]))[1]) == 2
+    for bad in (64, -65):
+        with pytest.raises(ValueError, match=r"outside \[-64, 64\)"):
+            vz._products(np.array([[bad, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="outside"):
+        MonomialTable(((0, 1.0, 0, 70, 0, 0, 0),))
 
 
 def test_cross_term_on_arrays_matches_points(rng):
