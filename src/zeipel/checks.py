@@ -18,6 +18,7 @@ import numpy as np
 
 from . import symplectic as symp
 from . import vonzeipel as vz
+from .domain import check_zonal
 from .elements import (
     DelaunayState,
     KeplerianElements,
@@ -264,7 +265,11 @@ def halving_study(el0: KeplerianElements, times, model: PhysicalModel, orders):
     """Analytic ephemerides of each of `orders` against the Cartesian oracle
     at J2, J2/2 and J2/4 (each level `model.with_j2`, the oracle's degrees
     those of `model.zonal`), one oracle run per level.  A neglected
-    remainder of O(J2^n) shows successive error ratios near 2^n."""
+    remainder of O(J2^n) shows successive error ratios near 2^n.  A model
+    with a nonzero degree above J2 is refused before the first oracle run:
+    halving J2 alone would leave those degrees whole, and the theory does
+    not carry them."""
+    check_zonal(model.zonal)
     levels = []
     for factor in (1.0, 0.5, 0.25):
         m = model.with_j2(model.j2 * factor)

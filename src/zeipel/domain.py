@@ -20,6 +20,15 @@ def check_j2(j2):
         raise DomainError(f"|J2| = {abs(j2):.3e} exceeds the {J2_GUARD} guard")
 
 
+def check_zonal(zonal):
+    """Refuse zonal coefficients (J2, J3, ...) with a nonzero degree above 2,
+    naming the first: the analytic route's theory carries J2 alone.  Zeros
+    above J2 pass."""
+    for n, Jn in enumerate(zonal[1:], start=3):
+        if Jn != 0.0:
+            raise DomainError(f"J{n} = {Jn:.6e} is nonzero: the analytic theory carries J2 alone")
+
+
 def check_chart(e):
     """Refuse any eccentricity below CHAIN_FLOOR, naming the smallest."""
     if (np.asarray(e) < CHAIN_FLOOR).any():

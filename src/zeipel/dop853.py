@@ -1,19 +1,25 @@
-"""Dormand–Prince 8(5,3) on a state of six Python floats.
+"""Dormand–Prince 8(5,3) for x'' = a(x) on a state of six Python floats.
 
 The oracle's integrator: the method of scipy's `solve_ivp(method="DOP853")`
 (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.5 and §II.10), with its
 tableau, initial step, error norm, step-size rule and 7th-order dense
-output, but with the stage sums written out over the six components of
-the state instead of numpy work on 6-element arrays at each stage: the
-sums of a step, its error norm and the sums of its dense output are
-emitted from the tableau as Python source at import.  scipy's `solve_ivp`
-stays the test reference.
+output, applied to the first-order system y = (x, v), f(y) = (v, a(x)).
+A first-order Runge–Kutta method applied to such a system is a Nyström
+method (ibid. §II.14): every sum over the stages K_j = (V_j, a_j) reaches
+the stage velocities V_j only through the accelerations, so each row of the
+tableau is composed at import into a coefficient of v and a row over the
+accelerations, and no stage velocity is ever formed.  The stage states, the
+step, its error norm and the sums of its dense output are emitted from the
+composed rows as Python source at import, written out over the components
+instead of numpy work on small arrays.  scipy's `solve_ivp` stays the test
+reference.
 
-`solve_ivp(fun, y0, t_eval)` takes the sample grid and nothing else: it
-integrates forward from t_eval[0] to t_eval[-1] at the one relative and
-absolute tolerance `TOL`, its first sample is `y0` itself, and a step
-that falls below the spacing of floats, or whose size or error norm is
-NaN, raises `IntegrationError` there.
+`solve_ivp(acc, y0, t_eval)` takes the acceleration kernel, the initial
+position and velocity and the sample grid, and nothing else: it integrates
+forward from t_eval[0] to t_eval[-1] at the one relative and absolute
+tolerance `TOL`, its first sample is `y0` itself, and a step that falls
+below the spacing of floats, or whose size or error norm is NaN, raises
+`IntegrationError` there.
 """
 
 from __future__ import annotations
@@ -244,73 +250,109 @@ class Solution(NamedTuple):
     nfev: int
 
 
-# The stage sums, written out once at import from the tableau above: each
-# sum_j a_j K[j] over the (j, a_j) of a row becomes one expression per
+# The Nyström form.  With y = (x, v) and f(y) = (v, a(x)), stage j is
+# K_j = (V_j, a_j) with V_j = v + h sum_i A[j][i] a_i (V_0 = v, and V_12 is
+# the new velocity, A[12] being B).  So a row R over the stages sums, on the
+# positions, to
+#     sum_j R_j V_j = (sum_j R_j) v + h sum_i (sum_j R_j A[j][i]) a_i,
+# a coefficient of v and a row over the accelerations, and on the velocities
+# to sum_j R_j a_j.  `_compose` gives each row its position row, every sum
+# added left to right in column order, as a loop over the row adds it.  A
+# stage state is then x + ((sum_j A[s][j]) v + (sum_i Abar[s][i] a_i) h) h,
+# whose coefficient of v is C[s] to the rounding of the tableau's entries.
+# That of E3, E5 and D is the rounding left in a sum that is zero in exact
+# arithmetic; at a tiny step, such as the first, it is the whole error
+# estimate, as it is in the first-order form, whose sum over stage
+# velocities that all equal v adds the row the same way.
+
+
+def _compose(row):
+    """(sum_j R_j, the row sum_j R_j A[j] over the accelerations) of a row R
+    over the stages, the latter as (column, value) pairs."""
+    w, bar = 0.0, {}
+    for j, r in row:
+        w += r
+        for i, a in A[j]:
+            bar[i] = bar.get(i, 0.0) + r * a
+    return w, tuple(sorted(bar.items()))
+
+
+POS_A = tuple(map(_compose, A))  # position rows of the stage states
+POS_B, POS_E3, POS_E5 = map(_compose, (B, E3, E5))
+POS_D = tuple(map(_compose, D))
+
+# The sums, written out once at import from the rows above: each
+# sum_i a_i acc_i over the (i, a_i) of a row becomes one expression per
 # component, its terms added left to right in column order, as a loop over
-# the row adds them, and K[j][c] is the local `kj_c`.  A loop that starts
-# from 0.0 differs only in the sign of a sum whose terms are all zero, which
-# changes no sample and no step when the initial state holds no -0.0.  The
-# step's error norm is written out the same way: its sums of squares add
-# the components in order, as a loop from 0.0 does (a square is never -0.0).
+# the row adds them, and component c of stage i's acceleration is the local
+# `ki_c`.  A loop that starts from 0.0 differs only in the sign of a sum
+# whose terms are all zero, which changes no sample and no step when the
+# initial state holds no -0.0.  The step's error norm is written out the same
+# way: its sums of squares add the components in order, as a loop from 0.0
+# does (a square is never -0.0).
 
 
 def _sum(row, c):
-    return " + ".join(f"{a!r} * k{j}_{c}" for j, a in row)
+    return " + ".join(f"{a!r} * k{i}_{c}" for i, a in row)
 
 
-def _state(row):
-    """y + (sum_j a_j K[j]) h: the state at which a stage is evaluated."""
-    return "(" + "".join(f"y{c} + ({_sum(row, c)}) * h, " for c in range(6)) + ")"
-
-
-def _sums(rows):
-    """One tuple of the six component sums per row, each times h."""
-    return "".join("(" + "".join(f"h * ({_sum(row, c)}), " for c in range(6)) + "), " for row in rows)
-
-
-def _unpack(j):
-    return f"    {', '.join(f'k{j}_{c}' for c in range(6))} = k{j}\n"
+def _component(pos, row, c):
+    """Component c of the sum of `row` over the stages, on y = (x, v): from
+    its position row `pos`, (w, row over the accelerations), w v + (sum) h
+    for a position, and the row's plain sum over the accelerations for a
+    velocity."""
+    if c >= 3:
+        return _sum(row, c - 3)
+    w, bar = pos
+    return f"{w!r} * y{c + 3} + ({_sum(bar, c)}) * h" if bar else f"{w!r} * y{c + 3}"
 
 
 def _stages(stages):
-    """Evaluate each stage s at t + C[s] h and unpack it."""
-    return "".join(f"    k{s} = fun(t + {C[s]!r} * h, {_state(A[s])})\n" + _unpack(s) for s in stages)
+    """Evaluate each stage s at x + (sum_j A[s][j] V_j) h and unpack it."""
+    return "".join(
+        f"    k{s} = acc({', '.join(f'y{c} + ({_component(POS_A[s], A[s], c)}) * h' for c in range(3))})\n"
+        f"    k{s}_0, k{s}_1, k{s}_2 = k{s}\n"
+        for s in stages
+    )
 
 
 def _error_norm():
-    """scipy's error norm of the step from y to y_new: each component of the
+    """scipy's error norm of the step from y to z: each component of the
     E3 and E5 sums over its scale, their sums of squares n3 and n5, and the
     norm `error` from them."""
-    lines = f"    {', '.join(f'z{c}' for c in range(6))} = y_new\n"
+    lines = ""
     for c in range(6):
         lines += (f"    s = TOL + max(abs(y{c}), abs(z{c})) * TOL\n"
-                  f"    w3_{c} = ({_sum(E3, c)}) / s\n"
-                  f"    w5_{c} = ({_sum(E5, c)}) / s\n")
+                  f"    w3_{c} = ({_component(POS_E3, E3, c)}) / s\n"
+                  f"    w5_{c} = ({_component(POS_E5, E5, c)}) / s\n")
     for n in (3, 5):
         lines += f"    n{n} = {' + '.join(f'w{n}_{c} * w{n}_{c}' for c in range(6))}\n"
     return lines + "    error = 0.0 if n5 == 0 and n3 == 0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 6)\n"
 
 
+_Y = "    y0, y1, y2, y3, y4, y5 = y\n"
 _K = ", ".join(f"k{j}" for j in range(N_STAGES + 1))
 _SOURCE = (
-    # (y_new, K, error norm) of one step of size h from (t, y), with
-    # K[0] = f(t, y) and K[12] = f(t + h, y_new)
-    "def _step(fun, t, h, y, k0):\n"
-    "    y0, y1, y2, y3, y4, y5 = y\n"
-    + _unpack(0)
+    # (y_new, K, error norm) of one step of size h from y = (x, v), K being
+    # the accelerations of its stages, K[0] = a(x) and K[12] at y_new's x
+    "def _step(acc, h, y, k0):\n"
+    + _Y
+    + "    k0_0, k0_1, k0_2 = k0\n"
     + _stages(range(1, N_STAGES))
-    + f"    y_new = {_state(B)}\n"
-    f"    k{N_STAGES} = fun(t + h, y_new)\n"
+    + "".join(f"    z{c} = y{c} + ({_component(POS_B, B, c)}) * h\n" for c in range(6))
+    + f"    k{N_STAGES} = acc(z0, z1, z2)\n"
     + _error_norm()
-    + f"    return y_new, ({_K}), error\n"
-    # h sum_j d_j K[j] for each dense-output row of D, after the three
-    # stages that extend the K of a step from (t, y) to the 16 that D spans
-    "def _dense_rows(fun, t, h, y, K):\n"
-    "    y0, y1, y2, y3, y4, y5 = y\n"
-    f"    {_K} = K\n"
-    + "".join(_unpack(j) for j in range(N_STAGES + 1))
+    + f"    return (z0, z1, z2, z3, z4, z5), ({_K}), error\n"
+    # h sum_j d_j K_j for each dense-output row of D, after the three stages
+    # that extend the K of a step from y to the 16 that D spans
+    "def _dense_rows(acc, h, y, K):\n"
+    + _Y
+    + f"    {_K} = K\n"
+    + "".join(f"    k{j}_0, k{j}_1, k{j}_2 = k{j}\n" for j in range(N_STAGES + 1))
     + _stages(range(N_STAGES + 1, len(C)))
-    + f"    return ({_sums(D)})\n"
+    + "    return ("
+    + "".join("(" + "".join(f"h * ({_component(pos, row, c)}), " for c in range(6)) + "), " for pos, row in zip(POS_D, D))
+    + ")\n"
 )
 exec(compile(_SOURCE, "<dop853 stage sums>", "exec"))
 
@@ -319,15 +361,16 @@ def _rms(v):
     return math.sqrt(sum(x * x for x in v) / len(v))
 
 
-def _initial_step(fun, t0, y0, f0, interval):
+def _initial_step(acc, y0, f0, interval):
     """scipy's `select_initial_step` (Hairer et al. §II.4) for the order-7
-    error estimate: one right-hand side evaluation."""
+    error estimate, from y0 and f0 = f(y0): one right-hand side evaluation."""
     scale = [TOL + abs(x) * TOL for x in y0]
     d0 = _rms([x / s for x, s in zip(y0, scale)])
     d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(t0 + h0, tuple(x + h0 * f for x, f in zip(y0, f0)))
+    y1 = tuple(x + h0 * f for x, f in zip(y0, f0))
+    f1 = (*y1[3:], *acc(*y1[:3]))
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -336,17 +379,18 @@ def _initial_step(fun, t0, y0, f0, interval):
     return min(100 * h0, h1, interval)
 
 
-def _dense(fun, t, h, y_old, y, f_old, f, K):
+def _dense(acc, h, y_old, y, K):
     """Coefficients F0..F6 of the 7th-order interpolant on the step from
-    (t, y_old) to (t + h, y), whose stages are K; three more stages are
+    y_old to y, whose stage accelerations are K; three more stages are
     evaluated for the rows F3..F6."""
+    f_old, f = (*y_old[3:], *K[0]), (*y[3:], *K[N_STAGES])
     dy = tuple(b - a for a, b in zip(y_old, y))
     F = [
         dy,
         tuple(h * g - d for g, d in zip(f_old, dy)),
         tuple(2 * d - h * (g + g_old) for d, g, g_old in zip(dy, f, f_old)),
     ]
-    F += _dense_rows(fun, t, h, y_old, K)
+    F += _dense_rows(acc, h, y_old, K)
     return F
 
 
@@ -374,13 +418,14 @@ def _failure(why, y0, t):
     )
 
 
-def solve_ivp(fun, y0, t_eval):
-    """Integrate y' = fun(t, y) for a state of six floats from t_eval[0] to
-    t_eval[-1], sampling at every time of `t_eval` (strictly increasing);
-    the first sample is `y0`.  `fun` takes and returns tuples of six
-    floats.  Steps as scipy's DOP853: 2 evaluations to start, 12 a step
-    tried, and 3 more for the dense output of a step that holds samples
-    after t_eval[0]; a one-sample grid evaluates nothing.  A step size
+def solve_ivp(acc, y0, t_eval):
+    """Integrate x'' = acc(x) for a state y0 = (x, v) of six floats from
+    t_eval[0] to t_eval[-1], sampling (x, v) at every time of `t_eval`
+    (strictly increasing); the first sample is `y0`.  `acc(x0, x1, x2)`
+    returns the three components of the acceleration.  Steps as scipy's
+    DOP853 on y' = (v, acc(x)): 2 evaluations to start, 12 a step tried,
+    and 3 more for the dense output of a step that holds samples after
+    t_eval[0]; a one-sample grid evaluates nothing.  A step size
     below 10 ulp of t raises `IntegrationError` naming the initial state and
     the time reached; so does a NaN step size or error norm, saying that the
     state or right-hand side became non-finite."""
@@ -390,8 +435,8 @@ def solve_ivp(fun, y0, t_eval):
     t, t1 = t_eval[0], t_eval[-1]
     if t == t1:
         return Solution(np.array(ys), 0)
-    f = fun(t, y)
-    size = _initial_step(fun, t, y, f, t1 - t)
+    k0 = acc(*y[:3])
+    size = _initial_step(acc, y, (*y[3:], *k0), t1 - t)
     nfev = 2
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -402,8 +447,7 @@ def solve_ivp(fun, y0, t_eval):
                 raise _failure(NON_FINITE if size != size else TOO_SMALL, y0, t)
             t_new = min(t + size, t1)
             size = h = t_new - t
-            y_new, K, error = _step(fun, t, h, y, f)
-            f_new = K[N_STAGES]
+            y_new, K, error = _step(acc, h, y, k0)
             nfev += N_STAGES
             if error < 1:
                 factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error**ERROR_EXPONENT)
@@ -417,8 +461,8 @@ def solve_ivp(fun, y0, t_eval):
         while k < len(t_eval) and t_eval[k] <= t_new:
             k += 1
         if k > n:
-            F = _dense(fun, t, h, y, y_new, f, f_new, K)
+            F = _dense(acc, h, y, y_new, K)
             nfev += len(C) - N_STAGES - 1
             ys += [_interpolate(F, y, (s - t) / h) for s in t_eval[n:k]]
-        t, y, f = t_new, y_new, f_new
+        t, y, k0 = t_new, y_new, K[N_STAGES]
     return Solution(np.array(ys), nfev)

@@ -5,10 +5,11 @@ functions here evaluate the series coefficients, so the small parameter J2 is
 NOT included in h1 or its derivatives.  The zonal field at the bottom does
 include the physical Jn, one per degree of `model.zonal`; a shorter `zonal`
 truncates it.  It feeds the independent Cartesian oracle and shares no code
-with the series evaluators: the oracle's right-hand side `zonal_rhs` is a
-kernel on Python floats with the package's one Legendre recurrence.  The
-potential, energy and h_z, the tests' route to the oracle's conserved
-quantities, take one state or N as arrays.
+with the series evaluators: the oracle's acceleration kernel `zonal_rhs` is
+written out as Python source from the model's degrees, on Python floats,
+with the package's one Legendre recurrence.  The potential, energy and h_z,
+the tests' route to the oracle's conserved quantities, take one state or N
+as arrays.
 """
 
 from __future__ import annotations
@@ -111,53 +112,69 @@ def zonal_potential(r_vec, model):
     return model.mu / r * legval(r_vec[..., 2] / r, series, tensor=False)
 
 
-def zonal_rhs(model):
-    """The oracle's right-hand side rhs(t, state) -> (v, a) of the zonal
-    field of `model`, on six Python floats (x, y, z, vx, vy, vz); the model
-    is bound once, not looked up per call.
+def _kernel_source(mu, R, zonal):
+    """Source of `acc(x, y, z)` for the field of (mu, R, zonal), written out
+    over the degrees up to the last nonzero Jn.
 
     The acceleration is the Kepler term plus the zonal perturbation: the
-    Legendre recurrence P_n, P_n' in s = z/r and the sum of
-    grad U_n = mu Jn R^n / r^(n+2) * (P_n' (z_hat - s r_hat) - (n+1) P_n r_hat)
-    collapse into one coefficient of r_vec and one of z_hat.
+    Legendre recurrence P_n, P_n' in s = z/r, from P_0 = 1, P_1 = s, and the
+    sum of grad U_n = mu Jn R^n / r^(n+2) * (P_n' (z_hat - s r_hat) - (n+1)
+    P_n r_hat) collapse into one coefficient of r_vec and one of z_hat.  The
+    recurrence's small integers are float literals, which they equal
+    exactly; a degree whose Jn is zero feeds the recurrence and adds no term.
     """
-    mu, R = float(model.mu), float(model.R)
-    guard = GUARD_RADIUS * R
-    # (n, Jn) with the recurrence's small integers as floats, which they
-    # equal exactly
-    degrees = tuple((float(n), float(2 * n - 1), float(n - 1), float(n + 1), Jn)
-                    for n, Jn in enumerate(model.zonal, start=2))
+    last = max((n for n, Jn in enumerate(zonal, start=2) if Jn != 0.0), default=1)
+    p, dp = ["1.0", "s"], ["0.0", "1.0"]  # P_n, P_n' as expressions, n = 0, 1
+    lines = [
+        "def acc(x, y, z):",
+        "    r = sqrt(x * x + y * y + z * z)",
+        f"    if r <= {GUARD_RADIUS * R!r}:",
+        f"        raise DomainError(inside_guard('|r|', r, {R!r}))",
+        "    s = z / r",
+        f"    q = {R!r} / r",
+        f"    g = {mu!r} / (r * r)",
+        "    w1 = g * q",  # mu R^n / r^(n+2) at n = 1
+    ]
+    # sums of Jn mu R^n / r^(n+2) times -s P_n' - (n+1) P_n (radial, the
+    # coefficient of r_hat) and times P_n' (polar, that of z_hat), from 0.0
+    radial, polar = ["0.0"], ["0.0"]
+    for n in range(2, last + 1):
+        lines += [
+            f"    p{n} = ({2.0 * n - 1!r} * s * {p[n - 1]} - {n - 1.0!r} * {p[n - 2]}) / {float(n)!r}",
+            f"    d{n} = {dp[n - 2]} + {2.0 * n - 1!r} * {p[n - 1]}",
+            f"    w{n} = w{n - 1} * q",
+        ]
+        p.append(f"p{n}")
+        dp.append(f"d{n}")
+        Jn = zonal[n - 2]
+        if Jn != 0.0:
+            radial.append(f"{Jn!r} * w{n} * (s * d{n} + {n + 1.0!r} * p{n})")
+            polar.append(f"{Jn!r} * w{n} * d{n}")
+    lines += [
+        f"    radial = {' - '.join(radial)}",
+        f"    polar = {' + '.join(polar)}",
+        "    c = -(g + radial) / r",
+        "    return c * x, c * y, c * z - polar",
+    ]
+    return "\n".join(lines) + "\n"
 
-    def rhs(_, state):
-        x, y, z, vx, vy, vz = state
-        r = math.sqrt(x * x + y * y + z * z)
-        if r <= guard:
-            raise DomainError(inside_guard("|r|", r, R))
-        s = z / r
-        q = R / r
-        scale = mu / (r * r) * q  # mu R^n / r^(n+2) at n = 1
-        p_prev, p = 1.0, s  # P_{n-2}, P_{n-1}
-        dp_prev, dp = 0.0, 1.0
-        radial = 0.0  # sum of Jn scale_n (-s P_n' - (n+1) P_n), coefficient of r_hat
-        polar = 0.0  # sum of Jn scale_n P_n', coefficient of z_hat
-        for n, odd, n_1, n1, Jn in degrees:  # n, 2n - 1, n - 1, n + 1, Jn
-            p_prev, p = p, (odd * s * p - n_1 * p_prev) / n
-            dp_prev, dp = dp, dp_prev + odd * p_prev
-            scale *= q
-            if Jn != 0.0:
-                radial -= Jn * scale * (s * dp + n1 * p)
-                polar += Jn * scale * dp
-        c = -(mu / (r * r) + radial) / r
-        return vx, vy, vz, c * x, c * y, c * z - polar
 
-    return rhs
+def zonal_rhs(model):
+    """The oracle's acceleration kernel acc(x, y, z) -> (ax, ay, az) of the
+    zonal field of `model`, on Python floats: written out as Python source
+    from the model's degrees, mu, R and Jn bound as literals, and compiled
+    once per call of `zonal_rhs`.  A radius at or inside the guard radius
+    raises `DomainError`."""
+    namespace = {"sqrt": math.sqrt, "DomainError": DomainError, "inside_guard": inside_guard}
+    source = _kernel_source(float(model.mu), float(model.R), model.zonal)
+    exec(compile(source, "<zonal kernel>", "exec"), namespace)
+    return namespace["acc"]
 
 
 def zonal_accel(r_vec, model):
     """Total acceleration at one position, as a tuple of three floats:
-    the acceleration part of `zonal_rhs(model)`."""
-    x, y, z = map(float, r_vec)
-    return zonal_rhs(model)(0.0, (x, y, z, 0.0, 0.0, 0.0))[3:]
+    `zonal_rhs(model)` at r_vec."""
+    return zonal_rhs(model)(*map(float, r_vec))
 
 
 def specific_energy(r, v, model):

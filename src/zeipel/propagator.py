@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GUARD_RADIUS, ORDERS, inside_guard
+from .domain import GUARD_RADIUS, ORDERS, check_zonal, inside_guard
 from .dop853 import solve_ivp
 from .elements import (
     CartesianState,
@@ -36,9 +36,10 @@ def mean_rates(P, model: PhysicalModel, order=2):
     as a (3,) array, for the mean Hamiltonian K = h0 + J2 k1 (+ J2^2 k2),
     J2 = model.j2, which depends on the momenta P alone; the momenta rates
     vanish.  The sign is anchored by the Kepler limit: J2 = 0 gives
-    dl/dt = mu^2/L^3 = n > 0."""
+    dl/dt = mu^2/L^3 = n > 0.  A nonzero degree above J2 is refused."""
     if order not in ORDERS:
         raise DomainError(f"order must be one of {ORDERS}")
+    check_zonal(model.zonal)
     L, G, H = float(P[0]), float(P[1]), float(P[2])
     j2 = model.j2
     grad = np.array([dh0_dL(L, model), 0.0, 0.0]) + j2 * dk1(L, G, H, model)
@@ -128,10 +129,11 @@ def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, ord
 
 def propagate_oracle(cart0: CartesianState, times, model: PhysicalModel) -> Ephemeris:
     """Adaptive high-order integration in the zonal field of `model.zonal`,
-    by `dop853.solve_ivp` on the six floats of the state; its first sample
-    is the initial state.  The samples are converted to elements as (N, 6)
-    arrays; energy and h_z follow from `cart` by `hamiltonian.specific_energy`
-    and `polar_angular_momentum`."""
+    by `dop853.solve_ivp` in its Nyström form on the six floats of the
+    state, with the acceleration kernel `zonal_rhs(model)` emitted from the
+    model's degrees; its first sample is the initial state.  The samples
+    are converted to elements as (N, 6) arrays; energy and h_z follow from
+    `cart` by `hamiltonian.specific_energy` and `polar_angular_momentum`."""
     times = _grid(times)
     cart = solve_ivp(zonal_rhs(model), np.concatenate([cart0.r, cart0.v]), times).rows
     kep = cartesian_to_kep_batch(cart, model)

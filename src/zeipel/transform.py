@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vonzeipel as vz
-from .domain import CHAIN_FLOOR, ORDERS, check_j2, near_circular_bound
+from .domain import CHAIN_FLOOR, ORDERS, check_j2, check_zonal, near_circular_bound
 from .elements import DelaunayState, PhysicalModel, eccentricity_from_momenta
 from .errors import DomainError, MapError, describe
 from .symplectic import generating_jacobian, symplectic_inverse
@@ -97,6 +97,7 @@ class CanonicalMap:
     def __init__(self, model: PhysicalModel, order=2):
         self.model = model
         check_j2(model.j2)
+        check_zonal(model.zonal)
         self.series = GeneratingSeries(model, order)
 
     # -- Newton driver --------------------------------------------------------

@@ -161,6 +161,11 @@ def hbar(L, G, H, l, g, model):
     return hbar_true(L, G, H, nu, g, model)
 
 
+def _mean(L, G, H):
+    """The mean table's (value, gradient, Hessian) of k2 and c2 at (L, G, H)."""
+    return _MEAN(L, G, H, eccentricity_from_momenta(L, G))
+
+
 def k2(L, G, H, model):
     """Second-order mean Hamiltonian term, closed form.
 
@@ -168,12 +173,12 @@ def k2(L, G, H, model):
     term (scripts/derive_second_order.py asserts the polynomial); verified
     against dnu-weighted quadrature in the tests.
     """
-    return model.mu**6 * model.R**4 * _MEAN(L, G, H)[0][0]
+    return model.mu**6 * model.R**4 * _mean(L, G, H)[0][0]
 
 
 def dk2(L, G, H, model):
     """Gradient of k2 with respect to (L, G, H)."""
-    return model.mu**6 * model.R**4 * _MEAN(L, G, H)[1][0]
+    return model.mu**6 * model.R**4 * _mean(L, G, H)[1][0]
 
 
 def k2_quadrature(L, G, H, model):
@@ -187,7 +192,7 @@ def k2_quadrature(L, G, H, model):
 def long_period_coefficient(L, G, H, model):
     """Closed-form coefficient c2 of the long-period remainder c2*cos(2g),
     the l-average of the periodic part of the cross term."""
-    return model.mu**6 * model.R**4 * _MEAN(L, G, H)[0][1]
+    return model.mu**6 * model.R**4 * _mean(L, G, H)[0][1]
 
 
 class SecondOrderTables:
@@ -328,7 +333,7 @@ class ClosedFormGenerator:
         table, basis, order = _GENERATORS[len(weights) - 1]
         # Sn's terms scale by wn mu^(2n) R^(2n).
         w = np.array([x * model.mu ** (2 * n) * model.R ** (2 * n) for n, x in enumerate(weights, 1)])[order]
-        c, dc, d2c = table(L, G, H)
+        c, dc, d2c = table(L, G, H, e)
         self.c, self.dc, self.d2c = w[:, None] * c, w[:, None, None] * dc, w[:, None, None, None] * d2c
         self.basis = basis
 
@@ -471,26 +476,27 @@ class MonomialTable:
         self.products = list(zip(coefs, cd, map(slice, runs, runs[1:])))
         self.group_out = np.concatenate(outs)[:, None]
 
-    def __call__(self, L, G, H):
+    def __call__(self, L, G, H, e):
         """(value, gradient, Hessian) of every term at momenta of one shape,
         as (terms,) + shape, (terms, 3) + shape and (terms, 3, 3) + shape; the
-        Hessian is exactly symmetric."""
-        L, G, H = (np.asarray(x, dtype=float) for x in (L, G, H))
-        flat = [x.ravel() for x in (L, G, H)]
+        Hessian is exactly symmetric.  e is the momenta's eccentricity
+        `eccentricity_from_momenta(L, G)`, which the caller has in hand."""
+        L, G, H, e = (np.asarray(x, dtype=float) for x in (L, G, H, e))
+        flat = [x.ravel() for x in (L, G, H, e)]
         out = np.empty((10 * self.terms, L.size))
         for k in range(0, L.size, _BLOCK):
             out[:, k : k + _BLOCK] = self._outputs(*(x[k : k + _BLOCK] for x in flat))
         out = out.reshape((self.terms, 10) + L.shape)
         return out[:, 0], out[:, 1:4], out[:, _HESSIAN]
 
-    def _outputs(self, L, G, H):
+    def _outputs(self, L, G, H, e):
         n = len(L)
         x = G / L
         monomials = _evaluate((x, H / L), self.cd)
         sums = np.empty((len(self.group_out), n))
         for coefs, cd, rows in self.products:
             np.matmul(coefs, monomials[cd], out=sums[rows])
-        sums *= _evaluate((eccentricity_from_momenta(L, G), 1.0 / (1.0 + x), L), self.afd)[self.weights]
+        sums *= _evaluate((e, 1.0 / (1.0 + x), L), self.afd)[self.weights]
         return np.bincount((self.group_out * n + np.arange(n)).ravel(), sums.ravel(), 10 * self.terms * n).reshape(-1, n)
 
 

@@ -236,6 +236,16 @@ def test_perigee_inside_guard_radius_exits_with_usage_code(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+def test_degree_above_j2_exits_with_usage_code(tmp_path, capsys):
+    # a (J2, J3) model: compare --oracle refuses it before any oracle run,
+    # naming the degree, and propagate refuses it in the analytic route
+    cfg = write_config(tmp_path, {"model": {"zonal": [1.08262668e-3, -2.53265649e-6]}, **SMALL_GRID})
+    for argv in (["compare", "--oracle"], ["propagate", "--oracle"]):
+        assert run([*argv, "--config", cfg, "--out", str(tmp_path / "o")])[0] == 2
+        assert "error: J3 = -2.532656e-06 is nonzero: the analytic theory carries J2 alone" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 def test_out_naming_a_file_exits_with_usage_code(tmp_path, capsys):
     # --out naming an existing file, or a path under one, is refused by name
     # once the results are in hand; the file is left as it was

@@ -17,10 +17,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
-from zeipel.domain import ANGLE_FLOOR, CHAIN_FLOOR, near_circular_bound
-from zeipel.elements import EARTH, KeplerianElements, delaunay_momenta, kep_to_cartesian, kep_to_delaunay_batch
+from zeipel import checks
+from zeipel.domain import ANGLE_FLOOR, CHAIN_FLOOR, check_zonal, near_circular_bound
+from zeipel.elements import (
+    EARTH,
+    KeplerianElements,
+    PhysicalModel,
+    delaunay_momenta,
+    kep_to_cartesian,
+    kep_to_delaunay_batch,
+)
 from zeipel.errors import DomainError, MapError
-from zeipel.propagator import propagate_analytic, propagate_oracle
+from zeipel.propagator import mean_rates, propagate_analytic, propagate_oracle
 from zeipel.transform import CanonicalMap, momentum_scale
 
 TWO_PI = 2.0 * math.pi
@@ -133,3 +141,44 @@ def test_perigee_inside_guard_radius_is_refused_by_both_routes():
         propagate_analytic(el, times, EARTH)
     with pytest.raises(DomainError, match=r"^\|r\| = \d+\.\d km inside the guard radius R/2 = 3189\.1 km$"):
         propagate_oracle(kep_to_cartesian(el, EARTH), times, EARTH)
+
+
+# Earth's J3 beside its J2: a degree the analytic theory does not carry.
+J23 = PhysicalModel(mu=EARTH.mu, R=EARTH.R, zonal=(EARTH.j2, -2.53265649e-6))
+DEFAULT = KeplerianElements(7000.0, 0.01, 0.5, 0.3, 1.1, 0.2)
+
+
+def test_degrees_above_j2_are_refused_by_the_analytic_route():
+    # The map, the mean flow and the pipeline refuse J3 by name; a later
+    # degree is named when it is the first nonzero one.
+    times = np.linspace(0.0, 1000.0, 5)
+    named = r"^J3 = -2\.532656e-06 is nonzero: the analytic theory carries J2 alone$"
+    P = delaunay_momenta(7000.0, 0.01, 0.5, J23)
+    for route in (lambda: CanonicalMap(J23), lambda: mean_rates(P, J23),
+                  lambda: propagate_analytic(DEFAULT, times, J23)):
+        with pytest.raises(DomainError, match=named):
+            route()
+    with pytest.raises(DomainError, match=r"^J5 = 2\.000000e-06 is nonzero"):
+        check_zonal((EARTH.j2, 0.0, 0.0, 2e-6, 1e-6))
+
+
+def test_zero_degrees_above_j2_pass_the_analytic_route():
+    # Zero-padded zonal terms are J2 alone: the same rates and samples.
+    padded = PhysicalModel(mu=EARTH.mu, R=EARTH.R, zonal=EARTH.zonal + (0.0, 0.0))
+    P = delaunay_momenta(7000.0, 0.01, 0.5, EARTH)
+    assert np.array_equal(mean_rates(P, padded), mean_rates(P, EARTH))
+    times = np.linspace(0.0, 1000.0, 5)
+    assert np.array_equal(propagate_analytic(DEFAULT, times, padded).cart, propagate_analytic(DEFAULT, times, EARTH).cart)
+
+
+def test_halving_study_refuses_degrees_above_j2_before_the_oracle(monkeypatch):
+    # Halving J2 alone would keep J3 whole: the study refuses the model
+    # before its first oracle run, while the oracle itself sums J3.
+    runs = []
+    oracle = checks.propagate_oracle
+    monkeypatch.setattr(checks, "propagate_oracle", lambda *a: runs.append(a) or oracle(*a))
+    times = np.linspace(0.0, 1000.0, 5)
+    with pytest.raises(DomainError, match=r"^J3 = "):
+        checks.halving_study(DEFAULT, times, J23, (1, 2))
+    assert runs == []
+    assert np.isfinite(oracle(kep_to_cartesian(DEFAULT, J23), times, J23).cart).all()

@@ -1,6 +1,6 @@
-"""The oracle's DOP853 held to scipy's, which serves here as reference only,
-and its emitted stage sums held bit for bit to the loop they were written
-out from."""
+"""The oracle's DOP853 held to scipy's, which serves here as reference only;
+its emitted Nyström sums held bit for bit to the loops they were written out
+from, and those held to the first-order loops of the method they compose."""
 
 import math
 
@@ -34,7 +34,13 @@ def test_tableau_is_scipys_entry_by_entry():
     assert np.array_equal(dense(dop853.D, scipy_tableau.D.shape), scipy_tableau.D)
 
 
-rhs = zonal_rhs(EARTH)
+acc = zonal_rhs(EARTH)
+
+
+def rhs(t, y):
+    """The first-order right-hand side f(y) = (v, a(x)) that scipy and the
+    first-order loops integrate."""
+    return (*y[3:], *acc(*y[:3]))
 
 
 def initial_state(a, e, inc, mean_anom=0.2):
@@ -56,7 +62,7 @@ def test_steps_and_samples_match_scipy(a, e, inc, periods):
     # either integrator's global error at rtol = atol = 1e-12.
     y0 = initial_state(a, e, inc)
     times = np.linspace(0.0, periods * period(a), 20 * periods + 1)
-    ours = dop853.solve_ivp(rhs, y0, times)
+    ours = dop853.solve_ivp(acc, y0, times)
     ref = scipy_solve_ivp(lambda t, y: np.array(rhs(t, y)), (times[0], times[-1]), y0,
                           method="DOP853", t_eval=times, rtol=dop853.TOL, atol=dop853.TOL)
     assert ref.success
@@ -66,9 +72,8 @@ def test_steps_and_samples_match_scipy(a, e, inc, periods):
     assert np.linalg.norm(ours.rows[:, :3] - ref.y[:3].T, axis=1).max() <= 1e-7
 
 
-# The stage sums and the error norm as loops over the tableau rows and the
-# components: the reference the emitted `_step` and `_dense_rows` are held
-# to, term for term.
+# The first-order method as loops over the tableau rows and the six
+# components of y' = f(y): the reference the Nyström form is held to.
 
 
 def loop_sum(K, row):
@@ -111,11 +116,58 @@ def loop_step(fun, t, h, y, f):
     return y_new, tuple(K), loop_error(h, y, y_new, loop_sum(K, dop853.E3), loop_sum(K, dop853.E5))
 
 
-def loop_dense_rows(fun, t, h, y, K):
+def loop_stages(fun, t, h, y, K):
+    """K extended by the three stages of the dense output."""
     K = list(K)
     for s in range(dop853.N_STAGES + 1, len(dop853.C)):
         K.append(fun(t + dop853.C[s] * h, loop_advance(y, K, dop853.A[s], h)))
-    return tuple(tuple(h * s for s in loop_sum(K, row)) for row in dop853.D)
+    return K
+
+
+# The Nyström form as loops: the reference the emitted `_step` and
+# `_dense_rows` are held to, term for term.  K holds the stages'
+# accelerations, and each row is summed from its position row.
+
+
+def nystrom_sum(K, row):
+    """sum_i a_i K[i] over the (i, a_i) of `row`, one sum per component."""
+    s0 = s1 = s2 = 0.0
+    for i, a in row:
+        k0, k1, k2 = K[i]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+    return s0, s1, s2
+
+
+def nystrom_sums(y, K, pos, row, h):
+    """sum_j R_j K_j on y = (x, v) for a row R and its position row (w, Rbar):
+    w v + (sum_i Rbar_i a_i) h on the positions, sum_j R_j a_j on the
+    velocities."""
+    w, bar = pos
+    return (*(w * v + s * h for v, s in zip(y[3:], nystrom_sum(K, bar))), *nystrom_sum(K, row))
+
+
+def nystrom_advance(y, K, pos, row, h):
+    """y + h sum_j R_j K_j."""
+    return tuple(yc + sc * h for yc, sc in zip(y, nystrom_sums(y, K, pos, row, h)))
+
+
+def nystrom_step(acc, h, y, k0):
+    K = [k0]
+    for s in range(1, dop853.N_STAGES):
+        K.append(acc(*nystrom_advance(y, K, dop853.POS_A[s], dop853.A[s], h)[:3]))
+    y_new = nystrom_advance(y, K, dop853.POS_B, dop853.B, h)
+    K.append(acc(*y_new[:3]))
+    e3, e5 = (nystrom_sums(y, K, pos, row, h) for pos, row in ((dop853.POS_E3, dop853.E3), (dop853.POS_E5, dop853.E5)))
+    return y_new, tuple(K), loop_error(h, y, y_new, e3, e5)
+
+
+def nystrom_dense_rows(acc, h, y, K):
+    K = list(K)
+    for s in range(dop853.N_STAGES + 1, len(dop853.C)):
+        K.append(acc(*nystrom_advance(y, K, dop853.POS_A[s], dop853.A[s], h)[:3]))
+    return tuple(tuple(h * s for s in nystrom_sums(y, K, pos, row, h)) for pos, row in zip(dop853.POS_D, dop853.D))
 
 
 def bits(x):
@@ -123,16 +175,62 @@ def bits(x):
     return [bits(v) for v in x] if isinstance(x, (tuple, list)) else float(x).hex()
 
 
-@pytest.mark.parametrize("a, e, inc, mean_anom", [(7000.0, 0.01, 0.5, 0.2), (12000.0, 0.3, 1.0, 3.0),
-                                                  (24000.0, 0.7, 1.0, 0.05)])
+DRAWS = [(7000.0, 0.01, 0.5, 0.2), (12000.0, 0.3, 1.0, 3.0), (24000.0, 0.7, 1.0, 0.05)]
+
+
+@pytest.mark.parametrize("a, e, inc, mean_anom", DRAWS)
 def test_emitted_step_and_dense_rows_are_the_loops_bit_for_bit(a, e, inc, mean_anom):
     y = tuple(initial_state(a, e, inc, mean_anom).tolist())
-    f = rhs(0.0, y)
+    k0 = acc(*y[:3])
     for h in (1e-3 * period(a), 0.05 * period(a)):
-        step = dop853._step(rhs, 10.0, h, y, f)
-        assert bits(step) == bits(loop_step(rhs, 10.0, h, y, f))
+        step = dop853._step(acc, h, y, k0)
+        assert bits(step) == bits(nystrom_step(acc, h, y, k0))
         K = step[1]
-        assert bits(dop853._dense_rows(rhs, 10.0, h, y, K)) == bits(loop_dense_rows(rhs, 10.0, h, y, K))
+        assert bits(dop853._dense_rows(acc, h, y, K)) == bits(nystrom_dense_rows(acc, h, y, K))
+
+
+def test_stage_velocity_coefficients_are_c():
+    # A stage state's coefficient of v is sum_j A[s][j], which is C[s] up to
+    # rounding: half an ulp of each entry for its rounding to a float, half
+    # an ulp of each partial sum for the addition that made it, and half an
+    # ulp of C[s] for its own.
+    for s, (w, _) in enumerate(dop853.POS_A):
+        partial, bound = 0.0, np.spacing(dop853.C[s]) / 2
+        for _, a in dop853.A[s]:
+            partial += a
+            bound += (np.spacing(abs(a)) + np.spacing(abs(partial))) / 2
+        assert abs(w - dop853.C[s]) <= bound, s
+
+
+@pytest.mark.parametrize("a, e, inc, mean_anom", DRAWS)
+def test_nystrom_form_is_the_first_order_method_to_round_off(a, e, inc, mean_anom):
+    # On the first-order loop's own stages, every composed row (the stage
+    # states, B, E3, E5 and D) gives the first-order sum to a few ulp of the
+    # magnitude of its terms, the stage velocities written out as
+    # v + h sum_i A[j][i] a_i (measured: 1.5 ulp).  And a whole step from the
+    # same state lands on the first-order step's state to round-off of the
+    # state's norm (measured: 11 ulp, on the e = 0.7 step whose error norm
+    # is 6e9; at most 1 ulp on the others).
+    y = tuple(initial_state(a, e, inc, mean_anom).tolist())
+    f = rhs(0.0, y)
+    eps = np.finfo(float).eps
+    rows = [(dop853.POS_A[s], dop853.A[s]) for s in range(1, len(dop853.C))]
+    rows += [(dop853.POS_B, dop853.B), (dop853.POS_E3, dop853.E3), (dop853.POS_E5, dop853.E5)]
+    rows += list(zip(dop853.POS_D, dop853.D))
+    for h in (1e-3 * period(a), 0.05 * period(a)):
+        y_first, K, _ = loop_step(rhs, 0.0, h, y, f)
+        K = loop_stages(rhs, 0.0, h, y, K)
+        accels = [k[3:] for k in K]
+        for pos, row in rows:
+            magnitude = [sum(abs(r) * (abs(v) + h * sum(abs(b) * abs(accels[i][c]) for i, b in dop853.A[j]))
+                             for j, r in row) for c, v in enumerate(y[3:])]
+            magnitude += [sum(abs(r) * abs(accels[j][c]) for j, r in row) for c in range(3)]
+            got = nystrom_sums(y, accels, pos, row, h)
+            assert all(abs(g - w) <= 4 * eps * m for g, w, m in zip(got, loop_sum(K, row), magnitude)), (h, row)
+        y_new = dop853._step(acc, h, y, f[3:])[0]
+        for part in (slice(0, 3), slice(3, 6)):
+            dist = np.abs(np.subtract(y_new[part], y_first[part])).max()
+            assert dist <= 32 * eps * np.linalg.norm(y[part]), h
 
 
 def test_arc_samples_and_nfev_are_the_loops_bit_for_bit(monkeypatch):
@@ -140,10 +238,10 @@ def test_arc_samples_and_nfev_are_the_loops_bit_for_bit(monkeypatch):
     # right-hand side count and samples as the loop form.
     y0 = initial_state(12000.0, 0.3, 1.0)
     times = np.linspace(0.0, 10 * period(12000.0), 201)
-    emitted = dop853.solve_ivp(rhs, y0, times)
-    monkeypatch.setattr(dop853, "_step", loop_step)
-    monkeypatch.setattr(dop853, "_dense_rows", loop_dense_rows)
-    loops = dop853.solve_ivp(rhs, y0, times)
+    emitted = dop853.solve_ivp(acc, y0, times)
+    monkeypatch.setattr(dop853, "_step", nystrom_step)
+    monkeypatch.setattr(dop853, "_dense_rows", nystrom_dense_rows)
+    loops = dop853.solve_ivp(acc, y0, times)
     assert emitted.nfev == loops.nfev
     assert emitted.rows.tobytes() == loops.rows.tobytes()
 
@@ -151,20 +249,20 @@ def test_arc_samples_and_nfev_are_the_loops_bit_for_bit(monkeypatch):
 def test_nfev_is_the_right_hand_sides_own_count(monkeypatch):
     # An e = 0.7 arc through two perigees, whose steps are rejected there,
     # sampled 20 times a period: the reported nfev is the number of calls
-    # the right-hand side saw.  A one-sample grid calls it not at all.
+    # the acceleration kernel saw.  A one-sample grid calls it not at all.
     calls = []
 
-    def counted(t, y):
-        calls.append(t)
-        return rhs(t, y)
+    def counted(x, y, z):
+        calls.append(None)
+        return acc(x, y, z)
 
-    starts = []
+    starts = []  # the state each attempted step starts from; a retry starts from the same one
     step = dop853._step
-    monkeypatch.setattr(dop853, "_step", lambda fun, t, *a: starts.append(t) or step(fun, t, *a))
+    monkeypatch.setattr(dop853, "_step", lambda fun, h, y, k0: starts.append(y) or step(fun, h, y, k0))
     y0 = initial_state(24000.0, 0.7, 1.0)
     times = np.linspace(0.0, 2 * period(24000.0), 41)
     out = dop853.solve_ivp(counted, y0, times)
-    rejected = sum(a == b for a, b in zip(starts, starts[1:]))
+    rejected = sum(a is b for a, b in zip(starts, starts[1:]))
     assert rejected > 0 and len(out.rows) == len(times)
     assert out.nfev == len(calls)
     calls.clear()
@@ -174,11 +272,11 @@ def test_nfev_is_the_right_hand_sides_own_count(monkeypatch):
 
 
 def test_a_finite_blow_up_fails_on_the_step_size():
-    # y' = y^2 from y = 1 blows up at t = 1 with every value finite: the
-    # steps shrink below 10 ulp of t, and the failure gives scipy's reason,
-    # not a non-finite one.
+    # x'' = 2 x^3 from x = v = 1 is x = 1 / (1 - t), which blows up at t = 1
+    # with every value finite: the steps shrink below 10 ulp of t, and the
+    # failure gives scipy's reason, not a non-finite one.
     with pytest.raises(IntegrationError) as failure:
-        dop853.solve_ivp(lambda t, y: (y[0] * y[0], 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0, 0, 0, 0, 0), [0.0, 2.0])
+        dop853.solve_ivp(lambda x, y, z: (2.0 * x * x * x, 0.0, 0.0), (1.0, 0, 0, 1.0, 0, 0), [0.0, 2.0])
     message = str(failure.value)
     assert message.startswith(f"oracle integration failed: {dop853.TOO_SMALL}; initial state x=1.0, y=0.0")
     assert 0.99 < float(message.rsplit("last time reached ", 1)[1]) < 1.01

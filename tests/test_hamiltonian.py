@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -244,17 +246,64 @@ def test_guard_radius():
     with pytest.raises(DomainError, match=r"^\|r\| = 3189\.1 km inside the guard radius R/2 = 3189\.1 km$"):
         zonal_accel(np.array([0.0, EARTH.R / 2.0, 0.0]), EARTH)
     with pytest.raises(DomainError, match=r"^\|r\| = 3189\.1 km inside the guard radius R/2 = 3189\.1 km$"):
-        zonal_rhs(EARTH)(0.0, (0.0, EARTH.R / 2.0, 0.0, 1.0, 2.0, 3.0))
+        zonal_rhs(EARTH)(0.0, EARTH.R / 2.0, 0.0)
 
 
-def test_zonal_rhs_is_velocity_then_acceleration():
-    # The oracle's right-hand side: the velocity, then the acceleration
-    # that `zonal_accel` returns (held to the array gradient above).
-    state = (4000.0, -2000.0, 6000.0, 1.5, -6.0, 2.5)
-    out = zonal_rhs(KERNEL_MODELS[1])(123.0, state)
-    assert type(out) is tuple
-    assert out[:3] == state[3:]
-    assert out[3:] == zonal_accel(np.array(state[:3]), KERNEL_MODELS[1])
+def test_zonal_rhs_is_the_acceleration_kernel():
+    # The oracle's kernel takes the three position components and returns
+    # the tuple of three floats that `zonal_accel` returns (held to the
+    # array gradient above).
+    x = (4000.0, -2000.0, 6000.0)
+    out = zonal_rhs(KERNEL_MODELS[1])(*x)
+    assert type(out) is tuple and len(out) == 3
+    assert out == zonal_accel(np.array(x), KERNEL_MODELS[1])
+
+
+def loop_kernel(model):
+    """The kernel as a loop over the degrees: the reference the emitted
+    kernel is held to, operation for operation."""
+    mu, R = float(model.mu), float(model.R)
+    degrees = tuple((float(n), float(2 * n - 1), float(n - 1), float(n + 1), Jn)
+                    for n, Jn in enumerate(model.zonal, start=2))
+
+    def acc(x, y, z):
+        r = math.sqrt(x * x + y * y + z * z)
+        s = z / r
+        q = R / r
+        scale = mu / (r * r) * q
+        p_prev, p = 1.0, s
+        dp_prev, dp = 0.0, 1.0
+        radial = 0.0
+        polar = 0.0
+        for n, odd, n_1, n1, Jn in degrees:
+            p_prev, p = p, (odd * s * p - n_1 * p_prev) / n
+            dp_prev, dp = dp, dp_prev + odd * p_prev
+            scale *= q
+            if Jn != 0.0:
+                radial -= Jn * scale * (s * dp + n1 * p)
+                polar += Jn * scale * dp
+        c = -(mu / (r * r) + radial) / r
+        return c * x, c * y, c * z - polar
+
+    return acc
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=("J2", "J2-J6"))
+def test_emitted_kernel_is_the_degree_loop_bit_for_bit(rng, model):
+    # The model, cut or zero-padded to each degree from 2 to 8, and with a
+    # zero between nonzero degrees, at positions that include z = +-0.
+    padded = model.zonal + (0.0,) * 7
+    zonals = [padded[: degree - 1] for degree in range(2, 9)] + [(), (model.j2, 0.0, 0.0, -0.12)]
+    kernels = [(zonal_rhs(m), loop_kernel(m)) for m in (PhysicalModel(model.mu, model.R, z) for z in zonals)]
+    for k in range(60):
+        u = _random_unit(rng)
+        if k % 20 == 0:  # on the equator
+            u[2] = 0.0 if k == 0 else -0.0
+            u /= np.linalg.norm(u)
+        r = rng.uniform(1.05, 6.0) * model.R * u
+        for emitted, loop in kernels:
+            got, want = emitted(*map(float, r)), loop(*map(float, r))
+            assert [v.hex() for v in got] == [v.hex() for v in want], (r, k)
 
 
 def test_conserved_quantities_at_a_state():

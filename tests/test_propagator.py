@@ -290,8 +290,8 @@ def test_oracle_array_post_processing_matches_scalar_conversions(monkeypatch):
     solutions = []
     integrate = propagator.solve_ivp
 
-    def recording_solve_ivp(*args, **kwargs):
-        solutions.append(integrate(*args, **kwargs))
+    def recording_solve_ivp(acc, y0, t_eval):
+        solutions.append(integrate(acc, y0, t_eval))
         return solutions[-1]
 
     monkeypatch.setattr(propagator, "solve_ivp", recording_solve_ivp)

@@ -530,18 +530,19 @@ def test_stacked_tables_match_generated_tables(rng):
     S1, S2, K2, C2 = (MonomialTable(getattr(_secondorder, f"{n}_MONOMIALS")) for n in ("S1", "S2", "K2", "C2"))
     draws = zip(rng.uniform(6800.0, 20000.0, 9), rng.uniform(0.01, 0.8, 9), rng.uniform(0.1, 3.0, 9))
     L, G, H = np.array([delaunay_momenta(*x, EARTH) for x in draws]).T
+    e = eccentricity_from_momenta(L, G)
     w1, w2 = 1.1e-3, 3.7e-6
     s1_scale, s2_scale = w1 * EARTH.mu**2 * EARTH.R**2, w2 * EARTH.mu**4 * EARTH.R**4
     order1, order2 = (ClosedFormGenerator(L, G, H, EARTH, w) for w in ((w1,), (w1, w2)))
-    for x1, x2, t1, t2 in zip((order1.c, order1.dc, order1.d2c), (order2.c, order2.dc, order2.d2c), S1(L, G, H), S2(L, G, H)):
+    for x1, x2, t1, t2 in zip((order1.c, order1.dc, order1.d2c), (order2.c, order2.dc, order2.d2c), S1(L, G, H, e), S2(L, G, H, e)):
         assert np.array_equal(x1, s1_scale * t1)
         assert np.array_equal(x2, np.concatenate([s1_scale * t1, s2_scale * t2]))
-    for mean, tk, tc in zip(vz._MEAN(L, G, H), K2(L, G, H), C2(L, G, H)):
+    for mean, tk, tc in zip(vz._MEAN(L, G, H, e), K2(L, G, H, e), C2(L, G, H, e)):
         assert np.array_equal(mean, np.concatenate([tk, tc]))
     scale = EARTH.mu**6 * EARTH.R**4
-    assert np.array_equal(k2(L, G, H, EARTH), scale * K2(L, G, H)[0][0])
-    assert np.array_equal(dk2(L, G, H, EARTH), scale * K2(L, G, H)[1][0])
-    assert np.array_equal(long_period_coefficient(L, G, H, EARTH), scale * C2(L, G, H)[0][0])
+    assert np.array_equal(k2(L, G, H, EARTH), scale * K2(L, G, H, e)[0][0])
+    assert np.array_equal(dk2(L, G, H, EARTH), scale * K2(L, G, H, e)[1][0])
+    assert np.array_equal(long_period_coefficient(L, G, H, EARTH), scale * C2(L, G, H, e)[0][0])
 
 
 def python_sums(names, L, G, H, magnitude=False):
@@ -584,7 +585,7 @@ def test_tables_match_rows_summed_one_at_a_time(a, e, inc):
         return lambda *Q: richardson(lambda x: fun(*(x if j == k else Q[j] for j in range(3))), Q[k], step[k])
 
     for table, names in ((vz._GENERATORS[1][0], ("S1", "S2")), (vz._MEAN, ("K2", "C2"))):
-        value, grad, hess = table(L, G, H)
+        value, grad, hess = table(L, G, H, eccentricity_from_momenta(L, G))
         assert np.array_equal(hess, hess.swapaxes(1, 2))
         magnitude = python_sums(names, L, G, H, magnitude=True)
         sums = functools.partial(python_sums, names)
