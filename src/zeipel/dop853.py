@@ -9,10 +9,11 @@ method (ibid. §II.14): every sum over the stages K_j = (V_j, a_j) reaches
 the stage velocities V_j only through the accelerations, so each row of the
 tableau is composed at import into a coefficient of v and a row over the
 accelerations, and no stage velocity is ever formed.  The stage states, the
-step, its error norm and the sums of its dense output are emitted from the
-composed rows as Python source at import, written out over the components
-instead of numpy work on small arrays.  scipy's `solve_ivp` stays the test
-reference.
+step, its error norm with the scales of each component, and the dense
+output's rows and its samples at each fraction of a step are emitted from
+the composed rows as Python source at import, written out over the
+components on local floats, with no `abs`, `max` or numpy calls on small
+arrays.  scipy's `solve_ivp` stays the test reference.
 
 `solve_ivp(acc, y0, t_eval)` takes the acceleration kernel, the initial
 position and velocity and the sample grid, and nothing else: it integrates
@@ -319,10 +320,15 @@ def _stages(stages):
 def _error_norm():
     """scipy's error norm of the step from y to z: each component of the
     E3 and E5 sums over its scale, their sums of squares n3 and n5, and the
-    norm `error` from them."""
+    norm `error` from them.  The scale TOL + max(abs(y), abs(z)) * TOL is
+    written without builtin calls: a and b are the magnitudes (-0.0 and NaN
+    kept as they are, which leaves the scale the same float) and the choice
+    between them is the one `max` makes, b only if b > a."""
     lines = ""
     for c in range(6):
-        lines += (f"    s = TOL + max(abs(y{c}), abs(z{c})) * TOL\n"
+        lines += (f"    a = y{c} if y{c} >= 0.0 else -y{c}\n"
+                  f"    b = z{c} if z{c} >= 0.0 else -z{c}\n"
+                  f"    s = TOL + (b if b > a else a) * TOL\n"
                   f"    w3_{c} = ({_component(POS_E3, E3, c)}) / s\n"
                   f"    w5_{c} = ({_component(POS_E5, E5, c)}) / s\n")
     for n in (3, 5):
@@ -330,7 +336,32 @@ def _error_norm():
     return lines + "    error = 0.0 if n5 == 0 and n3 == 0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 6)\n"
 
 
+def _interpolant_rows(c):
+    """Component c of the rows F0..F6 of the 7th-order interpolant on the
+    step from y to z: the differences dy, h f_old - dy and 2 dy - h (f +
+    f_old), with f = (v, a) at either end, and h times the sum of each D row
+    over the 16 stages."""
+    f_old = f"y{c + 3}" if c < 3 else f"k0_{c - 3}"
+    f_new = f"z{c + 3}" if c < 3 else f"k{N_STAGES}_{c - 3}"
+    return (f"    F0_{c} = z{c} - y{c}\n"
+            f"    F1_{c} = h * {f_old} - F0_{c}\n"
+            f"    F2_{c} = 2.0 * F0_{c} - h * ({f_new} + {f_old})\n"
+            + "".join(f"    F{r}_{c} = h * ({_component(pos, row, c)})\n"
+                      for r, (pos, row) in enumerate(zip(POS_D, D), start=3)))
+
+
+def _interpolant(c):
+    """Component c of the interpolant at x, with u = 1 - x, nested as
+    scipy nests it: from (0.0 + F6) x, each lower row is added and the sum
+    multiplied by u and x in turn, and y is added last."""
+    v = f"(0.0 + F6_{c}) * x"
+    for r in range(5, -1, -1):
+        v = f"({v} + F{r}_{c}) * {'x' if r % 2 == 0 else 'u'}"
+    return f"{v} + y{c}"
+
+
 _Y = "    y0, y1, y2, y3, y4, y5 = y\n"
+_Z = "    z0, z1, z2, z3, z4, z5 = y_new\n"
 _K = ", ".join(f"k{j}" for j in range(N_STAGES + 1))
 _SOURCE = (
     # (y_new, K, error norm) of one step of size h from y = (x, v), K being
@@ -343,16 +374,21 @@ _SOURCE = (
     + f"    k{N_STAGES} = acc(z0, z1, z2)\n"
     + _error_norm()
     + f"    return (z0, z1, z2, z3, z4, z5), ({_K}), error\n"
-    # h sum_j d_j K_j for each dense-output row of D, after the three stages
-    # that extend the K of a step from y to the 16 that D spans
-    "def _dense_rows(acc, h, y, K):\n"
+    # the samples at the fractions xs = (t - t_old) / h of the step from y to
+    # y_new with stage accelerations K, after the three stages that extend K
+    # to the 16 that D spans
+    "def _samples(acc, h, y, y_new, K, xs):\n"
     + _Y
+    + _Z
     + f"    {_K} = K\n"
     + "".join(f"    k{j}_0, k{j}_1, k{j}_2 = k{j}\n" for j in range(N_STAGES + 1))
     + _stages(range(N_STAGES + 1, len(C)))
-    + "    return ("
-    + "".join("(" + "".join(f"h * ({_component(pos, row, c)}), " for c in range(6)) + "), " for pos, row in zip(POS_D, D))
-    + ")\n"
+    + "".join(_interpolant_rows(c) for c in range(6))
+    + "    out = []\n"
+    + "    for x in xs:\n"
+    + "        u = 1.0 - x\n"
+    + f"        out.append(({', '.join(_interpolant(c) for c in range(6))}))\n"
+    + "    return out\n"
 )
 exec(compile(_SOURCE, "<dop853 stage sums>", "exec"))
 
@@ -377,32 +413,6 @@ def _initial_step(acc, y0, f0, interval):
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     return min(100 * h0, h1, interval)
-
-
-def _dense(acc, h, y_old, y, K):
-    """Coefficients F0..F6 of the 7th-order interpolant on the step from
-    y_old to y, whose stage accelerations are K; three more stages are
-    evaluated for the rows F3..F6."""
-    f_old, f = (*y_old[3:], *K[0]), (*y[3:], *K[N_STAGES])
-    dy = tuple(b - a for a, b in zip(y_old, y))
-    F = [
-        dy,
-        tuple(h * g - d for g, d in zip(f_old, dy)),
-        tuple(2 * d - h * (g + g_old) for d, g, g_old in zip(dy, f, f_old)),
-    ]
-    F += _dense_rows(acc, h, y_old, K)
-    return F
-
-
-def _interpolate(F, y_old, x):
-    """The interpolant at x = (t - t_old) / h, nested as scipy nests it."""
-    out = []
-    for k, y0 in enumerate(y_old):
-        v = 0.0
-        for i, row in enumerate(reversed(F)):
-            v = (v + row[k]) * (x if i % 2 == 0 else 1.0 - x)
-        out.append(v + y0)
-    return out
 
 
 TOO_SMALL = "Required step size is less than spacing between numbers."  # scipy's reason
@@ -461,8 +471,7 @@ def solve_ivp(acc, y0, t_eval):
         while k < len(t_eval) and t_eval[k] <= t_new:
             k += 1
         if k > n:
-            F = _dense(acc, h, y, y_new, K)
+            ys += _samples(acc, h, y, y_new, K, [(s - t) / h for s in t_eval[n:k]])
             nfev += len(C) - N_STAGES - 1
-            ys += [_interpolate(F, y, (s - t) / h) for s in t_eval[n:k]]
         t, y, k0 = t_new, y_new, K[N_STAGES]
     return Solution(np.array(ys), nfev)

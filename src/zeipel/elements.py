@@ -37,6 +37,21 @@ def _require_finite(state):
             raise DomainError(f"{f.name} must be finite")
 
 
+def _require_finite_fields(state, values):
+    """`_require_finite` for a state object of float fields whose `values`
+    are given: one `np.isfinite` over them, and the per-field loop only to
+    name the first bad field."""
+    if not np.isfinite(values).all():
+        _require_finite(state)
+
+
+def _set_angles(state, names):
+    """Normalize the named angle fields of a frozen state object, with one
+    `normalize_angle` over them."""
+    for name, angle in zip(names, normalize_angle([getattr(state, name) for name in names]).tolist()):
+        object.__setattr__(state, name, angle)
+
+
 def as_row(state):
     """A state object's fields as one (6,) row, in the column order of the
     (N, 6) conversions: (a, e, i, raan, argp, M), (L, G, H, l, g, h) or
@@ -88,15 +103,14 @@ class KeplerianElements:
     mean_anom: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite_fields(self, (self.a, self.e, self.i, self.raan, self.argp, self.mean_anom))
         if not self.a > 0:
             raise DomainError("semi-major axis must be positive")
         if not (0.0 <= self.e < 1.0):
             raise DomainError("eccentricity must lie in [0, 1)")
         if not (0.0 <= self.i <= math.pi):
             raise DomainError("inclination must lie in [0, pi]")
-        for name in ("raan", "argp", "mean_anom"):
-            object.__setattr__(self, name, float(normalize_angle(getattr(self, name))))
+        _set_angles(self, ("raan", "argp", "mean_anom"))
 
 
 @dataclass(frozen=True)
@@ -111,7 +125,7 @@ class DelaunayState:
     h: float
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite_fields(self, (self.L, self.G, self.H, self.l, self.g, self.h))
         # Tiny slack absorbs round-off from conversions near e = 0.
         slack = 1e-12 * self.L
         if not self.L > 0:
@@ -120,8 +134,7 @@ class DelaunayState:
             raise DomainError("G must satisfy 0 < G <= L")
         if abs(self.H) > self.G + slack:
             raise DomainError("|H| must not exceed G")
-        for name in ("l", "g", "h"):
-            object.__setattr__(self, name, float(normalize_angle(getattr(self, name))))
+        _set_angles(self, ("l", "g", "h"))
 
     @property
     def momenta(self):

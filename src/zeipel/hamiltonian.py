@@ -6,14 +6,16 @@ NOT included in h1 or its derivatives.  The zonal field at the bottom does
 include the physical Jn, one per degree of `model.zonal`; a shorter `zonal`
 truncates it.  It feeds the independent Cartesian oracle and shares no code
 with the series evaluators: the oracle's acceleration kernel `zonal_rhs` is
-written out as Python source from the model's degrees, on Python floats,
-with the package's one Legendre recurrence.  The potential, energy and h_z,
+written out as Python source over the model's degree pattern, compiled once
+per pattern and bound to the model's values, on Python floats, with the
+package's one Legendre recurrence.  The potential, energy and h_z,
 the tests' route to the oracle's conserved quantities, take one state or N
 as arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -112,9 +114,19 @@ def zonal_potential(r_vec, model):
     return model.mu / r * legval(r_vec[..., 2] / r, series, tensor=False)
 
 
-def _kernel_source(mu, R, zonal):
-    """Source of `acc(x, y, z)` for the field of (mu, R, zonal), written out
-    over the degrees up to the last nonzero Jn.
+def _pattern(zonal):
+    """The degree pattern of `zonal`: whether each Jn, up to the last
+    nonzero one, is nonzero."""
+    nonzero = [Jn != 0.0 for Jn in zonal]
+    while nonzero and not nonzero[-1]:
+        nonzero.pop()
+    return tuple(nonzero)
+
+
+def _kernel_source(pattern):
+    """Source of `bind(mu, R, guard, *Jn)`, which returns `acc(x, y, z)` for
+    the field of (mu, R, Jn) with the guard radius `guard`, written out over
+    the degrees of `pattern`; its arguments Jn are the nonzero ones in order.
 
     The acceleration is the Kepler term plus the zonal perturbation: the
     Legendre recurrence P_n, P_n' in s = z/r, from P_0 = 1, P_1 = s, and the
@@ -123,52 +135,61 @@ def _kernel_source(mu, R, zonal):
     recurrence's small integers are float literals, which they equal
     exactly; a degree whose Jn is zero feeds the recurrence and adds no term.
     """
-    last = max((n for n, Jn in enumerate(zonal, start=2) if Jn != 0.0), default=1)
+    degrees = [n for n, nonzero in enumerate(pattern, start=2) if nonzero]
     p, dp = ["1.0", "s"], ["0.0", "1.0"]  # P_n, P_n' as expressions, n = 0, 1
     lines = [
-        "def acc(x, y, z):",
-        "    r = sqrt(x * x + y * y + z * z)",
-        f"    if r <= {GUARD_RADIUS * R!r}:",
-        f"        raise DomainError(inside_guard('|r|', r, {R!r}))",
-        "    s = z / r",
-        f"    q = {R!r} / r",
-        f"    g = {mu!r} / (r * r)",
-        "    w1 = g * q",  # mu R^n / r^(n+2) at n = 1
+        f"def bind(mu, R, guard{''.join(f', J{n}' for n in degrees)}):",
+        "    def acc(x, y, z):",
+        "        r = sqrt(x * x + y * y + z * z)",
+        "        if r <= guard:",
+        "            raise DomainError(inside_guard('|r|', r, R))",
+        "        s = z / r",
+        "        q = R / r",
+        "        g = mu / (r * r)",
+        "        w1 = g * q",  # mu R^n / r^(n+2) at n = 1
     ]
     # sums of Jn mu R^n / r^(n+2) times -s P_n' - (n+1) P_n (radial, the
     # coefficient of r_hat) and times P_n' (polar, that of z_hat), from 0.0
     radial, polar = ["0.0"], ["0.0"]
-    for n in range(2, last + 1):
+    for n in range(2, len(pattern) + 2):
         lines += [
-            f"    p{n} = ({2.0 * n - 1!r} * s * {p[n - 1]} - {n - 1.0!r} * {p[n - 2]}) / {float(n)!r}",
-            f"    d{n} = {dp[n - 2]} + {2.0 * n - 1!r} * {p[n - 1]}",
-            f"    w{n} = w{n - 1} * q",
+            f"        p{n} = ({2.0 * n - 1!r} * s * {p[n - 1]} - {n - 1.0!r} * {p[n - 2]}) / {float(n)!r}",
+            f"        d{n} = {dp[n - 2]} + {2.0 * n - 1!r} * {p[n - 1]}",
+            f"        w{n} = w{n - 1} * q",
         ]
         p.append(f"p{n}")
         dp.append(f"d{n}")
-        Jn = zonal[n - 2]
-        if Jn != 0.0:
-            radial.append(f"{Jn!r} * w{n} * (s * d{n} + {n + 1.0!r} * p{n})")
-            polar.append(f"{Jn!r} * w{n} * d{n}")
+        if n in degrees:
+            radial.append(f"J{n} * w{n} * (s * d{n} + {n + 1.0!r} * p{n})")
+            polar.append(f"J{n} * w{n} * d{n}")
     lines += [
-        f"    radial = {' - '.join(radial)}",
-        f"    polar = {' + '.join(polar)}",
-        "    c = -(g + radial) / r",
-        "    return c * x, c * y, c * z - polar",
+        f"        radial = {' - '.join(radial)}",
+        f"        polar = {' + '.join(polar)}",
+        "        c = -(g + radial) / r",
+        "        return c * x, c * y, c * z - polar",
+        "    return acc",
     ]
     return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _kernel_factory(pattern):
+    """`bind` of `_kernel_source(pattern)`, compiled once per pattern."""
+    namespace = {"sqrt": math.sqrt, "DomainError": DomainError, "inside_guard": inside_guard}
+    exec(compile(_kernel_source(pattern), "<zonal kernel>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def zonal_rhs(model):
     """The oracle's acceleration kernel acc(x, y, z) -> (ax, ay, az) of the
     zonal field of `model`, on Python floats: written out as Python source
-    from the model's degrees, mu, R and Jn bound as literals, and compiled
-    once per call of `zonal_rhs`.  A radius at or inside the guard radius
-    raises `DomainError`."""
-    namespace = {"sqrt": math.sqrt, "DomainError": DomainError, "inside_guard": inside_guard}
-    source = _kernel_source(float(model.mu), float(model.R), model.zonal)
-    exec(compile(source, "<zonal kernel>", "exec"), namespace)
-    return namespace["acc"]
+    over the model's degree pattern (`_pattern`) and compiled once per
+    pattern per process; each call binds the model's mu, R, guard radius and
+    nonzero Jn as the kernel's closure values.  A radius at or inside the
+    guard radius raises `DomainError`."""
+    mu, R = float(model.mu), float(model.R)
+    bind = _kernel_factory(_pattern(model.zonal))
+    return bind(mu, R, GUARD_RADIUS * R, *(Jn for Jn in model.zonal if Jn != 0.0))
 
 
 def zonal_accel(r_vec, model):

@@ -125,7 +125,7 @@ def loop_stages(fun, t, h, y, K):
 
 
 # The Nyström form as loops: the reference the emitted `_step` and
-# `_dense_rows` are held to, term for term.  K holds the stages'
+# `_samples` are held to, term for term.  K holds the stages'
 # accelerations, and each row is summed from its position row.
 
 
@@ -170,6 +170,37 @@ def nystrom_dense_rows(acc, h, y, K):
     return tuple(tuple(h * s for s in nystrom_sums(y, K, pos, row, h)) for pos, row in zip(dop853.POS_D, dop853.D))
 
 
+def loop_dense(acc, h, y_old, y, K):
+    """Coefficients F0..F6 of the 7th-order interpolant on the step from
+    y_old to y, whose stage accelerations are K; three more stages are
+    evaluated for the rows F3..F6."""
+    f_old, f = (*y_old[3:], *K[0]), (*y[3:], *K[dop853.N_STAGES])
+    dy = tuple(b - a for a, b in zip(y_old, y))
+    F = [
+        dy,
+        tuple(h * g - d for g, d in zip(f_old, dy)),
+        tuple(2 * d - h * (g + g_old) for d, g, g_old in zip(dy, f, f_old)),
+    ]
+    F += nystrom_dense_rows(acc, h, y_old, K)
+    return F
+
+
+def loop_interpolate(F, y_old, x):
+    """The interpolant at x = (t - t_old) / h, nested as scipy nests it."""
+    out = []
+    for k, y0 in enumerate(y_old):
+        v = 0.0
+        for i, row in enumerate(reversed(F)):
+            v = (v + row[k]) * (x if i % 2 == 0 else 1.0 - x)
+        out.append(v + y0)
+    return out
+
+
+def loop_samples(acc, h, y, y_new, K, xs):
+    F = loop_dense(acc, h, y, y_new, K)
+    return [loop_interpolate(F, y, x) for x in xs]
+
+
 def bits(x):
     """Nested tuples of floats as hex strings, so -0.0 and 0.0 differ."""
     return [bits(v) for v in x] if isinstance(x, (tuple, list)) else float(x).hex()
@@ -178,15 +209,49 @@ def bits(x):
 DRAWS = [(7000.0, 0.01, 0.5, 0.2), (12000.0, 0.3, 1.0, 3.0), (24000.0, 0.7, 1.0, 0.05)]
 
 
+FRACTIONS = (0.0, 1.0, 0.3, 0.8537)  # the step's ends and two interior points
+
+
 @pytest.mark.parametrize("a, e, inc, mean_anom", DRAWS)
 def test_emitted_step_and_dense_rows_are_the_loops_bit_for_bit(a, e, inc, mean_anom):
+    # The step, and the samples its dense rows give at each fraction alone
+    # and at all of them inside the one step.
     y = tuple(initial_state(a, e, inc, mean_anom).tolist())
     k0 = acc(*y[:3])
     for h in (1e-3 * period(a), 0.05 * period(a)):
         step = dop853._step(acc, h, y, k0)
         assert bits(step) == bits(nystrom_step(acc, h, y, k0))
-        K = step[1]
-        assert bits(dop853._dense_rows(acc, h, y, K)) == bits(nystrom_dense_rows(acc, h, y, K))
+        y_new, K, _ = step
+        for xs in [[x] for x in FRACTIONS] + [list(FRACTIONS)]:
+            assert bits(dop853._samples(acc, h, y, y_new, K, xs)) == bits(loop_samples(acc, h, y, y_new, K, xs))
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_error_norm_scales_at_signed_zeros_and_nan(sign):
+    # An equatorial state with z = vz = +-0.0, where abs() and max() drop
+    # the sign that the emitted scales keep: the new state and the error
+    # norm are still the loop form's bit for bit.  So are those of a step
+    # whose field turns NaN at its sixth stage, whose scales and error norm
+    # are NaN.  The stage accelerations are compared by value: a sum whose
+    # terms are all zero may keep a -0.0 that the loop, from 0.0, makes +0.0.
+    y = tuple(initial_state(8000.0, 0.1, 0.0).tolist())
+    y = (y[0], y[1], sign * 0.0, y[3], y[4], sign * 0.0)
+    assert [math.copysign(1.0, v) for v in (y[2], y[5])] == [sign, sign]
+    k0 = acc(*y[:3])
+    calls = []
+
+    def nan_late(x, y, z):
+        calls.append(None)
+        return (math.nan,) * 3 if len(calls) > 5 else acc(x, y, z)
+
+    for field, h in ((acc, 1e-3 * period(8000.0)), (acc, 0.05 * period(8000.0)), (nan_late, 0.05 * period(8000.0))):
+        calls.clear()
+        y_new, K, error = dop853._step(field, h, y, k0)
+        calls.clear()
+        ref = nystrom_step(field, h, y, k0)
+        assert bits((y_new, error)) == bits((ref[0], ref[2]))
+        assert np.array_equal(K, ref[1], equal_nan=True)
+        assert math.isnan(error) == (field is nan_late)
 
 
 def test_stage_velocity_coefficients_are_c():
@@ -240,7 +305,7 @@ def test_arc_samples_and_nfev_are_the_loops_bit_for_bit(monkeypatch):
     times = np.linspace(0.0, 10 * period(12000.0), 201)
     emitted = dop853.solve_ivp(acc, y0, times)
     monkeypatch.setattr(dop853, "_step", nystrom_step)
-    monkeypatch.setattr(dop853, "_dense_rows", nystrom_dense_rows)
+    monkeypatch.setattr(dop853, "_samples", loop_samples)
     loops = dop853.solve_ivp(acc, y0, times)
     assert emitted.nfev == loops.nfev
     assert emitted.rows.tobytes() == loops.rows.tobytes()

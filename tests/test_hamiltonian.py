@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from zeipel.checks import richardson
 from zeipel.elements import EARTH, PhysicalModel, kep_to_cartesian, KeplerianElements, true_from_mean
+from zeipel import hamiltonian
 from zeipel.errors import DomainError
 from zeipel.hamiltonian import (
     d2h0_dL2,
@@ -304,6 +305,30 @@ def test_emitted_kernel_is_the_degree_loop_bit_for_bit(rng, model):
         for emitted, loop in kernels:
             got, want = emitted(*map(float, r)), loop(*map(float, r))
             assert [v.hex() for v in got] == [v.hex() for v in want], (r, k)
+
+
+def test_zonal_rhs_compiles_once_per_degree_pattern(monkeypatch):
+    # Models that differ only in mu, R or the value of a nonzero Jn share
+    # one compiled kernel, each bound to its own values; a zero between
+    # nonzero degrees is another pattern, and trailing zeros are not.
+    compiled = []
+
+    def counted(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(hamiltonian, "compile", counted, raising=False)
+    hamiltonian._kernel_factory.cache_clear()
+    models = (EARTH, EARTH.with_j2(5e-4), PhysicalModel(mu=1.0, R=1.0, zonal=(1e-3, 0.0)))
+    kernels = [zonal_rhs(m) for m in models]
+    assert len(compiled) == 1
+    assert len({k.__code__ for k in kernels}) == 1
+    for m, k in zip(models, kernels):
+        assert k(1.3 * m.R, 0.2 * m.R, 0.5 * m.R) == loop_kernel(m)(1.3 * m.R, 0.2 * m.R, 0.5 * m.R)
+    odd = zonal_rhs(PhysicalModel(EARTH.mu, EARTH.R, (EARTH.j2, 0.0, -1.6e-6)))
+    assert len(compiled) == 2 and odd.__code__ is not kernels[0].__code__
+    zonal_rhs(PhysicalModel(2.0, 3.0, (1e-4, 0.0, 2e-7, 0.0)))
+    assert len(compiled) == 2
 
 
 def test_conserved_quantities_at_a_state():
