@@ -1,6 +1,7 @@
 """Mean-element propagation and the independent Cartesian oracle.
 
-The analytic route is osculating -> mean -> linear flow -> osculating.
+The analytic route is osculating -> mean -> mean flow -> osculating, with
+`mean_flow` the flow's one route.
 The oracle integrates Newtonian motion in the zonal field directly in
 Cartesian coordinates, sharing nothing with the analytic route beyond
 the element conversions, so the two can check each other.
@@ -16,6 +17,7 @@ from .domain import GUARD_RADIUS, ORDERS, check_zonal, inside_guard
 from .dop853 import solve_ivp
 from .elements import (
     CartesianState,
+    DelaunayState,
     KeplerianElements,
     PhysicalModel,
     cartesian_to_kep_batch,
@@ -46,6 +48,17 @@ def mean_rates(P, model: PhysicalModel, order=2):
     if order == 2:
         grad = grad + j2 * j2 * dk2(L, G, H, model)
     return -grad
+
+
+def mean_flow(mean0: DelaunayState, times, model: PhysicalModel, order=2):
+    """The mean flow from `mean0` at times[0] over the grid `times`: the
+    mean momenta and the mean angles, (3, N) in [0, 2 pi).  K depends on
+    the momenta alone, so they stay `mean0.momenta`, one (3,) vector for
+    every sample, and the angles advance at the constant `mean_rates`."""
+    times = _grid(times)
+    P = mean0.momenta
+    rates = mean_rates(P, model, order)
+    return P, normalize_angle(mean0.angles[:, None] + rates[:, None] * (times - times[0]))
 
 
 def _grid(times):
@@ -109,20 +122,18 @@ class Ephemeris:
 
 def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2) -> Ephemeris:
     """Full analytic pipeline at the given theory order: one inverse map of
-    the initial state, the mean flow over all times, and one forward map
-    of every sample, whose shared mean momenta need one generator.  The
-    map's (p, q) are the Delaunay rows; the Keplerian and Cartesian rows
-    follow from them.  A perigee at or inside the guard radius is refused
-    at entry."""
+    the initial state, `mean_flow` over all times, and one forward map of
+    every sample it returns, whose shared mean momenta need one generator.
+    The map's (p, q) are the Delaunay rows; the Keplerian and Cartesian
+    rows follow from them.  A perigee at or inside the guard radius is
+    refused at entry."""
     times = _grid(times)
     perigee = osc0.a * (1.0 - osc0.e)
     if perigee <= GUARD_RADIUS * model.R:
         raise DomainError(inside_guard("perigee a(1 - e)", perigee, model.R))
     cmap = CanonicalMap(model, order=order)
     mean0 = cmap.osculating_to_mean(kep_to_delaunay(osc0, model))
-    rates = mean_rates(mean0.momenta, model, order)
-    angles = normalize_angle(mean0.angles[:, None] + rates[:, None] * (times - times[0]))
-    p, q, _ = cmap.mean_to_osculating_batch(mean0.momenta, angles)
+    p, q, _ = cmap.mean_to_osculating_batch(*mean_flow(mean0, times, model, order))
     kep = delaunay_to_kep_batch(np.vstack((p, q)).T, model)
     return Ephemeris(times, kep, kep_to_cartesian_batch(kep, model), np.vstack((p, normalize_angle(q))).T)
 

@@ -239,10 +239,11 @@ class CanonicalMap:
 
     def _one(self, solve, state: DelaunayState):
         """The N = 1 case of a direction's solve: the image of `state` as a
-        DelaunayState, its Newton iterations, its last-evaluation Hessian,
-        (5, 5), and the step taken after that evaluation, (2,)."""
+        DelaunayState of Python floats, its Newton iterations, its
+        last-evaluation Hessian, (5, 5), and the step taken after that
+        evaluation, (2,)."""
         x, y, its, hess, last = solve(state.momenta[:, None], state.angles[:, None])
-        return DelaunayState(*x[:, 0], *y[:, 0]), int(its[0]), hess[..., 0], last[:, 0]
+        return DelaunayState(*x[:, 0].tolist(), *y[:, 0].tolist()), int(its[0]), hess[..., 0], last[:, 0]
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""

@@ -26,6 +26,7 @@ from zeipel.errors import DomainError, IntegrationError, MapError, UsageError, d
 from zeipel.propagator import (
     Ephemeris,
     compare,
+    mean_flow,
     mean_history,
     mean_rates,
     propagate_analytic,
@@ -106,6 +107,23 @@ def test_rates_match_gradient_finite_difference(model, P, h):
         ]
     )
     assert_allclose(r, fd, rtol=0, atol=1e-9 * np.abs(r).max())
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_mean_flow_is_the_linear_flow(order):
+    # The reference is the expression propagate_analytic evaluated inline
+    # before the flow had its own function; mean_flow must keep it bit for
+    # bit, on a grid that does not start at zero and spans several turns.
+    el0 = KeplerianElements(a=7000.0, e=0.1, i=0.9, raan=0.3, argp=1.1, mean_anom=0.2)
+    mean0 = CanonicalMap(EARTH, order=order).osculating_to_mean(kep_to_delaunay(el0, EARTH))
+    times = 500.0 + np.linspace(0.0, 3.0 * kepler_period(el0.a, EARTH), 49)
+    rates = mean_rates(mean0.momenta, EARTH, order)
+    want = normalize_angle(mean0.angles[:, None] + rates[:, None] * (times - times[0]))
+    P, Q = mean_flow(mean0, times, EARTH, order)
+    assert P.shape == (3,) and np.array_equal(P, mean0.momenta)
+    assert np.array_equal(Q, want)
+    assert np.array_equal(Q[:, 0], mean0.angles)
+    assert Q.shape == (3, len(times)) and np.all((Q >= 0.0) & (Q < TWO_PI))
 
 
 def test_analytic_zero_j2_matches_kepler():
@@ -220,13 +238,13 @@ def test_analytic_route_refuses_an_image_off_the_chart():
     el0 = KeplerianElements(a=7000.0, e=0.002, i=0.5, raan=0.3, argp=0.5, mean_anom=0.2)
     times = np.linspace(0.0, kepler_period(el0.a, EARTH), 9)
     mean0 = CanonicalMap(EARTH).osculating_to_mean(kep_to_delaunay(el0, EARTH))
-    angles = normalize_angle(mean0.angles + mean_rates(mean0.momenta, EARTH) * times[3])
+    P, Q = mean_flow(mean0, times, EARTH)
     with pytest.raises(MapError) as failure:
         propagate_analytic(el0, times, EARTH)
     text = str(failure.value)
     assert text.startswith("osculating image left the Delaunay chart: G - L = +1.011e-02 from e = 1.148e-03, "
                            "near |J2| (R/a)^2 = 8.989e-04; input ")
-    assert f"input {describe('LGHlgh', (*mean0.momenta, *angles))}; last scaled step " in text
+    assert f"input {describe('LGHlgh', (*P, *Q[:, 3]))}; last scaled step " in text
 
 
 def test_oracle_failure_names_state_and_last_time(nan_field):
@@ -333,8 +351,8 @@ def test_batched_map_matches_per_sample_calls(order):
         times = np.linspace(0.0, 3.0 * kepler_period(a, EARTH), 49)
         cm = CanonicalMap(EARTH, order=order)
         mean0 = cm.osculating_to_mean(kep_to_delaunay(el0, EARTH))
-        rates = mean_rates(mean0.momenta, EARTH, order)
-        means = [DelaunayState(*mean0.momenta, *(mean0.angles + rates * t)) for t in times]
+        P, Q = mean_flow(mean0, times, EARTH, order)
+        means = [DelaunayState(*P, *angles) for angles in Q.T]
 
         eph = propagate_analytic(el0, times, EARTH, order)
         lone = [cm.mean_to_osculating(m, return_info=True) for m in means]
@@ -342,10 +360,15 @@ def test_batched_map_matches_per_sample_calls(order):
             got = DelaunayState(*row)
             assert_allclose(got.momenta, want.momenta, rtol=1e-12, atol=0)
             assert np.abs(wrap(got.angles - want.angles)).max() <= 1e-12
-        p, q, its = cm.mean_to_osculating_batch(mean0.momenta, np.array([m.angles for m in means]).T)
+        p, q, its = cm.mean_to_osculating_batch(P, Q)
         assert its.tolist() == [info["iterations"] for _, info in lone]
-        # the Delaunay rows are the forward batch's own output, bit for bit
+        # the Delaunay rows are the forward batch of mean_flow's output, bit for bit
         assert np.array_equal(eph.delaunay, np.vstack((p, normalize_angle(q))).T)
+        # the same momenta as N equal columns, the input a moving flow will
+        # give: an N-column product may sum differently, so not bit for bit
+        p_n, q_n, _ = cm.mean_to_osculating_batch(np.repeat(P[:, None], len(times), 1), Q)
+        assert_allclose(p_n, p, rtol=1e-12, atol=0)
+        assert np.abs(wrap(q_n - q)).max() <= 1e-12
 
         hist = mean_history(eph, EARTH, order)
         lone = [cm.osculating_to_mean(DelaunayState(*row), return_info=True) for row in eph.delaunay]

@@ -1,4 +1,5 @@
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import draw_states
 from zeipel import vonzeipel as vz
 from zeipel.checks import richardson
 from zeipel.domain import CHAIN_FLOOR
-from zeipel.elements import EARTH, DelaunayState, KeplerianElements, delaunay_momenta, kep_to_delaunay
+from zeipel.elements import EARTH, DelaunayState, KeplerianElements, delaunay_momenta, kep_to_delaunay, normalize_angle
 from zeipel.errors import DomainError, MapError, describe
 from zeipel.symplectic import block_identities, generating_jacobian, symplectic_inverse, symplectic_residual
 from zeipel.transform import NEWTON_TOL, STALE_REL, CanonicalMap, GeneratingSeries, momentum_scale, newton_step
@@ -39,6 +40,21 @@ def test_zero_j2_is_identity(rng):
     st = draw_states(rng, 1)[0]
     assert cm.mean_to_osculating(st) is st
     assert cm.osculating_to_mean(st) is st
+
+
+def test_single_state_results_hold_python_floats():
+    # The N = 1 solve returns its column as a DelaunayState of six Python
+    # floats, as every element conversion does; the values are the batch
+    # solve's column bit for bit, the angles reduced to [0, 2 pi).
+    cm = CanonicalMap(EARTH)
+    st = kep_to_delaunay(KeplerianElements(a=7000.0, e=0.01, i=0.5, raan=0.3, argp=1.1, mean_anom=0.2), EARTH)
+    for one, batch in ((cm.mean_to_osculating, cm.mean_to_osculating_batch),
+                       (cm.osculating_to_mean, cm.osculating_to_mean_batch)):
+        got = one(st)
+        assert all(type(x) is float for x in astuple(got))
+        p, q, _ = batch(st.momenta[:, None], st.angles[:, None])
+        assert np.array_equal(got.momenta, p[:, 0])
+        assert np.array_equal(got.angles, normalize_angle(q[:, 0]))
 
 
 def test_guard_rejects_large_j2():
