@@ -14,9 +14,11 @@ Derived objects; the first two scale by mu^6 R^4:
      polynomial,
   3. the generators S1 and S2 (periodic, zero l-mean part) over a fixed angle
      basis, sin(k*nu + m*g) and cos(m*g)*(nu - l); S1 is asserted equal to
-     its hand copy S1_HAND (the coefficients of zeipel.vonzeipel.s1_true),
-     S2 is spot-checked against its generator equation with hb evaluated
-     directly in floats.  These scale by mu^2 R^2 and mu^4 R^4.
+     its hand copy S1_HAND (the coefficients of zeipel.vonzeipel.s1_true).
+     These scale by mu^2 R^2 and mu^4 R^4.  Every assertion here is
+     symbolic; S2's float checks are the Tier-1 tests
+     test_closed_form_s2_generator_equation and, for the l-mean the
+     equation cannot see, test_s2_zero_mean_and_derivatives.
 
 Emitted: the angle bases of S1 and S2 and the monomial tables of S1, S2, k2
 and c2.
@@ -26,13 +28,12 @@ average of f * rho^-2 / eta, which is exact term by term because every
 rho power in hb is >= 2 except the constant.
 
 Run from the repository root:  python scripts/derive_second_order.py
-(about 15 seconds).  The output records this script's SHA-256, which a test
+(about 8 seconds).  The output records this script's SHA-256, which a test
 compares with the script.  Output is deterministic for a fixed sympy
 version; cosmetic differences may appear across sympy releases.
 """
 
 import hashlib
-import math
 import pathlib
 from collections import defaultdict
 
@@ -275,53 +276,6 @@ print("  S1 matches s1_true")
 s2_table = generator_table(terms, zero_mean=True)
 print(f"  S2: {len(s2_table)} basis terms")
 
-
-def direct_eval(ee, GG, HH, LL, nu, g):
-    """The cross term hb at one point, in floats, from S1 and h1 directly."""
-    rho = (1 + ee * math.cos(nu)) / (1 - ee * ee)
-    et = math.sqrt(1 - ee * ee)
-    c2g = math.cos(2 * g + 2 * nu)
-    s2g = math.sin(2 * g + 2 * nu)
-    d1 = 3 * HH * HH - GG * GG
-    d2 = 3 * (GG * GG - HH * HH)
-    pr = 1 / (4 * GG**5)
-    s1l = pr * ((GG**2 - 3 * HH**2) * (1 - et**3 * rho**3)
-                + (GG**2 - HH**2) * et * rho**2 * (3 * c2g
-                + 1.5 * ee * math.cos(2 * g + nu) + 1.5 * ee * math.cos(2 * g + 3 * nu)))
-    s1gv = pr * (GG**2 - HH**2) * (3 * c2g + 3 * ee * math.cos(2 * g + nu) + ee * math.cos(2 * g + 3 * nu))
-    nue = (2 + ee * math.cos(nu)) * math.sin(nu) / (1 - ee * ee)
-    rhoe = (math.cos(nu) + 2 * ee + ee * ee * math.cos(nu)) / (1 - ee * ee) ** 2
-    rhonu = -ee * math.sin(nu) / (1 - ee * ee)
-    drho = rhoe + rhonu * nue
-    eL = GG * GG / (ee * LL**3)
-    eG = -GG / (ee * LL * LL)
-    F = rho**3 * (d1 + d2 * c2g)
-    dF = 3 * rho * rho * drho * (d1 + d2 * c2g) + rho**3 * d2 * (-2 * s2g) * nue
-    hh1L = 0.25 * (-6 * F / (LL**7 * GG * GG) + dF * eL / (LL**6 * GG * GG))
-    hh1G = 0.25 * (-2 * F / (LL**6 * GG**3)
-                   + (dF * eG + rho**3 * (-2 * GG + 6 * GG * c2g)) / (LL**6 * GG * GG))
-    return 1.5 / LL**4 * s1l * s1l + hh1L * s1l + hh1G * s1gv
-
-
-# Spot check: w1 dS2/dl + hb - k2 - c2 cos 2g = 0, with dnu/dl = eta rho^2.
-print("numeric spot check of S2 ...")
-for ee, GG, HH, LL, nuv, gv in [(0.3, 0.9, 0.4, 0.9 / math.sqrt(1 - 0.09), 0.7, 1.1),
-                                (0.7, 1.3, -0.5, 1.3 / math.sqrt(1 - 0.49), 2.9, 0.3)]:
-    et = math.sqrt(1 - ee * ee)
-    nu_l = (1 + ee * math.cos(nuv)) ** 2 / et**3
-    subs = {e: ee, G: GG, H: HH, L: LL, u: 1 / (LL + GG)}
-    ds2dl = 0.0
-    for (p, k, m), cf in s2_table.items():
-        cf = float(cf.subs(subs))
-        if p == 0:
-            ds2dl += cf * k * math.cos(k * nuv + m * gv) * nu_l
-        else:
-            ds2dl += cf * math.cos(m * gv) * (nu_l - 1)
-    source = direct_eval(ee, GG, HH, LL, nuv, gv)
-    mean_l = float(K2_HAND.subs(subs)) + float(lp[2].subs(subs)) * math.cos(2 * gv)
-    res = -ds2dl / LL**3 + source - mean_l
-    assert abs(res) < 1e-11 * abs(source - mean_l), f"S2 generator equation residual {res:.3e}"
-print("  S2 satisfies its generator equation")
 
 print("emitting", OUT_PATH)
 lines = [

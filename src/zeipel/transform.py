@@ -241,22 +241,20 @@ class CanonicalMap:
         """The N = 1 case of a direction's solve: the image of `state` as a
         DelaunayState of Python floats, its Newton iterations, its
         last-evaluation Hessian, (5, 5), and the step taken after that
-        evaluation, (2,)."""
+        evaluation, (2,).  At J2 = 0 the image is `state` itself."""
+        if self.model.j2 == 0.0:
+            return state, 0, np.zeros((5, 5)), np.zeros(2)
         x, y, its, hess, last = solve(state.momenta[:, None], state.angles[:, None])
         return DelaunayState(*x[:, 0].tolist(), *y[:, 0].tolist()), int(its[0]), hess[..., 0], last[:, 0]
 
     def mean_to_osculating(self, mean: DelaunayState, return_info=False):
         """One state: the N = 1 case of `mean_to_osculating_batch`."""
-        osc, its = mean, 0
-        if self.model.j2 != 0.0:
-            osc, its = self._one(self._mean_to_osculating, mean)[:2]
+        osc, its = self._one(self._mean_to_osculating, mean)[:2]
         return (osc, {"iterations": its}) if return_info else osc
 
     def osculating_to_mean(self, osc: DelaunayState, return_info=False):
         """One state: the N = 1 case of `osculating_to_mean_batch`."""
-        mean, its = osc, 0
-        if self.model.j2 != 0.0:
-            mean, its = self._one(self._osculating_to_mean, osc)[:2]
+        mean, its = self._one(self._osculating_to_mean, osc)[:2]
         return (mean, {"iterations": its}) if return_info else mean
 
     # -- derived linear objects ----------------------------------------------

@@ -36,16 +36,18 @@ from .hamiltonian import (
 )
 
 TWO_PI = 2.0 * math.pi
+# g nodes of the torus average: the averaged fields' g harmonics stay below 32.
+NODES_G = 64
 
 
-def torus_average_weighted(f_of_nu_g, e, nodes_nu=256, nodes_g=64):
+def torus_average_weighted(f_of_nu_g, e, nodes_nu=256):
     """Average over (l, g) of a field given at (nu, g), dnu-weighted in l.
 
     At e = 0 the weight is exactly 1, so this is the plain trapezoid average
     over the (nu, g) torus: exact to round-off for trigonometric polynomials
     with harmonics below half of each axis's node count."""
     nu = TWO_PI * np.arange(nodes_nu) / nodes_nu
-    g = TWO_PI * np.arange(nodes_g) / nodes_g
+    g = TWO_PI * np.arange(NODES_G) / NODES_G
     NU, GG = np.meshgrid(nu, g, indexing="ij")
     rho = a_over_r(NU, e)
     eta = math.sqrt(1.0 - e * e)
@@ -185,7 +187,7 @@ def k2_quadrature(L, G, H, model):
     """(l, g) average of the compositional cross term, dnu-weighted."""
     e = eccentricity_from_momenta(L, G)
     return torus_average_weighted(
-        lambda NU, GG: hbar_true(L, G, H, NU, GG, model), float(e), 128, 64
+        lambda NU, GG: hbar_true(L, G, H, NU, GG, model), float(e), 128
     )
 
 

@@ -11,9 +11,9 @@ TWO_PI = 2.0 * np.pi
 
 def test_operator_algebra_catches_a_missing_node(monkeypatch):
     # the torus grid keeps its 2 pi / n spacing but drops its last nu node
-    def short_average(f, e, nodes_nu=256, nodes_g=64):
+    def short_average(f, e, nodes_nu=256):
         nu = TWO_PI * np.arange(nodes_nu - 1) / nodes_nu
-        g = TWO_PI * np.arange(nodes_g) / nodes_g
+        g = TWO_PI * np.arange(vz.NODES_G) / vz.NODES_G
         return float(np.mean(f(*np.meshgrid(nu, g, indexing="ij"))))
 
     assert checks.operator_algebra(np.random.default_rng(1), 20) <= 1e-12
