@@ -182,9 +182,7 @@ def cmd_propagate(cfg: RunConfig, oracle: bool, stdout):
     return 0
 
 
-def cmd_compare(cfg: RunConfig, oracle: bool, stdout):
-    if not oracle:
-        raise UsageError("compare requires --oracle (nothing to compare against)")
+def cmd_compare(cfg: RunConfig, stdout):
     levels = checks.halving_study(cfg.elements, cfg.times, cfg.model, (cfg.order,))
     errs = [lv.reports[cfg.order].max_pos_err for lv in levels]
     ptps = [np.ptp(mean, axis=0) for mean in checks.halving_means(levels, cfg.order)]
@@ -242,14 +240,19 @@ def cmd_verify(cfg: RunConfig, stdout):
     return 0
 
 
-_STATES = {"kep": KeplerianElements, "delaunay": DelaunayState, "cartesian": CartesianState}
+# Each `elements` direction: its input state class and its conversion.
+_DIRECTIONS = {
+    "kep_to_delaunay": (KeplerianElements, kep_to_delaunay),
+    "delaunay_to_kep": (DelaunayState, delaunay_to_kep),
+    "kep_to_cartesian": (KeplerianElements, kep_to_cartesian),
+    "cartesian_to_kep": (CartesianState, cartesian_to_kep),
+}
 
 
-def _state_from_json(direction, doc):
-    """The input state of a direction from a JSON object keyed by its fields."""
+def _state_from_json(direction, cls, doc):
+    """The direction's input state, of class `cls`, from a JSON object keyed by its fields."""
     if not isinstance(doc, dict):
         raise UsageError("--state must be a JSON object")
-    cls = _STATES[direction.split("_")[0]]
     keys = [f.name for f in fields(cls)]
     missing = [k for k in keys if k not in doc]
     if missing:
@@ -262,26 +265,21 @@ def _state_from_json(direction, doc):
 
 
 def cmd_elements(cfg: RunConfig, direction, state_json, stdout):
-    conv = {
-        "kep_to_delaunay": kep_to_delaunay,
-        "delaunay_to_kep": delaunay_to_kep,
-        "kep_to_cartesian": kep_to_cartesian,
-        "cartesian_to_kep": cartesian_to_kep,
-    }
-    if direction not in conv:
+    if direction not in _DIRECTIONS:
         given = "" if direction is None else f", not {direction!r}"
-        raise UsageError(f"elements needs --direction, one of {', '.join(conv)}{given}")
+        raise UsageError(f"elements needs --direction, one of {', '.join(_DIRECTIONS)}{given}")
+    cls, convert = _DIRECTIONS[direction]
     if state_json is not None:
         try:
             doc = json.loads(state_json)
         except json.JSONDecodeError as exc:
             raise UsageError(f"--state is not valid JSON: {exc}") from exc
-        state = _state_from_json(direction, doc)
-    elif direction.startswith("kep_"):
+        state = _state_from_json(direction, cls, doc)
+    elif cls is KeplerianElements:
         state = cfg.elements
     else:
         raise UsageError(f"direction {direction} requires --state")
-    out = conv[direction](state, cfg.model)
+    out = convert(state, cfg.model)
     doc = {f.name: np.asarray(getattr(out, f.name)).tolist() for f in fields(out)}
     stdout.write(json.dumps(doc) + "\n")
     return 0
@@ -292,7 +290,7 @@ def build_parser():
     p.add_argument("command", choices=["propagate", "compare", "verify", "elements"])
     p.add_argument("--config", help="JSON config path; defaults apply when omitted")
     p.add_argument("--order", type=int, choices=ORDERS, help="theory order override")
-    p.add_argument("--oracle", action="store_true", help="also run the numerical oracle")
+    p.add_argument("--oracle", action="store_true", help="propagate: also run the numerical oracle (compare always runs it)")
     p.add_argument("--out", help="output directory override")
     p.add_argument("--seed", type=int, help="random seed override")
     p.add_argument("--print-config", action="store_true", help="dump merged config and exit")
@@ -322,7 +320,7 @@ def main(argv=None, stdout=None):
         if args.command == "propagate":
             return cmd_propagate(cfg, args.oracle, stdout)
         if args.command == "compare":
-            return cmd_compare(cfg, args.oracle, stdout)
+            return cmd_compare(cfg, stdout)
         if args.command == "verify":
             return cmd_verify(cfg, stdout)
         return cmd_elements(cfg, args.direction, args.state, stdout)

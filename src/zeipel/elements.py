@@ -30,19 +30,14 @@ def normalize_angle(x):
     return np.where((y < 0.0) | (y >= TWO_PI), 0.0, y)
 
 
-def _require_finite(state):
-    """Refuse a model or state object with a NaN or infinite field, naming it."""
-    for f in fields(state):
-        if not np.isfinite(getattr(state, f.name)).all():
-            raise DomainError(f"{f.name} must be finite")
-
-
-def _require_finite_fields(state, values):
-    """`_require_finite` for a state object of float fields whose `values`
-    are given: one `np.isfinite` over them, and the per-field loop only to
-    name the first bad field."""
+def _require_finite(state, values):
+    """Refuse a model or state object with a NaN or infinite field: one
+    `np.isfinite` over its field `values`, and the loop over the fields only
+    to name the first bad one."""
     if not np.isfinite(values).all():
-        _require_finite(state)
+        for f in fields(state):
+            if not np.isfinite(getattr(state, f.name)).all():
+                raise DomainError(f"{f.name} must be finite")
 
 
 def _set_angles(state, names):
@@ -70,7 +65,7 @@ class PhysicalModel:
 
     def __post_init__(self):
         object.__setattr__(self, "zonal", tuple(float(j) for j in self.zonal))
-        _require_finite(self)
+        _require_finite(self, (self.mu, self.R, *self.zonal))
         if not self.mu > 0:
             raise DomainError("mu must be positive")
         if not self.R > 0:
@@ -103,7 +98,7 @@ class KeplerianElements:
     mean_anom: float
 
     def __post_init__(self):
-        _require_finite_fields(self, (self.a, self.e, self.i, self.raan, self.argp, self.mean_anom))
+        _require_finite(self, (self.a, self.e, self.i, self.raan, self.argp, self.mean_anom))
         if not self.a > 0:
             raise DomainError("semi-major axis must be positive")
         if not (0.0 <= self.e < 1.0):
@@ -125,7 +120,7 @@ class DelaunayState:
     h: float
 
     def __post_init__(self):
-        _require_finite_fields(self, (self.L, self.G, self.H, self.l, self.g, self.h))
+        _require_finite(self, (self.L, self.G, self.H, self.l, self.g, self.h))
         # Tiny slack absorbs round-off from conversions near e = 0.
         slack = 1e-12 * self.L
         if not self.L > 0:
@@ -159,7 +154,7 @@ class CartesianState:
             raise DomainError("r and v must be 3-vectors")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
-        _require_finite(self)
+        _require_finite(self, (r, v))
         if not np.linalg.norm(r) > 0:
             raise DomainError("|r| must be positive")
 

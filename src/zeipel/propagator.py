@@ -103,22 +103,6 @@ class Ephemeris:
     def momenta(self):
         return self.delaunay[:, :3].copy()
 
-    def validate(self, model: PhysicalModel):
-        """Cross-representation consistency; raises on violation."""
-        tol = 1e-9
-        ref = kep_to_cartesian_batch(self.kep, model)
-        for cols, what in ((slice(0, 3), "positions"), (slice(3, 6), "velocities")):
-            want = ref[:, cols]
-            err = np.linalg.norm(want - self.cart[:, cols], axis=1)
-            if np.any(err > tol * np.maximum(1.0, np.linalg.norm(want, axis=1))):
-                raise DomainError(f"Cartesian {what} inconsistent with elements")
-        ref, st = kep_to_delaunay_batch(self.kep, model), self.delaunay
-        dm = np.abs(ref[:, :3] - st[:, :3]).max(axis=1)
-        da = np.abs((ref[:, 3:] - st[:, 3:] + np.pi) % (2 * np.pi) - np.pi).max(axis=1)
-        if np.any((dm > tol * np.maximum(1.0, st[:, 0])) | (da > tol)):
-            raise DomainError("Delaunay samples inconsistent with elements")
-        return True
-
 
 def propagate_analytic(osc0: KeplerianElements, times, model: PhysicalModel, order=2) -> Ephemeris:
     """Full analytic pipeline at the given theory order: one inverse map of

@@ -84,12 +84,6 @@ def test_csv_rows_read_as_per_value_format(tmp_path):
     assert want[1].startswith("-0,0,4.9406564584124654e-324,-4.9406564584124654e-324,1.0000000000000001e+300,")
 
 
-def test_compare_requires_oracle(tmp_path):
-    cfg = write_config(tmp_path, SMALL_GRID)
-    rc, _ = run(["compare", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 2
-
-
 def test_compare_writes_report(tmp_path):
     cfg = write_config(tmp_path, SMALL_GRID)
     rc, out = run(["compare", "--config", cfg, "--oracle", "--out", str(tmp_path / "o")])
@@ -100,6 +94,19 @@ def test_compare_writes_report(tmp_path):
     assert "halving table" in report
     first = float(report.splitlines()[1].split()[1])
     assert first < 0.05
+
+
+def test_compare_always_runs_the_oracle(tmp_path):
+    # compare has nothing to compare without its oracle, so it always runs
+    # it: with or without --oracle it prints and writes the same bytes.
+    cfg = write_config(tmp_path, SMALL_GRID)
+    outputs = []
+    for flag in ([], ["--oracle"]):
+        rc, out = run(["compare", *flag, "--config", cfg, "--out", str(tmp_path / f"o{len(flag)}")])
+        assert rc == 0
+        outputs.append((out, (tmp_path / f"o{len(flag)}" / "compare.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] == outputs[0][0].encode()
 
 
 def test_verify_passes_by_default():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
+from scipy.integrate._ivp.common import select_initial_step
 
 from zeipel import dop853
 from zeipel.elements import EARTH, KeplerianElements, kep_to_cartesian
@@ -345,3 +346,28 @@ def test_a_finite_blow_up_fails_on_the_step_size():
     message = str(failure.value)
     assert message.startswith(f"oracle integration failed: {dop853.TOO_SMALL}; initial state x=1.0, y=0.0")
     assert 0.99 < float(message.rsplit("last time reached ", 1)[1]) < 1.01
+
+
+@pytest.mark.parametrize("v0", [(0.0, 0.0, 0.0), (0.5, -7.5, 0.25)], ids=["at-rest", "constant-velocity"])
+def test_force_free_motion_matches_scipy(v0):
+    # No force: at rest both d1 and d2 of the initial-step estimate vanish,
+    # and the flat branch gives 1e-6 s, scipy's step; at constant velocity
+    # d2 alone vanishes.  The samples are scipy's to round-off in x0 + v t.
+    # nfev is not compared: zeipel counts 3 fewer than scipy on both.
+    def rest(x, y, z):
+        return 0.0, 0.0, 0.0
+
+    def fun(t, y):
+        return np.array((*y[3:], *rest(*y[:3])))
+
+    y0 = np.array([7000.0, 100.0, -50.0, *v0])
+    f0 = (*v0, 0.0, 0.0, 0.0)
+    step = dop853._initial_step(rest, tuple(y0.tolist()), f0, 1000.0)
+    assert step == select_initial_step(fun, 0.0, y0, 1000.0, np.inf, np.array(f0), 1, 7, dop853.TOL, dop853.TOL)
+    if not any(v0):
+        assert step == 1e-6
+    times = np.linspace(0.0, 1000.0, 11)
+    ours = dop853.solve_ivp(rest, y0, times)
+    ref = scipy_solve_ivp(fun, (0.0, 1000.0), y0, method="DOP853", t_eval=times, rtol=dop853.TOL, atol=dop853.TOL)
+    assert ref.success
+    assert np.abs(ours.rows - ref.y.T).max() <= 1e-15 * np.abs(ref.y).max()

@@ -496,6 +496,37 @@ def test_non_finite_input_is_refused_at_entry(evaluations):
     assert evaluations == {"builds": [], "derivatives": 0}
 
 
+def test_a_non_finite_residual_names_its_column(monkeypatch):
+    # A generator gradient that turns NaN in the middle column of three, at
+    # momenta well inside the chart, breaks that column's Newton solve in
+    # both directions: the MapError gives the non-finite reason and names
+    # that column's input state.
+    good = kep_to_delaunay(KeplerianElements(7200.0, 0.05, 0.6, 0.3, 1.1, 2.0), EARTH)
+    cols = np.tile(np.concatenate([good.momenta, good.angles])[:, None], 3)
+    cols[3] = (0.5, 2.0, 4.0)  # three mean anomalies, so each column is its own state
+    derivatives = vz.ClosedFormGenerator.derivatives
+
+    def poisoned(self, l, g):
+        value, grad, hess = derivatives(self, l, g)
+        if grad.shape[-1] == 3:
+            grad[:, 1] = np.nan
+        return value, grad, hess
+
+    monkeypatch.setattr(vz.ClosedFormGenerator, "derivatives", poisoned)
+    cm = CanonicalMap(EARTH)
+    for solve in (cm.mean_to_osculating_batch, cm.osculating_to_mean_batch):
+        with pytest.raises(MapError) as failure:
+            solve(cols[:3], cols[3:])
+        assert str(failure.value) == (
+            f"residual became non-finite; input {describe('LGHlgh', cols[:, 1])}; last scaled step nan"
+        )
+
+
+def test_map_refuses_an_order_it_has_no_generator_for():
+    with pytest.raises(DomainError, match=r"^order must be one of \(1, 2\)$"):
+        CanonicalMap(EARTH, order=3)
+
+
 def test_displacement_prediction_matches_map(rng):
     # the analytic offset agrees with the nonlinear map to O(J2^2)
     st = draw_states(rng, 1, e_lo=0.05, e_hi=0.15)[0]

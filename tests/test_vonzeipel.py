@@ -259,6 +259,17 @@ def test_homological_degenerate_frequency():
         solve_homological(np.zeros(3), lambda pts: np.zeros(pts.shape[1]), np.array([1.0, 2.0, 3.0]))
 
 
+def test_homological_is_zero_where_the_characteristic_starts():
+    # Where what . q = 0 the line integral from the plane through the origin
+    # has zero length: S = 0 there, and the source is never evaluated.  The
+    # products in what . q are exact, so the dot is exactly 0.
+    def source(pts):
+        raise AssertionError("source evaluated on a zero-length line")
+
+    for w, q in (((1.0, 1.0), (0.5, -0.5)), ((2.0, 0.0, 5.0), (0.0, 3.0, 0.0))):
+        assert solve_homological(np.array(w), source, np.array(q)) == 0.0
+
+
 def test_homological_reproduces_satellite_generator(rng):
     # same d/dl as the closed-form generator (they differ by a g-function)
     for _ in range(5):
@@ -410,6 +421,11 @@ def test_tables_constant_field_gives_zero_generator():
 def test_tables_reject_degenerate_frequency():
     with pytest.raises(DegenerateFrequencyError):
         SecondOrderTables(lambda LL, GG: LL * 0.0, w1=0.0)
+
+
+def test_tables_refuse_a_field_of_the_wrong_shape():
+    with pytest.raises(DomainError, match=r"^field must evaluate on the \(nl, ng\) grid$"):
+        SecondOrderTables(lambda LL, GG: LL[:, :1], w1=-1.0, nl=32, ng=8)
 
 
 def test_mean_hamiltonian_orders():
