@@ -220,13 +220,6 @@ def symplectic_algebra(rng, n):
     return worst
 
 
-def identity_at_zero(rng, model, e_range, i_range):
-    """max |map(x) - x| at J2 = 0, where the map is the identity bit for bit."""
-    st = _state_draw(rng, model, e_range, i_range)
-    ident = CanonicalMap(model.with_j2(0.0)).mean_to_osculating(st)
-    return float(np.abs(np.concatenate([ident.momenta - st.momenta, ident.angles - st.angles])).max())
-
-
 def homological_line_solver(rng, model, n, e_range, i_range):
     """Richardson d/dl of the characteristic-line solution of the first-order
     equation against the map's tabled dS1/dl, relative, at one random point

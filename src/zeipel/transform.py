@@ -241,9 +241,7 @@ class CanonicalMap:
         """The N = 1 case of a direction's solve: the image of `state` as a
         DelaunayState of Python floats, its Newton iterations, its
         last-evaluation Hessian, (5, 5), and the step taken after that
-        evaluation, (2,).  At J2 = 0 the image is `state` itself."""
-        if self.model.j2 == 0.0:
-            return state, 0, np.zeros((5, 5)), np.zeros(2)
+        evaluation, (2,)."""
         x, y, its, hess, last = solve(state.momenta[:, None], state.angles[:, None])
         return DelaunayState(*x[:, 0].tolist(), *y[:, 0].tolist()), int(its[0]), hess[..., 0], last[:, 0]
 

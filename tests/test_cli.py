@@ -115,7 +115,7 @@ def test_verify_passes_by_default():
     lines = out.strip().splitlines()
     assert lines[-1] == "verification passed"
     checks = [ln for ln in lines[:-1]]
-    assert len(checks) == 10
+    assert len(checks) == 9
     assert all(ln.startswith("PASS ") for ln in checks)
 
 
@@ -132,8 +132,6 @@ def test_verify_fails_at_zero_tolerance(monkeypatch):
     # every failing line names its property
     assert all(":" in ln and ln.split()[1].endswith(":") for ln in failing)
     assert "verification failed:" in out
-    # the exactly-zero identity check passes even at tolerance 0
-    assert "PASS map-identity-at-zero" in out
 
 
 def test_elements_roundtrip_through_cli():

@@ -36,10 +36,11 @@ def offset(cm, mean):
 
 
 def test_zero_j2_is_identity(rng):
+    # both directions give back fields equal to the input's
     cm = CanonicalMap(EARTH.with_j2(0.0))
     st = draw_states(rng, 1)[0]
-    assert cm.mean_to_osculating(st) is st
-    assert cm.osculating_to_mean(st) is st
+    assert astuple(cm.mean_to_osculating(st)) == astuple(st)
+    assert astuple(cm.osculating_to_mean(st)) == astuple(st)
 
 
 def test_single_state_results_hold_python_floats():
