@@ -23,14 +23,15 @@ Derived objects; the first two scale by mu^6 R^4:
 Emitted: the angle bases of S1 and S2 and the monomial tables of S1, S2, k2
 and c2.
 
-The l-average uses dl = (1/eta) (r/a)^2 dnu, i.e. <f>_l is the plain nu
-average of f * rho^-2 / eta, which is exact term by term because every
-rho power in hb is >= 2 except the constant.
+Each source is expanded once, into the (nu, g) cosine spectrum of
+f * rho^-2 / eta.  As dl = (1/eta) (r/a)^2 dnu, its k = 0 row is <f>_l,
+exact term by term as every rho power in hb but the constant is >= 2.  k2
+and c2 are read from that row of the cross term's spectrum, S2 from all of it.
 
 Run from the repository root:  python scripts/derive_second_order.py
-(about 8 seconds).  The output records this script's SHA-256, which a test
-compares with the script.  Output is deterministic for a fixed sympy
-version; cosmetic differences may appear across sympy releases.
+(8 to 14 s on a shared 2-core machine).  The output records this script's
+SHA-256, which a test compares with the script.  Output is deterministic for
+a fixed sympy version; cosmetic differences may appear across sympy releases.
 """
 
 import hashlib
@@ -157,15 +158,22 @@ def fold_to_cosine(d):
     return out
 
 
-print("averaging over l (dnu-weighted) ...")
-avg = defaultdict(lambda: sp.Integer(0))
-for c, p in terms:
-    rp = rho_power(p - 2)  # rho^p * rho^-2 from the measure
-    for (kz, kw), cc in laurent_dict(c).items():
-        cr = rp.get(-kz)
-        if cr is not None:
-            avg[kw] += cc * cr / eta
-avg[0] += const_term  # <rho^0 * rho^-2>_nu / eta = 1 exactly
+def spectrum(source_terms):
+    """{(k, m): coefficient of cos(k nu + m g)} of f rho^-2 / eta for the
+    source f = sum c * rho^p of (c, p) terms, every p >= 2, so that it is a
+    trigonometric polynomial.  Its k = 0 row is the l-average <f>_l(g)."""
+    b = defaultdict(lambda: sp.Integer(0))
+    for c, p in source_terms:
+        rp = rho_power(p - 2)  # rho^p * rho^-2 from the measure
+        for (kz, kw), cc in laurent_dict(c).items():
+            for kr, cr in rp.items():
+                b[(kz + kr, kw)] += cc * cr / eta
+    return fold_to_cosine(b)
+
+
+print("expanding the cross term ...")
+cross = spectrum(terms)
+
 
 def reduce_on_manifold(expr):
     """expr as A + e B with A, B rational in (L, G, H), using eta = G/L and
@@ -186,7 +194,7 @@ def reduce_on_manifold(expr):
     return sp.factor(sp.cancel(num.coeff(e, 0) / den)) + e * sp.factor(sp.cancel(num.coeff(e, 1) / den))
 
 
-k2_expr = reduce_on_manifold(avg[0])
+k2_expr = reduce_on_manifold(cross[(0, 0)] + const_term)  # <rho^0 * rho^-2>_nu / eta = 1
 K2_HAND = (
     15 * G**6 + 12 * G**5 * L - 54 * G**4 * H**2 - 15 * G**4 * L**2
     - 72 * G**3 * H**2 * L + 15 * G**2 * H**4 + 30 * G**2 * H**2 * L**2
@@ -197,21 +205,16 @@ print("  secular average matches the hand-written k2 polynomial")
 
 lp = {}
 for m in (2, 4):
-    c = avg.get(m, sp.Integer(0))
-    cc = avg.get(-m, sp.Integer(0))
-    sin_part = sp.expand(c - cc)
-    assert sin_part == 0, f"sine term in the long-period remainder at m={m}"
-    lp[m] = reduce_on_manifold(c + cc)
+    lp[m] = reduce_on_manifold(cross.get((0, m), sp.Integer(0)))
     assert e not in lp[m].free_symbols, "odd powers of e survive"
 assert lp[4] == 0, "cos(4g) harmonic expected to cancel on eta = G/L"
 assert lp[2] != 0
+assert {key for key in cross if key[0] == 0} <= {(0, 0), (0, 2), (0, 4)}, "l-average has other g harmonics"
 print("  long-period remainder reduces to a single cos(2g) harmonic")
-assert all(sp.expand(avg.get(m, 0)) == 0 for m in avg if abs(m) not in (0, 2, 4))
 
 # ---------------------------------------------------------------------------
-# Generators in closed form.  A source f = sum c * rho^p with every p >= 2
-# gives f * rho^-2 / eta = sum b[(k, m)] cos(k nu + m g), a trigonometric
-# polynomial, so at fixed g
+# Generators in closed form.  With b = spectrum(f), f * rho^-2 / eta =
+# sum b[(k, m)] cos(k nu + m g), so at fixed g
 #     A = sum_{k>0} b/k sin(k nu + m g) + sum_m b[(0, m)] cos(m g) (nu - l)
 # solves dA/dl = f - <f>_l (dnu/dl = eta rho^2).  The generator of
 # w1 dS/dl + f - <f>_l = 0 is S = -A/w1 = L^3 A (w1 = -mu^2/L^3, mu = 1 here).
@@ -225,18 +228,12 @@ def hansen_cos_mean(k):
     return (1 + k * G / L) * (-e * L * u) ** k
 
 
-def generator_table(source_terms, zero_mean):
+def generator_table(spec, zero_mean):
     """{(p, k, m): coefficient of (nu - l)^p sin(k nu + m g + p pi/2)} of
-    S = L^3 A for the source terms: (0, k, m) is sin(k nu + m g), (1, 0, m)
+    S = L^3 A for a source's spectrum: (0, k, m) is sin(k nu + m g), (1, 0, m)
     is cos(m g) (nu - l)."""
-    b = defaultdict(lambda: sp.Integer(0))
-    for c, p in source_terms:
-        rp = rho_power(p - 2)
-        for (kz, kw), cc in laurent_dict(c).items():
-            for kr, cr in rp.items():
-                b[(kz + kr, kw)] += cc * cr / eta
     out = defaultdict(lambda: sp.Integer(0))
-    for (k, m), coeff in fold_to_cosine(b).items():
+    for (k, m), coeff in spec.items():
         coeff = reduce_on_manifold(L**3 * coeff)
         if k == 0:
             out[(1, 0, m)] += coeff
@@ -262,7 +259,7 @@ def monomials(table):
 
 
 print("closed-form generators ...")
-s1_table = generator_table([(q * (D1 + D2 * C(2)) / (L**6 * G**2), 3)], zero_mean=False)
+s1_table = generator_table(spectrum([(q * (D1 + D2 * C(2)) / (L**6 * G**2), 3)]), zero_mean=False)
 S1_HAND = {  # s1_true, before the mu^2 R^2 factor
     (1, 0, 0): -(G**2 - 3 * H**2) / (4 * G**5),
     (0, 1, 0): -e * (G**2 - 3 * H**2) / (4 * G**5),
@@ -273,7 +270,7 @@ S1_HAND = {  # s1_true, before the mu^2 R^2 factor
 assert s1_table.keys() == S1_HAND.keys()
 assert all(sp.cancel(s1_table[k] - S1_HAND[k]) == 0 for k in S1_HAND), "S1 disagrees with s1_true"
 print("  S1 matches s1_true")
-s2_table = generator_table(terms, zero_mean=True)
+s2_table = generator_table(cross, zero_mean=True)
 print(f"  S2: {len(s2_table)} basis terms")
 
 

@@ -5,8 +5,7 @@ the worst value over its draws.  `zeipel verify` and the acceptance gates
 call the same functions, each with its own seed, draw counts, draw ranges
 and grid sizes.  `halving_study` runs the J2-halving study behind
 `zeipel compare`, the convergence script and the halving gate, one oracle
-run per level for all orders; `halving_means` recovers the mean momenta
-that compare and the gate read, and `halving_ratios` gives the ratios all
+run per level for all orders, and `halving_ratios` gives the ratios all
 three read.
 """
 
@@ -270,12 +269,6 @@ def halving_study(el0: KeplerianElements, times, model: PhysicalModel, orders):
         reports = {n: compare(propagate_analytic(el0, times, m, order=n), oracle) for n in orders}
         levels.append(HalvingLevel(m, oracle, reports))
     return levels
-
-
-def halving_means(levels, order):
-    """The mean momenta (L, G, H) recovered at `order` along each level's
-    oracle run, an (N, 3) array per level."""
-    return [mean_history(lv.oracle, lv.model, order=order) for lv in levels]
 
 
 def halving_ratios(values):

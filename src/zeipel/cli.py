@@ -29,7 +29,7 @@ from .elements import (
     kep_to_delaunay,
 )
 from .errors import DomainError, UsageError, ZeipelError
-from .propagator import propagate_analytic, propagate_oracle
+from .propagator import mean_history, propagate_analytic, propagate_oracle
 
 CSV_HEADER = "t,a,e,i,raan,argp,M,x,y,z,vx,vy,vz,L,G,H,l,g,h"
 _FLOAT_FORMAT = "%.17g"  # every float the CSVs and compare.txt write; 17 digits round-trip a double
@@ -186,7 +186,7 @@ def cmd_propagate(cfg: RunConfig, oracle: bool, stdout):
 def cmd_compare(cfg: RunConfig, stdout):
     levels = checks.halving_study(cfg.elements, cfg.times, cfg.model, (cfg.order,))
     errs = [lv.reports[cfg.order].max_pos_err for lv in levels]
-    ptps = [np.ptp(mean, axis=0) for mean in checks.halving_means(levels, cfg.order)]
+    ptps = [np.ptp(mean_history(lv.oracle, lv.model, cfg.order), axis=0) for lv in levels]
     lines = [
         f"# analytic(order={cfg.order}) vs oracle, J2={_fmt(cfg.model.j2)}",
         f"max_pos_err_km {_fmt(errs[0])}",

@@ -77,7 +77,8 @@ class GeneratingSeries:
         return vz.ClosedFormGenerator(*np.asarray(P, dtype=float), self.model, (j2, j2 * j2)[: self.order])
 
     def grad_q(self, P, q):
-        """(dS/dl, dS/dg) minus the P.q part; dS/dh vanishes."""
+        """(dS/dl, dS/dg) minus the P.q part; dS/dh vanishes.  Not used by
+        the map; kept for the tests and the benchmark's tracer."""
         return self.at(P).derivatives(q[0], q[1])[1][3:]
 
     def grad_P(self, P, q):

@@ -217,8 +217,6 @@ class SecondOrderTables:
         if abs(w1) < 1e-12:
             raise DegenerateFrequencyError("w1 too small for the l-antiderivative")
         self.w1 = float(w1)
-        self.nl = nl
-        self.ng = ng
         lg = TWO_PI * np.arange(nl) / nl
         gg = TWO_PI * np.arange(ng) / ng
         LL, GGm = np.meshgrid(lg, gg, indexing="ij")
@@ -234,10 +232,10 @@ class SecondOrderTables:
         self.mean = float(C[0, 0].real)
         self.kl = kl
         self.kg = kg
-        self._ramp_row = C[0, :].copy()
-        self._ramp_row[0] = 0.0
         self._osc = C.copy()
         self._osc[0, :] = 0.0
+        self._ramp = np.zeros_like(C)
+        self._ramp[0, 1:] = C[0, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             self._anti = np.where(kl[:, None] != 0, self._osc / (1j * kl[:, None]), 0.0)
 
@@ -266,12 +264,7 @@ class SecondOrderTables:
 
     def ramp(self, g):
         """Long-period remainder of the source field at g (zero g-mean)."""
-        g = np.asarray(g, dtype=float)
-        shape = g.shape
-        gf = np.atleast_1d(g).ravel()
-        eg = np.exp(1j * np.outer(self.kg, gf))
-        vals = (self._ramp_row @ eg).real
-        return vals.reshape(shape) if shape else float(vals[0])
+        return self._synth(self._ramp, 0.0, g)
 
     def pde_dl(self, l, g):
         """d S2/dl of the full (ramped) solution; satisfies the defining

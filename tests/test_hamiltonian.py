@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 from numpy.testing import assert_allclose
 
+from conftest import UNIT
 from zeipel.checks import richardson
 from zeipel.elements import EARTH, PhysicalModel, kep_to_cartesian, KeplerianElements, true_from_mean
 from zeipel import hamiltonian
@@ -24,8 +25,6 @@ from zeipel.hamiltonian import (
     zonal_potential,
     zonal_rhs,
 )
-
-UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
 
 
 def h1_mean(L, G, H, l, g, model):

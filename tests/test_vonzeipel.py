@@ -9,10 +9,11 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+from conftest import UNIT
 from zeipel import _secondorder
 from zeipel import vonzeipel as vz
 from zeipel.checks import richardson
-from zeipel.elements import EARTH, PhysicalModel, a_over_r, delaunay_momenta, true_from_mean
+from zeipel.elements import EARTH, a_over_r, delaunay_momenta, true_from_mean
 from zeipel.errors import DegenerateFrequencyError, DomainError
 from zeipel.hamiltonian import (
     dh0_dL,
@@ -45,7 +46,6 @@ from zeipel.vonzeipel import (
     torus_average_weighted,
 )
 
-UNIT = PhysicalModel(mu=1.0, R=1.0, zonal=(1.0e-3,))
 TWO_PI = 2.0 * np.pi
 
 
