@@ -29,7 +29,7 @@ from .elements import (
     true_from_mean,
 )
 from .hamiltonian import dh0_dL, h1_periodic_true, h1_true
-from .propagator import Ephemeris, compare, mean_history, propagate_analytic, propagate_oracle
+from .propagator import Ephemeris, compare, propagate_analytic, propagate_oracle
 from .transform import CanonicalMap
 
 TWO_PI = 2.0 * np.pi

@@ -166,8 +166,14 @@ def kepler_solve(mean_anom, e):
     Newton iteration seeded at M + e*sin(M), each step clamped to [-1, 1]
     and converged elements frozen.  The result stays on the same 2*pi
     branch as the input; a non-finite M or e gives NaN.
+
+    One anomaly (M and e each of size 1) is solved on Python floats by
+    `_kepler_one`, which repeats the array loop's arithmetic step for step
+    and returns its float bit for bit, in the shape the array loop would.
     """
     M, e_arr = np.asarray(mean_anom, dtype=float), np.asarray(e, dtype=float)
+    if M.size == 1 == e_arr.size:
+        return _one_shaped(_kepler_one(M.item(), e_arr.item()), M, e_arr)
     if (e_arr < 0).any() or (e_arr >= 1).any():
         raise DomainError("eccentricity must lie in [0, 1)")
     if M.shape != e_arr.shape:
@@ -190,17 +196,59 @@ def kepler_solve(mean_anom, e):
         step = np.minimum(np.maximum(f / (1.0 - e_arr * np.cos(E)), -1.0), 1.0)
         E = np.where(converged, E, E - step)
     else:
-        raise SolverError(f"Kepler solver did not converge in 50 Newton steps, worst residual {np.abs(f).max():.3e}")
+        raise _not_converged(np.abs(f).max())
 
     E = E + branch if all_finite else np.where(finite, E + branch, np.nan)
     return float(E) if E.ndim == 0 else E
 
 
+def _kepler_one(M, e):
+    """`kepler_solve` for one anomaly on Python floats.  `math.sin` and
+    `math.cos` give numpy's float64 values, and Python's `round` rounds
+    half to even like `np.round`, so each step equals the array loop's."""
+    if e < 0 or e >= 1:
+        raise DomainError("eccentricity must lie in [0, 1)")
+    if not (math.isfinite(M) and math.isfinite(e)):
+        return math.nan
+    branch = TWO_PI * round(M / TWO_PI)
+    Mr = M - branch
+    E = Mr + e * math.sin(Mr)
+    for _ in range(50):
+        f = E - e * math.sin(E) - Mr
+        if abs(f) <= 1e-14:
+            return E + branch
+        E = E - min(max(f / (1.0 - e * math.cos(E)), -1.0), 1.0)
+    raise _not_converged(abs(f))
+
+
+def _not_converged(worst):
+    return SolverError(f"Kepler solver did not converge in 50 Newton steps, worst residual {worst:.3e}")
+
+
+def _one_shaped(x, *inputs):
+    """The float x of a one-anomaly solve in the shape its size-1 inputs
+    broadcast to: x itself for 0-d inputs, else an all-ones array."""
+    ndim = max(a.ndim for a in inputs)
+    return np.array(x, ndmin=ndim) if ndim else x
+
+
 def true_from_eccentric(E, e):
-    """True anomaly from eccentric anomaly, branch preserving."""
-    E = np.asarray(E, dtype=float)
+    """True anomaly from eccentric anomaly, branch preserving.
+
+    One anomaly (E and e each of size 1) runs on Python floats and returns
+    the array expression's float bit for bit: `e * e`, since `e ** 2` on a
+    float can differ from numpy's square by an ulp, and `np.arctan2`, since
+    `math.atan2` can differ from it.  A non-finite E or |e| > 1 gives NaN.
+    """
+    E_arr, e_arr = np.asarray(E, dtype=float), np.asarray(e, dtype=float)
+    if E_arr.size == 1 == e_arr.size:
+        E1, e1 = E_arr.item(), e_arr.item()
+        if not (math.isfinite(E1) and e1 * e1 <= 1.0):
+            return _one_shaped(np.float64(math.nan), E_arr, e_arr)
+        beta = e1 / (1.0 + math.sqrt(1.0 - e1 * e1))
+        return _one_shaped(E1 + 2.0 * np.arctan2(beta * math.sin(E1), 1.0 - beta * math.cos(E1)), E_arr, e_arr)
     beta = e / (1.0 + np.sqrt(1.0 - np.asarray(e) ** 2))
-    return E + 2.0 * np.arctan2(beta * np.sin(E), 1.0 - beta * np.cos(E))
+    return E_arr + 2.0 * np.arctan2(beta * np.sin(E_arr), 1.0 - beta * np.cos(E_arr))
 
 
 def eccentric_from_true(nu, e):

@@ -391,7 +391,10 @@ _CHAIN = (
     ((2, 1, (0, 0, -1, 0, 0)), (0, -1, (-2, -2, 1, 0, 0)), (4, -1, (0, 0, 0, 0, 1))),
     ((3, 1, (0, 0, 0, -1, 0)),),
 )
-_BLOCK = 64  # columns per evaluation: larger temporaries are mapped afresh per call
+# Columns per evaluation: bounds the (groups, columns) temporaries.  From about
+# 15 columns they pass glibc's default 128 kB mmap threshold, so each is mapped
+# afresh within one block too.
+_BLOCK = 64
 _HESSIAN = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])  # the output of Hessian entry (x, y): the upper one
 
 

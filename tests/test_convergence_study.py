@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 from zeipel import checks
+from zeipel.transform import CanonicalMap
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
 NUMBER = r"(\d+(?:\.\d+)?(?:e[+-]\d+)?)"
@@ -40,13 +41,16 @@ def test_convergence_study_integrates_each_level_once(monkeypatch):
     # one row: one oracle run per J2 level, shared by both orders, one
     # analytic ephemeris per level and order, and no mean recovery, which
     # the sweep never reads
+    # (mean recovery is `osculating_to_mean_batch`, the one map call
+    # `mean_history` makes)
     script = load_script()
     calls = Counter()
-    for name in ("propagate_oracle", "propagate_analytic", "mean_history"):
-        def counted(*args, _name=name, _fun=getattr(checks, name), **kwargs):
+    targets = [(checks, "propagate_oracle"), (checks, "propagate_analytic"), (CanonicalMap, "osculating_to_mean_batch")]
+    for owner, name in targets:
+        def counted(*args, _name=name, _fun=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _fun(*args, **kwargs)
 
-        monkeypatch.setattr(checks, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     script.study_row(1, 9, 7000.0, 0.05, 0.5)
     assert calls == {"propagate_oracle": 3, "propagate_analytic": 6}

@@ -72,12 +72,81 @@ def test_kepler_against_fixed_point_oracle():
     assert abs(E - 0.1 * np.sin(E) - 1.0) < 1e-14
 
 
+# An (M, e) at which Python's e ** 2, an ulp off numpy's square, moves nu.
+SQUARE_EDGE = (24.13299347849059, 0.4041052688330863)
+
+
+def one_anomaly_draws(n=400, seed=11):
+    """Seeded (M, e) pairs, |M| <= 30, with e at 0, 1e-9, U(0, 0.99) and
+    U(0.9, 1 - 1e-6) in turn, then SQUARE_EDGE."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-30.0, 30.0, n)
+    e = np.stack([np.zeros(n // 4), np.full(n // 4, 1e-9), rng.uniform(0.0, 0.99, n // 4), rng.uniform(0.9, 1.0 - 1e-6, n // 4)], axis=1).ravel()
+    return [*zip(M.tolist(), e.tolist()), SQUARE_EDGE]
+
+
+def assert_one_anomaly_is_the_array_loops_float(solve):
+    # One anomaly runs on Python floats; a 2-element call keeps the numpy
+    # loop, and the same anomaly inside it must give the same float.
+    for M, e in one_anomaly_draws():
+        one = solve(M, e)
+        assert one == solve(np.array([M, 0.5]), np.array([e, 0.5]))[0], (M, e)
+
+
 def test_kepler_vectorized_matches_scalar():
-    M = np.linspace(-7.0, 7.0, 29)
-    e = 0.37
-    E = kepler_solve(M, e)
-    for Mk, Ek in zip(M, E):
-        assert Ek == pytest.approx(kepler_solve(float(Mk), e), abs=1e-14)
+    assert_one_anomaly_is_the_array_loops_float(kepler_solve)
+
+
+def test_true_from_mean_vectorized_matches_scalar():
+    assert_one_anomaly_is_the_array_loops_float(true_from_mean)
+
+
+@pytest.mark.parametrize(
+    "M, e, shape",
+    [
+        (1.3, 0.3, ()),
+        (np.float64(1.3), np.array(0.3), ()),
+        (np.array([1.3]), 0.3, (1,)),
+        (np.array([[1.3]]), np.array([0.3]), (1, 1)),
+        (1.3, np.array([0.3]), (1,)),
+    ],
+)
+def test_one_anomaly_keeps_the_array_shapes_and_types(M, e, shape):
+    # As the array expressions give them: kepler_solve returns a Python
+    # float for 0-d input and true_from_eccentric a numpy float64.
+    for solve, scalar in ((kepler_solve, float), (true_from_mean, np.float64)):
+        x = solve(M, e)
+        if shape:
+            assert type(x) is np.ndarray and x.shape == shape and x.dtype == np.float64
+            x = x.item()
+        else:
+            assert type(x) is scalar
+        assert x == solve(np.array([1.3, 0.5]), np.array([0.3, 0.5]))[0]
+
+
+@pytest.mark.parametrize("solve", [kepler_solve, true_from_mean])
+def test_one_anomaly_non_finite_input_gives_nan(solve):
+    for M, e in ((np.nan, 0.3), (np.inf, 0.3), (-np.inf, 0.3), (1.0, np.nan)):
+        assert np.isnan(solve(M, e))
+        assert np.isnan(solve(np.array([M]), e)).all() and solve(np.array([M]), e).shape == (1,)
+
+
+def test_one_anomaly_true_from_eccentric_gives_nan_where_the_array_expression_does():
+    for E, e in ((np.inf, 0.3), (-np.inf, 0.3), (np.nan, 0.3), (1.0, np.nan), (1.0, 1.5), (1.0, -1.5)):
+        with np.errstate(invalid="ignore"):
+            many = true_from_eccentric(np.array([E, 1.0]), np.array([e, 0.3]))
+        assert np.isnan(true_from_eccentric(E, e)) and np.isnan(many[0])
+
+
+@pytest.mark.parametrize("solve", [kepler_solve, true_from_mean])
+@pytest.mark.parametrize("e", [-1e-12, -np.inf, 1.0, 1.5, np.inf])
+def test_one_anomaly_refuses_the_eccentricity_like_the_array_loop(solve, e):
+    messages = []
+    for M in (0.5, np.array([0.5, 0.5])):
+        with pytest.raises(DomainError) as err:
+            solve(M, e)
+        messages.append(str(err.value))
+    assert messages == ["eccentricity must lie in [0, 1)"] * 2
 
 
 def test_kepler_scalar_mean_anomaly_broadcasts_over_eccentricities():
